@@ -5,148 +5,15 @@ loss and its landscape geometry, linear distributions for sampling loss
 hyperparameters, FiLM-conditioned MLPs trained so one model covers a
 whole family of losses, ROC/AUC metrics, and sweep orchestration with
 variance statistics.
+
+The package root re-exports what one conditioned run needs; everything
+else is imported from its module (vslct.losses, vslct.analysis, ...).
 """
 
-from vslct.analysis import (
-    AucStats,
-    PolyfitResult,
-    RocAggregate,
-    SweepRow,
-    SweepRun,
-    TTestResult,
-    aggregate_roc,
-    auc_stats,
-    paired_t_test,
-    polyfit_r2,
-    regularized_incomplete_beta,
-    run_sweep,
-)
-from vslct.data import Dataset, load_csv, save_csv, split, subsample_minority, synth_gaussian
-from vslct.lindist import LinearDistribution, make_linear
-from vslct.losses import (
-    BreakEvenLine,
-    ClassCounts,
-    LogitPair,
-    LossDifferenceGrid,
-    VsHyperParams,
-    break_even_alpha,
-    break_even_line,
-    break_even_softmax_score,
-    loss_difference_grid,
-    omega_softmax_intersection,
-    sigmoid,
-    softplus,
-    vs_loss_binary,
-    vs_loss_binary_batch,
-    vs_loss_general,
-    vs_loss_grad_batch,
-    vs_loss_grad_logits,
-    vs_loss_partials_hyper,
-)
-from vslct.metrics import (
-    ConfusionCounts,
-    LabeledScores,
-    RocCurve,
-    auc_pair_oracle,
-    confusion_at_threshold,
-    roc_at_fpr_grid,
-    roc_curve,
-)
-from vslct.network import (
-    MlpFilmModel,
-    ModelConfig,
-    OptimizerState,
-    clip_global_norm,
-    count_film_weights,
-    load_checkpoint,
-    minority_score,
-    save_checkpoint,
-    sgd_step,
-)
-from vslct.training import (
-    COND_ORDER,
-    LctConfig,
-    TrainConfig,
-    TrainResult,
-    batch_loss_and_grads,
-    evaluate,
-    lr_at_epoch,
-    train_baseline,
-    train_lct,
-)
+from vslct.data import synth_gaussian
+from vslct.lindist import make_linear
+from vslct.losses import VsHyperParams
+from vslct.metrics import roc_curve
+from vslct.training import LctConfig, TrainConfig, evaluate, train_lct
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # losses
-    "VsHyperParams",
-    "ClassCounts",
-    "LogitPair",
-    "BreakEvenLine",
-    "LossDifferenceGrid",
-    "vs_loss_general",
-    "vs_loss_binary",
-    "vs_loss_binary_batch",
-    "vs_loss_grad_logits",
-    "vs_loss_grad_batch",
-    "vs_loss_partials_hyper",
-    "break_even_alpha",
-    "break_even_line",
-    "break_even_softmax_score",
-    "loss_difference_grid",
-    "omega_softmax_intersection",
-    "softplus",
-    "sigmoid",
-    # lambda distributions
-    "LinearDistribution",
-    "make_linear",
-    # metrics
-    "LabeledScores",
-    "ConfusionCounts",
-    "RocCurve",
-    "roc_curve",
-    "auc_pair_oracle",
-    "confusion_at_threshold",
-    "roc_at_fpr_grid",
-    # data
-    "Dataset",
-    "synth_gaussian",
-    "subsample_minority",
-    "split",
-    "load_csv",
-    "save_csv",
-    # network
-    "ModelConfig",
-    "MlpFilmModel",
-    "OptimizerState",
-    "count_film_weights",
-    "clip_global_norm",
-    "sgd_step",
-    "save_checkpoint",
-    "load_checkpoint",
-    "minority_score",
-    # training
-    "COND_ORDER",
-    "TrainConfig",
-    "LctConfig",
-    "TrainResult",
-    "lr_at_epoch",
-    "batch_loss_and_grads",
-    "train_baseline",
-    "train_lct",
-    "evaluate",
-    # analysis
-    "TTestResult",
-    "paired_t_test",
-    "regularized_incomplete_beta",
-    "PolyfitResult",
-    "polyfit_r2",
-    "SweepRun",
-    "SweepRow",
-    "run_sweep",
-    "AucStats",
-    "auc_stats",
-    "RocAggregate",
-    "aggregate_roc",
-]

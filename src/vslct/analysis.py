@@ -5,7 +5,7 @@ loss-conditional runs), scores each trained model on a held-out test set,
 and returns one row per run.  Given an output directory it persists each
 row as JSON (floats hex-encoded, written atomically) and transparently
 reloads completed rows on a rerun, so an interrupted sweep resumes where
-it stopped.
+it stopped; load_rows reads every row of such a directory back.
 
 The statistics layer is self-contained numpy/stdlib:
 
@@ -43,6 +43,7 @@ __all__ = [
     "SweepRun",
     "SweepRow",
     "run_sweep",
+    "load_rows",
     "AucStats",
     "auc_stats",
     "RocAggregate",
@@ -160,20 +161,16 @@ class PolyfitResult:
     column_names: tuple[str, ...]
     r2: float
     constant_target: bool
+    degree: int
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
-        design, _ = _poly_design(x, self._degree)
+        design, _ = _poly_design(x, self.degree)
         if design.shape[1] != self.coefficients.size:
             raise ValueError(f"x has wrong width for this fit: expected {len(self.column_names)} terms, built {design.shape[1]}")
         return design @ self.coefficients
-
-    # degree is recoverable from the column names; cached for predict
-    @property
-    def _degree(self) -> int:
-        return 2 if any("^2" in c or "*" in c for c in self.column_names) else 1
 
 
 def _poly_design(x: np.ndarray, degree: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -220,8 +217,8 @@ def polyfit_r2(x, y, degree: int = 2) -> PolyfitResult:
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot == 0.0:
-        return PolyfitResult(coefficients=coeffs, column_names=names, r2=1.0, constant_target=True)
-    return PolyfitResult(coefficients=coeffs, column_names=names, r2=1.0 - ss_res / ss_tot, constant_target=False)
+        return PolyfitResult(coefficients=coeffs, column_names=names, r2=1.0, constant_target=True, degree=degree)
+    return PolyfitResult(coefficients=coeffs, column_names=names, r2=1.0 - ss_res / ss_tot, constant_target=False, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +290,18 @@ def _save_row(out_dir, row: SweepRow) -> None:
     atomic_write_text(_row_path(out_dir, row.run_id), json.dumps(payload))
 
 
+def _row_from_payload(payload: dict) -> SweepRow:
+    """Decode a stored row; a malformed payload raises KeyError, TypeError or ValueError."""
+    return SweepRow(
+        run_id=payload["run_id"],
+        kind=payload["kind"],
+        seed=int(payload["seed"]),
+        auc=float.fromhex(payload["auc"]),
+        scores=floats_from_hex(payload["scores"]),
+        labels=np.array(payload["labels"], dtype=np.int64),
+    )
+
+
 def _load_row(out_dir, run: SweepRun) -> SweepRow:
     path = _row_path(out_dir, run.run_id)
     try:
@@ -300,16 +309,24 @@ def _load_row(out_dir, run: SweepRun) -> SweepRow:
             payload = json.load(fh)
         if payload["run_id"] != run.run_id or payload["kind"] != run.kind or payload["seed"] != run.seed:
             raise ValueError("identity fields do not match the requested run")
-        return SweepRow(
-            run_id=run.run_id,
-            kind=run.kind,
-            seed=run.seed,
-            auc=float.fromhex(payload["auc"]),
-            scores=floats_from_hex(payload["scores"]),
-            labels=np.array(payload["labels"], dtype=np.int64),
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        return _row_from_payload(payload)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: stale or corrupt sweep row ({exc}); delete it to recompute") from exc
+
+
+def load_rows(rows_dir) -> list[SweepRow]:
+    """Every sweep row stored in rows_dir (summary.json aside), in file-name order."""
+    rows = []
+    for name in sorted(os.listdir(rows_dir)):
+        if not name.endswith(".json") or name == "summary.json":
+            continue
+        path = os.path.join(os.fspath(rows_dir), name)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rows.append(_row_from_payload(json.load(fh)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a sweep row: {exc}") from exc
+    return rows
 
 
 def _execute_run(run: SweepRun, train_data: Dataset, test_data: Dataset, train_config: TrainConfig) -> SweepRow:

@@ -15,15 +15,15 @@ Conventions:
   variable is set.
 * Single-file outputs honor --if-exists {error,skip,overwrite}; sweeps
   instead resume per run from their output directory.
-* JSON configs are validated strictly: unknown keys are errors, so a
-  typo cannot silently fall back to a default.
+* JSON configs are parsed by vslct.config, which validates them
+  strictly: unknown keys are errors, so a typo cannot silently fall back
+  to a default, and a value of the wrong type names its key path.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -31,81 +31,18 @@ import time
 import numpy as np
 
 from vslct._util import atomic_write_text
-from vslct.analysis import SweepRow, SweepRun, aggregate_roc, auc_stats, paired_t_test, polyfit_r2, run_sweep
-from vslct.data import Dataset, load_csv, save_csv, subsample_minority, synth_gaussian
-from vslct.lindist import LinearDistribution, make_linear
+from vslct.analysis import aggregate_roc, auc_stats, load_rows, paired_t_test, polyfit_r2, run_sweep
+from vslct.config import grid_runs, load_json, train_config_from_json, train_spec_from_json
+from vslct.data import load_csv, save_csv, subsample_minority, synth_gaussian
+from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams, break_even_line, break_even_softmax_score, loss_difference_grid
-from vslct.metrics import LabeledScores, roc_curve
+from vslct.metrics import roc_curve
 from vslct.network import ModelConfig, save_checkpoint
-from vslct.training import LctConfig, TrainConfig, evaluate, train_baseline, train_lct
+from vslct.training import evaluate, train_baseline, train_lct
 
 __all__ = ["main"]
 
 OUT_ROOT_ENV = "VSLCT_OUT_ROOT"
-
-
-# ---------------------------------------------------------------------------
-# Config parsing (strict: unknown keys are rejected)
-# ---------------------------------------------------------------------------
-
-
-def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{context}: expected a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _hyper_from_json(obj: dict, context: str) -> VsHyperParams:
-    _require_keys(obj, {"omega", "gamma", "tau"}, context)
-    return VsHyperParams(**{k: float(v) for k, v in obj.items()})
-
-
-def _dist_from_json(obj, context: str) -> float | LinearDistribution:
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    _require_keys(obj, {"a", "b", "h_b"}, context)
-    missing = {"a", "b", "h_b"} - set(obj)
-    if missing:
-        raise ValueError(f"{context}: missing keys {sorted(missing)}")
-    return make_linear(float(obj["a"]), float(obj["b"]), float(obj["h_b"]))
-
-
-def _lct_from_json(obj: dict, context: str) -> LctConfig:
-    _require_keys(obj, {"base", "conditioned"}, context)
-    base = _hyper_from_json(obj.get("base", {}), f"{context}.base")
-    conditioned_raw = obj.get("conditioned")
-    if not isinstance(conditioned_raw, dict) or not conditioned_raw:
-        raise ValueError(f"{context}.conditioned: expected a non-empty object")
-    conditioned = {name: _dist_from_json(entry, f"{context}.conditioned.{name}") for name, entry in conditioned_raw.items()}
-    return LctConfig(base=base, conditioned=conditioned)
-
-
-def _train_config_from_json(obj: dict, context: str) -> TrainConfig:
-    allowed = {"epochs", "batch_size", "lr", "lr_drop_factor", "lr_milestones", "momentum", "clip_norm", "seed"}
-    _require_keys(obj, allowed, context)
-    kwargs = dict(obj)
-    if "lr_milestones" in kwargs:
-        kwargs["lr_milestones"] = tuple(kwargs["lr_milestones"])
-    return TrainConfig(**kwargs)
-
-
-def _model_kwargs_from_json(obj: dict, context: str) -> dict:
-    allowed = {"trunk_widths", "film_hidden", "film_affine", "film_zero_init"}
-    _require_keys(obj, allowed, context)
-    kwargs = dict(obj)
-    if "trunk_widths" in kwargs:
-        kwargs["trunk_widths"] = tuple(kwargs["trunk_widths"])
-    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -161,87 +98,27 @@ def cmd_train(args) -> int:
     out = _resolve_out(args.out)
     if not _should_write(out, args.if_exists):
         return 0
-    config = _load_json(args.config)
-    _require_keys(config, {"mode", "hyper", "lct", "train", "model", "eval_lambda"}, "config")
-    mode = config.get("mode")
-    if mode not in ("baseline", "lct"):
-        raise ValueError(f"config.mode must be 'baseline' or 'lct', got {mode!r}")
-    train_config = _train_config_from_json(config.get("train", {}), "config.train")
-    model_kwargs = _model_kwargs_from_json(config.get("model", {}), "config.model")
+    spec = train_spec_from_json(load_json(args.config))
     data = load_csv(args.data)
-    if mode == "baseline":
-        if "lct" in config:
-            raise ValueError("config: baseline mode does not take an 'lct' section")
-        hyper = _hyper_from_json(config.get("hyper", {}), "config.hyper")
-        model_config = ModelConfig(input_dim=data.dim, cond_dim=1, **model_kwargs)
-        result = train_baseline(data, hyper, train_config, model_config=model_config)
-        eval_cond = np.zeros(1)
+    model_config = ModelConfig(input_dim=data.dim, cond_dim=len(spec.eval_cond), **spec.model_kwargs)
+    if spec.lct is None:
+        result = train_baseline(data, spec.hyper, spec.train, model_config=model_config)
     else:
-        if "hyper" in config:
-            raise ValueError("config: lct mode takes an 'lct' section, not 'hyper'")
-        lct = _lct_from_json(config.get("lct", {}), "config.lct")
-        model_config = ModelConfig(input_dim=data.dim, cond_dim=lct.cond_dim, **model_kwargs)
-        result = train_lct(data, lct, train_config, model_config=model_config)
-        eval_cond = np.full(lct.cond_dim, float(config.get("eval_lambda", 0.0)))
-    save_checkpoint(out, result.model, meta={"mode": mode, "final_loss": result.epoch_losses[-1]})
-    print(f"trained {mode} model for {train_config.epochs} epochs; final epoch loss {result.epoch_losses[-1]:.6f}")
+        result = train_lct(data, spec.lct, spec.train, model_config=model_config)
+    save_checkpoint(out, result.model, meta={"mode": spec.mode, "final_loss": result.epoch_losses[-1]})
+    print(f"trained {spec.mode} model for {spec.train.epochs} epochs; final epoch loss {result.epoch_losses[-1]:.6f}")
     if args.test_data:
+        eval_cond = np.array(spec.eval_cond)
         scored = evaluate(result.model, load_csv(args.test_data), eval_cond)
         print(f"test AUC at conditioning {[float(v) for v in eval_cond]}: {roc_curve(scored).auc:.6f}")
     print(f"wrote {out}")
     return 0
 
 
-def _grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
-    """Expand the sweep config into runs; also return run_id -> parameter map."""
-    _require_keys(config, {"train", "seeds", "eval_lambda", "baseline_grid", "lct_grid"}, "config")
-    seeds = config.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        raise ValueError("config.seeds must be a non-empty list of integers")
-    eval_lambda = float(config.get("eval_lambda", 0.0))
-    runs: list[SweepRun] = []
-    params: dict[str, dict] = {}
-    if "baseline_grid" in config:
-        grid = config["baseline_grid"]
-        _require_keys(grid, {"omega", "gamma", "tau"}, "config.baseline_grid")
-        for omega in grid.get("omega", [0.5]):
-            for gamma in grid.get("gamma", [0.0]):
-                for tau in grid.get("tau", [0.0]):
-                    for seed in seeds:
-                        run_id = f"base-w{omega}-g{gamma}-t{tau}-s{seed}"
-                        runs.append(
-                            SweepRun(
-                                run_id=run_id,
-                                kind="baseline",
-                                seed=int(seed),
-                                eval_cond=(0.0,),
-                                hyper=VsHyperParams(omega=float(omega), gamma=float(gamma), tau=float(tau)),
-                            )
-                        )
-                        params[run_id] = {"omega": float(omega), "gamma": float(gamma), "tau": float(tau)}
-    if "lct_grid" in config:
-        grid = config["lct_grid"]
-        _require_keys(grid, {"h_b", "omega", "gamma", "conditioned", "lambda_range"}, "config.lct_grid")
-        conditioned_name = grid.get("conditioned", "tau")
-        lo, hi = (float(v) for v in grid.get("lambda_range", [0.0, 3.0]))
-        for h_b in grid.get("h_b", [0.0]):
-            for omega in grid.get("omega", [0.5]):
-                gamma = float(grid.get("gamma", 0.0))
-                base = VsHyperParams(omega=float(omega), gamma=gamma, tau=0.0)
-                lct = LctConfig(base=base, conditioned={conditioned_name: make_linear(lo, hi, float(h_b))})
-                for seed in seeds:
-                    run_id = f"lct-hb{h_b}-w{omega}-s{seed}"
-                    runs.append(SweepRun(run_id=run_id, kind="lct", seed=int(seed), eval_cond=(eval_lambda,), lct=lct))
-                    params[run_id] = {"omega": float(omega), "gamma": gamma, "h_b": float(h_b), "lambda_lo": lo, "lambda_hi": hi}
-    if not runs:
-        raise ValueError("config: neither baseline_grid nor lct_grid produced any runs")
-    return runs, params
-
-
 def cmd_sweep(args) -> int:
-    config = _load_json(args.config)
-    runs, params = _grid_runs(config)
-    train_config = _train_config_from_json(config.get("train", {}), "config.train")
+    config = load_json(args.config)
+    runs, params = grid_runs(config)
+    train_config = train_config_from_json(config.get("train", {}), "config.train")
     train_data = load_csv(args.train_data)
     test_data = load_csv(args.test_data)
     out_dir = _resolve_out(args.out_dir)
@@ -271,36 +148,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_rows_dir(rows_dir: str, select: str) -> list[SweepRow]:
-    rows = []
-    for name in sorted(os.listdir(rows_dir)):
-        if not name.endswith(".json") or name == "summary.json":
-            continue
-        path = os.path.join(rows_dir, name)
-        payload = _load_json(path)
-        try:
-            row = SweepRow(
-                run_id=payload["run_id"],
-                kind=payload["kind"],
-                seed=int(payload["seed"]),
-                auc=float.fromhex(payload["auc"]),
-                scores=np.array([float.fromhex(tok) for tok in payload["scores"]]),
-                labels=np.array(payload["labels"], dtype=np.int64),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: not a sweep row: {exc}") from exc
-        if select in ("all", row.kind):
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{rows_dir}: no sweep rows matching --select {select}")
-    return rows
-
-
 def cmd_roc(args) -> int:
     out = _resolve_out(args.out)
     if not _should_write(out, args.if_exists):
         return 0
-    rows = _load_rows_dir(args.rows_dir, args.select)
+    rows = [row for row in load_rows(args.rows_dir) if args.select in ("all", row.kind)]
+    if not rows:
+        raise ValueError(f"{args.rows_dir}: no sweep rows matching --select {args.select}")
     grid = np.linspace(0.0, 1.0, args.points)
     agg = aggregate_roc([row.labeled_scores for row in rows], grid)
     lines = ["fpr,mean_tpr,std_tpr"]
@@ -315,12 +169,17 @@ def cmd_analyze(args) -> int:
     out = _resolve_out(args.out)
     if not _should_write(out, args.if_exists):
         return 0
-    summary = _load_json(args.summary)
+    summary = load_json(args.summary)
     rows = summary.get("rows")
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{args.summary}: no rows; run the sweep first")
     by_kind: dict[str, list[dict]] = {}
-    for row in rows:
+    for i, row in enumerate(rows):
+        missing = {"kind", "seed", "auc", "params"} - set(row if isinstance(row, dict) else ())
+        if missing:
+            raise ValueError(f"{args.summary}: rows[{i}]: missing keys {sorted(missing)}")
+        if isinstance(row["auc"], bool) or not isinstance(row["auc"], (int, float)):
+            raise ValueError(f"{args.summary}: rows[{i}].auc: expected a number, got {row['auc']!r}")
         by_kind.setdefault(row["kind"], []).append(row)
     report: dict = {"groups": {}, "paired_by_seed": None, "baseline_surface_fit": None}
     for kind, group in by_kind.items():

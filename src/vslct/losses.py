@@ -194,6 +194,13 @@ def vs_loss_general(y: int, z: LogitPair, p: VsHyperParams, counts: ClassCounts)
     return loss
 
 
+def _check_label_and_beta(y: int, beta: float) -> None:
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y}")
+    if beta < 1.0:
+        raise ValueError(f"beta must be >= 1, got {beta}")
+
+
 def vs_loss_binary(y: int, z: LogitPair, p: VsHyperParams, beta: float) -> float:
     """Simplified binary form of the VS loss.
 
@@ -203,14 +210,8 @@ def vs_loss_binary(y: int, z: LogitPair, p: VsHyperParams, beta: float) -> float
     Equals :func:`vs_loss_general` when beta = n0/n1.  Evaluated as a
     softplus of the margin so beta^tau never appears as a raw factor.
     """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    m = _margin(z.z0, z.z1, p.gamma, p.tau, beta)
-    if y == 1:
-        return p.omega * softplus(m)
-    return (1.0 - p.omega) * softplus(-m)
+    _check_label_and_beta(y, beta)
+    return float(vs_loss_binary_batch(y, z.z0, z.z1, p, beta))
 
 
 def vs_loss_binary_batch(y: np.ndarray, z0: np.ndarray, z1: np.ndarray, p: VsHyperParams, beta: float) -> np.ndarray:
@@ -226,17 +227,9 @@ def vs_loss_grad_logits(y: int, z: LogitPair, p: VsHyperParams, beta: float) -> 
     For y=1 with s = sigmoid(m): (omega*s, -omega*s/beta^gamma); the y=0
     form is the mirror image with weight 1-omega and sigmoid(-m).
     """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    m = _margin(z.z0, z.z1, p.gamma, p.tau, beta)
-    bg = beta**p.gamma
-    if y == 1:
-        s = p.omega * sigmoid(m)
-        return s, -s / bg
-    s = (1.0 - p.omega) * sigmoid(-m)
-    return -s, s / bg
+    _check_label_and_beta(y, beta)
+    g0, g1 = vs_loss_grad_batch(y, z.z0, z.z1, p, beta)
+    return float(g0), float(g1)
 
 
 def vs_loss_grad_batch(y: np.ndarray, z0: np.ndarray, z1: np.ndarray, p: VsHyperParams, beta: float) -> tuple[np.ndarray, np.ndarray]:

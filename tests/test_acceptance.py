@@ -18,7 +18,7 @@ import pytest
 import scipy.integrate
 
 from vslct.analysis import auc_stats, paired_t_test, polyfit_r2, run_sweep
-from vslct.cli import _grid_runs, _train_config_from_json
+from vslct.config import grid_runs, train_config_from_json
 from vslct.data import synth_gaussian
 from vslct.lindist import make_linear
 from vslct.losses import (
@@ -243,8 +243,8 @@ def test_c08_directional_variance_reduction(announce, capsys):
         train_data = dataset_from_block(config["train_data"])
         test_data = dataset_from_block(config["test_data"])
         assert train_data.counts.beta == 100.0
-        runs, _ = _grid_runs(config["sweep"])
-        train_config = _train_config_from_json(config["sweep"]["train"], "sweep.train")
+        runs, _ = grid_runs(config["sweep"])
+        train_config = train_config_from_json(config["sweep"]["train"], "sweep.train")
         rows = run_sweep(runs, train_data, test_data, train_config)
         elapsed = time.monotonic() - started
         baseline = [r for r in rows if r.kind == "baseline"]

@@ -154,11 +154,13 @@ class TestPolyfit:
             assert r2 >= r1 - 1e-12
             assert r1 <= 1.0 + 1e-12
 
-    def test_predict_matches_fit(self):
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_predict_matches_fit(self, degree):
         rng = np.random.default_rng(106)
         x = rng.uniform(-1.0, 1.0, size=(30, 2))
-        y = 1.0 + x[:, 0] - 0.5 * x[:, 1] ** 2
-        fit = polyfit_r2(x, y, degree=2)
+        y = 1.0 + x[:, 0] - 0.5 * x[:, 1] ** degree
+        fit = polyfit_r2(x, y, degree=degree)
+        assert fit.degree == degree
         np.testing.assert_allclose(fit.predict(x), y, atol=1e-10)
 
     def test_constant_target_flagged(self):

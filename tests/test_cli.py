@@ -11,7 +11,9 @@ import os
 import numpy as np
 import pytest
 
+from vslct.analysis import load_rows, run_sweep
 from vslct.cli import main
+from vslct.config import grid_runs, load_json, train_config_from_json
 from vslct.data import load_csv
 from vslct.network import load_checkpoint
 
@@ -248,6 +250,20 @@ class TestSweep:
         assert code == 0
         assert os.stat(row_file).st_mtime_ns == before
 
+    def test_stored_rows_equal_the_library_sweep(self, sweep_dir):
+        config = load_json(sweep_dir["config"])
+        runs, _ = grid_runs(config)
+        train_config = train_config_from_json(config["train"], "config.train")
+        expected = run_sweep(runs, load_csv(sweep_dir["train"]), load_csv(sweep_dir["test"]), train_config)
+        stored = {row.run_id: row for row in load_rows(sweep_dir["out_dir"])}
+        assert sorted(stored) == sorted(row.run_id for row in expected)
+        for row in expected:
+            got = stored[row.run_id]
+            assert (got.kind, got.seed) == (row.kind, row.seed)
+            assert got.auc.hex() == row.auc.hex()
+            assert got.scores.tobytes() == row.scores.tobytes()
+            assert got.labels.tobytes() == row.labels.tobytes()
+
     def test_config_without_any_grid_exits_1(self, sweep_dir, tmp_path, capsys):
         config = tmp_path / "empty.json"
         config.write_text(json.dumps({"train": {"epochs": 2}, "seeds": [0]}))
@@ -260,6 +276,30 @@ class TestSweep:
         )
         assert code == 1
         assert "any runs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, payload, named",
+    [
+        ("sweep", {"seeds": [0], "baseline_grid": {"omega": 0.5}}, "config.baseline_grid.omega"),
+        ("sweep", {"seeds": [0], "train": {"epochs": "2"}, "baseline_grid": {}}, "config.train.epochs"),
+        ("sweep", {"seeds": [0], "baseline_grid": {"omega": [None]}}, "config.baseline_grid.omega"),
+        ("sweep", {"seeds": [0], "lct_grid": {"lambda_range": [0, 3, 4]}}, "config.lct_grid.lambda_range"),
+        ("analyze", {"rows": [{"run_id": "r", "kind": "lct", "seed": 0, "params": {}}]}, "rows[0]: missing keys ['auc']"),
+    ],
+)
+def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, command, payload, named):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "sweep":
+        argv = ["--config", path, "--train-data", sweep_dir["train"], "--test-data", sweep_dir["test"], "--out-dir", tmp_path / "runs"]
+    else:
+        argv = ["--summary", path, "--out", tmp_path / "report.json"]
+    code = run_cli(command, *argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert named in err
 
 
 class TestRoc:

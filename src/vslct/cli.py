@@ -32,7 +32,7 @@ import numpy as np
 
 from vslct._util import atomic_write_text
 from vslct.analysis import aggregate_roc, auc_stats, load_rows, paired_t_test, polyfit_r2, run_sweep
-from vslct.config import grid_runs, load_json, train_config_from_json, train_spec_from_json
+from vslct.config import grid_runs, load_json, summary_rows_from_json, train_config_from_json, train_spec_from_json
 from vslct.data import load_csv, save_csv, subsample_minority, synth_gaussian
 from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams, break_even_line, break_even_softmax_score, loss_difference_grid
@@ -169,17 +169,8 @@ def cmd_analyze(args) -> int:
     out = _resolve_out(args.out)
     if not _should_write(out, args.if_exists):
         return 0
-    summary = load_json(args.summary)
-    rows = summary.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ValueError(f"{args.summary}: no rows; run the sweep first")
     by_kind: dict[str, list[dict]] = {}
-    for i, row in enumerate(rows):
-        missing = {"kind", "seed", "auc", "params"} - set(row if isinstance(row, dict) else ())
-        if missing:
-            raise ValueError(f"{args.summary}: rows[{i}]: missing keys {sorted(missing)}")
-        if isinstance(row["auc"], bool) or not isinstance(row["auc"], (int, float)):
-            raise ValueError(f"{args.summary}: rows[{i}].auc: expected a number, got {row['auc']!r}")
+    for row in summary_rows_from_json(load_json(args.summary), str(args.summary)):
         by_kind.setdefault(row["kind"], []).append(row)
     report: dict = {"groups": {}, "paired_by_seed": None, "baseline_surface_fit": None}
     for kind, group in by_kind.items():

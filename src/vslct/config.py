@@ -3,6 +3,7 @@
 Both `vslct train` and `vslct sweep` read their configs through this
 module, and so does any library caller that wants the same runs as the
 shell (the acceptance suite expands configs/directional.json here).
+`vslct analyze` checks the rows of a sweep summary here as well.
 
 Parsing is strict: unknown keys are errors, so a typo cannot silently
 fall back to a default, and a value of the wrong type raises a
@@ -21,7 +22,7 @@ from vslct.lindist import LinearDistribution, make_linear
 from vslct.losses import VsHyperParams
 from vslct.training import COND_ORDER, LctConfig, TrainConfig
 
-__all__ = ["TrainSpec", "load_json", "train_spec_from_json", "train_config_from_json", "grid_runs"]
+__all__ = ["TrainSpec", "load_json", "train_spec_from_json", "train_config_from_json", "grid_runs", "summary_rows_from_json"]
 
 
 def _is_number(value) -> bool:
@@ -42,6 +43,8 @@ _INTEGER = (_is_integer, "an integer")
 _FLAG = (lambda v: isinstance(v, bool), "true or false")
 _NUMBER_LIST = (_is_number_list, "a non-empty list of numbers")
 _SEEDS = (lambda v: isinstance(v, list) and len(v) > 0 and all(_is_integer(s) for s in v), "a non-empty list of integers")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 
 _TRAIN_FIELDS = {
     "epochs": _INTEGER,
@@ -62,6 +65,7 @@ _MODEL_FIELDS = {
 _HYPER_FIELDS = dict.fromkeys(("omega", "gamma", "tau"), _NUMBER)
 _DIST_FIELDS = dict.fromkeys(("a", "b", "h_b"), _NUMBER)
 _BASELINE_GRID_FIELDS = dict.fromkeys(("omega", "gamma", "tau"), _NUMBER_LIST)
+_SUMMARY_ROW_FIELDS = {"kind": _STRING, "seed": _INTEGER, "auc": _NUMBER, "params": _OBJECT}
 _LCT_GRID_FIELDS = {
     "h_b": _NUMBER_LIST,
     "omega": _NUMBER_LIST,
@@ -205,3 +209,26 @@ def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
     if not runs:
         raise ValueError("config: neither baseline_grid nor lct_grid produced any runs")
     return runs, params
+
+
+def summary_rows_from_json(summary, context: str) -> list[dict]:
+    """The rows of a `vslct sweep` summary, each checked for what `vslct analyze` reads.
+
+    Every row needs a string kind, an integer seed, a numeric auc and a
+    params object; a baseline row's params also need numeric omega, gamma
+    and tau, the features of the AUC surface fit.
+    """
+    rows = summary.get("rows") if isinstance(summary, dict) else None
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{context}: no rows; run the sweep first")
+    for i, row in enumerate(rows):
+        where = f"{context}: rows[{i}]"
+        missing = set(_SUMMARY_ROW_FIELDS) - set(row if isinstance(row, dict) else ())
+        if missing:
+            raise ValueError(f"{where}: missing keys {sorted(missing)}")
+        for key, field in _SUMMARY_ROW_FIELDS.items():
+            _check(row[key], field, f"{where}.{key}")
+        if row["kind"] == "baseline":
+            for name in ("omega", "gamma", "tau"):
+                _check(row["params"].get(name), _NUMBER, f"{where}.params.{name}")
+    return rows

@@ -34,6 +34,7 @@ __all__ = [
     "vs_loss_binary_batch",
     "vs_loss_grad_logits",
     "vs_loss_grad_batch",
+    "vs_loss_and_grad_batch",
     "vs_loss_partials_hyper",
     "break_even_alpha",
     "break_even_line",
@@ -216,9 +217,7 @@ def vs_loss_binary(y: int, z: LogitPair, p: VsHyperParams, beta: float) -> float
 
 def vs_loss_binary_batch(y: np.ndarray, z0: np.ndarray, z1: np.ndarray, p: VsHyperParams, beta: float) -> np.ndarray:
     """Vectorized :func:`vs_loss_binary` over parallel arrays."""
-    m = _margin(np.asarray(z0, dtype=np.float64), np.asarray(z1, dtype=np.float64), p.gamma, p.tau, beta)
-    y = np.asarray(y)
-    return np.where(y == 1, p.omega * softplus(m), (1.0 - p.omega) * softplus(-m))
+    return vs_loss_and_grad_batch(y, z0, z1, p, beta)[0]
 
 
 def vs_loss_grad_logits(y: int, z: LogitPair, p: VsHyperParams, beta: float) -> tuple[float, float]:
@@ -234,13 +233,31 @@ def vs_loss_grad_logits(y: int, z: LogitPair, p: VsHyperParams, beta: float) -> 
 
 def vs_loss_grad_batch(y: np.ndarray, z0: np.ndarray, z1: np.ndarray, p: VsHyperParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`vs_loss_grad_logits` over parallel arrays."""
+    _, g0, g1 = vs_loss_and_grad_batch(y, z0, z1, p, beta)
+    return g0, g1
+
+
+def vs_loss_and_grad_batch(
+    y: np.ndarray, z0: np.ndarray, z1: np.ndarray, p: VsHyperParams, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row loss and its logit gradients (d/d z0, d/d z1), in one pass.
+
+    With the signed margin r = m for y=1 and r = -m for y=0, and w the
+    weight of the label (omega or 1-omega), the loss is w * softplus(r)
+    and d loss/d z0 = +-w * sigmoid(r).  Both come from one e = exp(-|r|):
+    softplus(r) = max(r, 0) + log1p(e), and sigmoid(r) is 1/(1+e) for
+    r >= 0 and e/(1+e) below, so the values equal :func:`softplus` and
+    :func:`sigmoid` of the margin bit for bit.
+    """
     m = _margin(np.asarray(z0, dtype=np.float64), np.asarray(z1, dtype=np.float64), p.gamma, p.tau, beta)
-    y = np.asarray(y)
-    bg = beta**p.gamma
-    s1 = p.omega * sigmoid(m)
-    s0 = (1.0 - p.omega) * sigmoid(-m)
-    g0 = np.where(y == 1, s1, -s0)
-    return g0, -g0 / bg
+    pos = np.asarray(y) == 1
+    r = np.where(pos, m, -m)
+    e = np.exp(-np.abs(r))
+    w = np.where(pos, p.omega, 1.0 - p.omega)
+    loss = w * (np.maximum(r, 0.0) + np.log1p(e))
+    s = w * (np.where(r >= 0.0, 1.0, e) / (1.0 + e))
+    g0 = np.where(pos, s, -s)
+    return loss, g0, -g0 / beta**p.gamma
 
 
 def vs_loss_partials_hyper(z: LogitPair, p: VsHyperParams, beta: float) -> tuple[float, float, float]:

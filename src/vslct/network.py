@@ -10,6 +10,18 @@ The default is additive-only conditioning with the FiLM output layer
 zero-initialized, so a freshly initialized model ignores its conditioning
 input entirely and training starts from an unconditioned network.
 
+Conditioning comes either per row, `cond` of shape (n, cond_dim), or as
+one row of shape (1, cond_dim) shared by the whole batch; the shape alone
+selects the path.  A shared row runs the FiLM network once and its mu
+(and sigma) broadcast over the batch; `backward` then sums the FiLM
+output gradient over the batch before the FiLM backward.  Training and
+evaluation use the shared row, since one batch has one loss setting.
+
+All parameters live in one flat float64 buffer, `MlpFilmModel.flat`;
+`MlpFilmModel.params` maps each name of PARAM_KEYS to a reshaped view of
+its slice, in that order.  Writing through a view writes the buffer, and
+`sgd_step` updates the whole buffer with a few vector operations.
+
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
 
@@ -20,6 +32,7 @@ save/load round trips bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,9 +43,7 @@ from vslct.losses import sigmoid
 __all__ = [
     "ModelConfig",
     "MlpFilmModel",
-    "OptimizerState",
     "count_film_weights",
-    "clip_global_norm",
     "sgd_step",
     "save_checkpoint",
     "load_checkpoint",
@@ -69,13 +80,30 @@ def count_film_weights(config: ModelConfig) -> int:
     return config.cond_dim * config.film_hidden + config.film_hidden * config.film_out_dim
 
 
-class MlpFilmModel:
-    """Bundles a ModelConfig with its parameter arrays.
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter array, in PARAM_KEYS order."""
+    w1, w2 = config.trunk_widths
+    return {
+        "trunk0_w": (config.input_dim, w1),
+        "trunk0_b": (w1,),
+        "trunk1_w": (w1, w2),
+        "trunk1_b": (w2,),
+        "film0_w": (config.cond_dim, config.film_hidden),
+        "film0_b": (config.film_hidden,),
+        "film1_w": (config.film_hidden, config.film_out_dim),
+        "film1_b": (config.film_out_dim,),
+        "head_w": (w2, 2),
+        "head_b": (2,),
+    }
 
-    Parameters live in a plain dict of float64 arrays keyed by layer name;
-    the fixed key order of PARAM_KEYS defines iteration order everywhere
-    (initialization draws, clipping, checkpoints), which keeps runs
-    reproducible.
+
+class MlpFilmModel:
+    """Bundles a ModelConfig with its parameters.
+
+    The parameters are one flat float64 buffer, `flat`; `params` maps each
+    name of PARAM_KEYS to a view of its slice.  The fixed key order defines
+    the buffer layout and every iteration order (initialization draws,
+    checkpoints), which keeps runs reproducible.
     """
 
     PARAM_KEYS = (
@@ -95,8 +123,19 @@ class MlpFilmModel:
         missing = set(self.PARAM_KEYS) - set(params)
         if missing:
             raise ValueError(f"missing parameter arrays: {sorted(missing)}")
+        shapes = _param_shapes(config)
         self.config = config
-        self.params = {k: np.asarray(params[k], dtype=np.float64) for k in self.PARAM_KEYS}
+        self.flat = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+        self.params: dict[str, np.ndarray] = {}
+        start = 0
+        for key, shape in shapes.items():
+            value = np.asarray(params[key], dtype=np.float64)
+            if value.shape != shape:
+                raise ValueError(f"{key}: expected shape {shape}, got {value.shape}")
+            view = self.flat[start : start + value.size].reshape(shape)
+            view[...] = value
+            self.params[key] = view
+            start += value.size
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "MlpFilmModel":
@@ -106,46 +145,32 @@ class MlpFilmModel:
         so mu = 0 (and sigma = 1 in affine mode): the conditioning input
         has no effect until training moves those weights.
         """
-        w1, w2 = config.trunk_widths
 
-        def he(fan_in: int, shape) -> np.ndarray:
-            return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+        def draw(key: str, shape: tuple[int, ...]) -> np.ndarray:
+            if key.endswith("_b") or (key == "film1_w" and config.film_zero_init):
+                return np.zeros(shape)
+            return rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])
 
-        params = {
-            "trunk0_w": he(config.input_dim, (config.input_dim, w1)),
-            "trunk0_b": np.zeros(w1),
-            "trunk1_w": he(w1, (w1, w2)),
-            "trunk1_b": np.zeros(w2),
-            "film0_w": he(config.cond_dim, (config.cond_dim, config.film_hidden)),
-            "film0_b": np.zeros(config.film_hidden),
-            "film1_w": (
-                np.zeros((config.film_hidden, config.film_out_dim))
-                if config.film_zero_init
-                else he(config.film_hidden, (config.film_hidden, config.film_out_dim))
-            ),
-            "film1_b": np.zeros(config.film_out_dim),
-            "head_w": he(w2, (w2, 2)),
-            "head_b": np.zeros(2),
-        }
-        return cls(config, params)
+        return cls(config, {key: draw(key, shape) for key, shape in _param_shapes(config).items()})
 
     def copy(self) -> "MlpFilmModel":
-        return MlpFilmModel(self.config, {k: v.copy() for k, v in self.params.items()})
+        return MlpFilmModel(self.config, self.params)
 
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, dict]:
         """Logits of shape (n, 2) plus the cache consumed by backward.
 
-        x: (n, input_dim); cond: (n, cond_dim).
+        x: (n, input_dim); cond: (n, cond_dim) per row, or (1, cond_dim)
+        for one conditioning row shared by every row of x.
         """
         p = self.params
         x = np.asarray(x, dtype=np.float64)
         cond = np.asarray(cond, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(f"x must have shape (n, {self.config.input_dim}), got {x.shape}")
-        if cond.ndim != 2 or cond.shape != (x.shape[0], self.config.cond_dim):
-            raise ValueError(f"cond must have shape ({x.shape[0]}, {self.config.cond_dim}), got {cond.shape}")
+        if cond.ndim != 2 or cond.shape[0] not in (1, x.shape[0]) or cond.shape[1] != self.config.cond_dim:
+            raise ValueError(f"cond must have shape ({x.shape[0]}, {self.config.cond_dim}) or (1, {self.config.cond_dim}), got {cond.shape}")
         h0 = np.maximum(x @ p["trunk0_w"] + p["trunk0_b"], 0.0)
         h1 = np.maximum(h0 @ p["trunk1_w"] + p["trunk1_b"], 0.0)
         g = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0)
@@ -162,6 +187,8 @@ class MlpFilmModel:
         """Parameter gradients of an objective whose logit gradient is dlogits.
 
         dlogits must already carry any batch averaging; backward is linear.
+        With a shared conditioning row, the FiLM output gradient is summed
+        over the batch first, so the FiLM backward runs on one row.
         """
         p = self.params
         x, cond = cache["x"], cache["cond"]
@@ -178,6 +205,8 @@ class MlpFilmModel:
         else:
             dfilm_out = dmu
             dh1 = dhmod
+        if cond.shape[0] == 1:
+            dfilm_out = dfilm_out.sum(axis=0, keepdims=True)
         grads["film1_w"] = g.T @ dfilm_out
         grads["film1_b"] = dfilm_out.sum(axis=0)
         dg = (dfilm_out @ p["film1_w"].T) * (g > 0.0)
@@ -206,58 +235,36 @@ def minority_score(logits: np.ndarray) -> np.ndarray:
 # -- optimization -----------------------------------------------------------
 
 
-@dataclass
-class OptimizerState:
-    """Momentum buffers, one per parameter array."""
-
-    velocities: dict[str, np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(velocities={k: np.zeros_like(v) for k, v in params.items()})
-
-
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients jointly so their global L2 norm is at most max_norm.
-
-    Returns (possibly scaled gradients, pre-clip norm).  Gradients under
-    the limit are returned unmodified so clipping is exactly inactive.
-    """
-    if max_norm <= 0.0:
-        raise ValueError(f"max_norm must be > 0, got {max_norm}")
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= max_norm:
-        return grads, total
-    scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}, total
-
-
 def sgd_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
+    params: np.ndarray,
+    grads: np.ndarray,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
     clip_norm: float | None = None,
 ) -> float:
-    """One SGD-with-momentum update, in place; returns the pre-clip gradient norm.
+    """One SGD-with-momentum update of flat 1-D arrays, in place; returns the pre-clip gradient norm.
 
-    Order of operations: clip to the global-norm budget first, then fold
-    into the velocity v <- momentum * v + g and move p <- p - lr * v.
+    Order of operations: clip to the global-norm budget first (gradients
+    under it are used unscaled, so clipping is exactly inactive), then
+    fold into the velocity v <- momentum * v + g and move p <- p - lr * v.
+    A non-finite norm leaves params and velocity untouched; the caller
+    decides how to report it.
     """
     if lr <= 0.0:
         raise ValueError(f"lr must be > 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-    if clip_norm is not None:
-        grads, norm = clip_global_norm(grads, clip_norm)
-    else:
-        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    for k in params:
-        v = state.velocities[k]
-        v *= momentum
-        v += grads[k]
-        params[k] -= lr * v
+    if clip_norm is not None and clip_norm <= 0.0:
+        raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
+    norm = math.sqrt(float(np.dot(grads, grads)))
+    if not math.isfinite(norm):
+        return norm
+    if clip_norm is not None and norm > clip_norm:
+        grads = grads * (clip_norm / norm)
+    velocity *= momentum
+    velocity += grads
+    params -= lr * velocity
     return norm
 
 

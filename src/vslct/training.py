@@ -9,6 +9,14 @@ configured distributions and uses it twice: as the conditioning input of
 the network and inside the loss applied to that batch.  After training,
 one model can be evaluated at any conditioning value on the support.
 
+Every batch conditions on one row: training and evaluation pass the
+network a (1, cond_dim) conditioning row, so its FiLM block runs once
+per batch instead of once per sample.
+
+A step whose loss or gradient norm is not finite stops the run with a
+ValueError naming the epoch, the batch and the conditioning row, so a
+diverged run fails where it diverges instead of "finishing" on inf/NaN.
+
 Randomness is split into three independent streams derived from the run
 seed (initialization, epoch shuffling, hyperparameter draws), so a
 baseline and an LCT run with degenerate point-mass distributions consume
@@ -28,9 +36,9 @@ import numpy as np
 
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
-from vslct.losses import VsHyperParams, vs_loss_binary_batch, vs_loss_grad_batch
+from vslct.losses import VsHyperParams, vs_loss_and_grad_batch
 from vslct.metrics import LabeledScores
-from vslct.network import MlpFilmModel, ModelConfig, OptimizerState, sgd_step
+from vslct.network import MlpFilmModel, ModelConfig, sgd_step
 
 __all__ = [
     "TrainConfig",
@@ -165,8 +173,7 @@ def batch_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean VS loss over the batch and its parameter gradients."""
     logits, cache = model.forward(x, cond)
-    losses = vs_loss_binary_batch(y, logits[:, 0], logits[:, 1], hyper, beta)
-    g0, g1 = vs_loss_grad_batch(y, logits[:, 0], logits[:, 1], hyper, beta)
+    losses, g0, g1 = vs_loss_and_grad_batch(y, logits[:, 0], logits[:, 1], hyper, beta)
     dlogits = np.stack([g0, g1], axis=1) / y.shape[0]
     return float(np.mean(losses)), model.backward(cache, dlogits)
 
@@ -193,7 +200,7 @@ def _run_training(
     beta = counts.beta
     init_rng, shuffle_rng, lam_rng = _spawn_streams(config.seed)
     model = MlpFilmModel.init(model_config, init_rng)
-    state = OptimizerState.zeros_like(model.params)
+    velocity = np.zeros_like(model.flat)
     epoch_losses = np.zeros(config.epochs)
     trace: list[np.ndarray] = []
     draws = 0
@@ -201,15 +208,20 @@ def _run_training(
         lr = lr_at_epoch(config, epoch)
         perm = shuffle_rng.permutation(data.n)
         total = 0.0
-        for start in range(0, data.n, config.batch_size):
+        for batch, start in enumerate(range(0, data.n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             cond_row, hyper, drew = batch_settings(lam_rng)
             draws += drew
             if record_lambdas and drew:
                 trace.append(cond_row)
-            cond = np.broadcast_to(cond_row, (idx.size, cond_row.size))
-            loss, grads = batch_loss_and_grads(model, data.x[idx], data.y[idx], cond, hyper, beta)
-            sgd_step(model.params, grads, state, lr=lr, momentum=config.momentum, clip_norm=config.clip_norm)
+            loss, grads = batch_loss_and_grads(model, data.x[idx], data.y[idx], cond_row.reshape(1, -1), hyper, beta)
+            flat_grads = np.concatenate([grads[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
+            norm = sgd_step(model.flat, flat_grads, velocity, lr=lr, momentum=config.momentum, clip_norm=config.clip_norm)
+            if not (math.isfinite(loss) and math.isfinite(norm)):
+                raise ValueError(
+                    f"training diverged at epoch {epoch}, batch {batch}, conditioning {cond_row.tolist()}: "
+                    f"loss {loss}, gradient norm {norm}"
+                )
             total += loss * idx.size
         epoch_losses[epoch] = total / data.n
     return TrainResult(
@@ -270,5 +282,4 @@ def evaluate(model: MlpFilmModel, data: Dataset, eval_cond) -> LabeledScores:
     cond_row = np.asarray(eval_cond, dtype=np.float64).reshape(-1)
     if cond_row.size != model.config.cond_dim:
         raise ValueError(f"eval_cond has {cond_row.size} entries, model expects {model.config.cond_dim}")
-    cond = np.broadcast_to(cond_row, (data.n, cond_row.size))
-    return LabeledScores(scores=model.scores(data.x, cond), labels=data.y)
+    return LabeledScores(scores=model.scores(data.x, cond_row.reshape(1, -1)), labels=data.y)

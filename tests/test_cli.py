@@ -286,6 +286,10 @@ class TestSweep:
         ("sweep", {"seeds": [0], "baseline_grid": {"omega": [None]}}, "config.baseline_grid.omega"),
         ("sweep", {"seeds": [0], "lct_grid": {"lambda_range": [0, 3, 4]}}, "config.lct_grid.lambda_range"),
         ("analyze", {"rows": [{"run_id": "r", "kind": "lct", "seed": 0, "params": {}}]}, "rows[0]: missing keys ['auc']"),
+        ("analyze", {"rows": [{"run_id": "r", "kind": "lct", "seed": [0], "auc": 0.5, "params": {}}]}, "rows[0].seed: expected an integer"),
+        ("analyze", {"rows": [{"run_id": "r", "kind": "baseline", "seed": 0, "auc": 0.5, "params": []}]}, "rows[0].params: expected a JSON object"),
+        ("analyze", {"rows": [{"run_id": "r", "kind": ["lct"], "seed": 0, "auc": 0.5, "params": {}}]}, "rows[0].kind: expected a string"),
+        ("analyze", {"rows": [{"run_id": "r", "kind": "baseline", "seed": 0, "auc": 0.5, "params": {"omega": 0.5}}]}, "rows[0].params.gamma: expected a number"),
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, command, payload, named):

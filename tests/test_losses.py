@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vslct.losses import (
     BreakEvenLine,
@@ -18,6 +20,7 @@ from vslct.losses import (
     sigmoid,
     softplus,
     vs_loss_binary,
+    vs_loss_and_grad_batch,
     vs_loss_binary_batch,
     vs_loss_general,
     vs_loss_grad_batch,
@@ -218,6 +221,32 @@ class TestGradients:
         for i in range(50):
             s0, s1 = vs_loss_grad_logits(int(y[i]), LogitPair(float(z0[i]), float(z1[i])), p, beta=30.0)
             np.testing.assert_allclose([b0[i], b1[i]], [s0, s1], rtol=1e-14)
+
+
+class TestFusedKernelProperties:
+    """vs_loss_and_grad_batch over the whole hyperparameter box, |z| <= 800."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        y=st.sampled_from([0, 1]),
+        z0=st.floats(-800.0, 800.0),
+        z1=st.floats(-800.0, 800.0),
+        omega=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 2.0),
+        tau=st.floats(0.0, 3.0),
+        n1=st.integers(1, 10_000),
+        extra=st.integers(0, 1_000_000),
+    )
+    def test_loss_and_gradients(self, y, z0, z1, omega, gamma, tau, n1, extra):
+        p = VsHyperParams(omega=omega, gamma=gamma, tau=tau)
+        counts = ClassCounts(n0=n1 + extra, n1=n1)
+        beta = counts.beta
+        loss, g0, g1 = vs_loss_and_grad_batch(np.array([y]), np.array([z0]), np.array([z1]), p, beta)
+        assert np.isfinite(loss[0]) and loss[0] >= 0.0
+        general = vs_loss_general(y, LogitPair(z0, z1), p, counts)
+        # acceptance 01's tolerance: relative error below 1e-10 over a 1e-300 floor
+        assert abs(loss[0] - general) / max(abs(loss[0]), abs(general), 1e-300) < 1e-10
+        assert g1.tobytes() == (-g0 / beta**gamma).tobytes()
 
 
 class TestBreakEven:

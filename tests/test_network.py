@@ -6,8 +6,6 @@ import pytest
 from vslct.network import (
     MlpFilmModel,
     ModelConfig,
-    OptimizerState,
-    clip_global_norm,
     count_film_weights,
     load_checkpoint,
     minority_score,
@@ -108,6 +106,13 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(np.zeros((5, 3)), np.zeros((4, 2)))
 
+    def test_one_row_shape_validation(self):
+        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(67))
+        with pytest.raises(ValueError):
+            model.forward(np.zeros((5, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            model.forward(np.zeros((5, 3)), np.zeros((1, 3)))
+
     def test_init_deterministic(self):
         a = MlpFilmModel.init(tiny_config(True), np.random.default_rng(68))
         b = MlpFilmModel.init(tiny_config(True), np.random.default_rng(68))
@@ -155,58 +160,119 @@ class TestBackward:
             np.testing.assert_allclose(g2[k], 2.0 * g1[k], rtol=1e-13)
 
 
+class TestSharedConditioningRow:
+    """A (1, cond_dim) conditioning row equals that row tiled over the batch."""
+
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_forward_matches_tiled(self, affine):
+        model = MlpFilmModel.init(tiny_config(affine), np.random.default_rng(76))
+        rng = np.random.default_rng(77)
+        x = rng.normal(size=(11, 3))
+        row = rng.uniform(0.0, 3.0, size=(1, 2))
+        shared, _ = model.forward(x, row)
+        tiled, _ = model.forward(x, np.tile(row, (11, 1)))
+        np.testing.assert_allclose(shared, tiled, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_backward_matches_tiled(self, affine):
+        model = MlpFilmModel.init(tiny_config(affine), np.random.default_rng(78))
+        rng = np.random.default_rng(79)
+        x = rng.normal(size=(11, 3))
+        row = rng.uniform(0.0, 3.0, size=(1, 2))
+        _, shared = quadratic_objective(model, x, row)
+        _, tiled = quadratic_objective(model, x, np.tile(row, (11, 1)))
+        for k in MlpFilmModel.PARAM_KEYS:
+            np.testing.assert_allclose(shared[k], tiled[k], rtol=1e-12, atol=0.0, err_msg=k)
+
+
+class TestFlatParameters:
+    """One flat buffer behind the named parameter views."""
+
+    def test_params_are_views_of_flat_in_key_order(self):
+        model = MlpFilmModel.init(tiny_config(True), np.random.default_rng(80))
+        flat = np.concatenate([model.params[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
+        assert flat.tobytes() == model.flat.tobytes()
+        model.params["head_b"][1] = 7.0
+        assert model.flat[-1] == 7.0
+
+    def test_copy_owns_its_buffer(self):
+        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(81))
+        other = model.copy()
+        other.params["trunk0_w"][0, 0] += 1.0
+        assert other.flat.tobytes() != model.flat.tobytes()
+
+    def test_wrong_shape_rejected(self):
+        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(82))
+        params = dict(model.params, head_b=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="head_b"):
+            MlpFilmModel(model.config, params)
+
+
 class TestOptimizer:
-    """Momentum and global-norm clipping semantics."""
+    """Momentum and global-norm clipping semantics on flat parameter vectors."""
 
     def test_momentum_displacement_ratio(self):
-        params = {"w": np.array([1.0])}
-        state = OptimizerState.zeros_like(params)
-        grads = {"w": np.array([0.5])}
-        p0 = params["w"].copy()
-        sgd_step(params, {k: v.copy() for k, v in grads.items()}, state, lr=0.1, momentum=0.9)
-        p1 = params["w"].copy()
-        sgd_step(params, {k: v.copy() for k, v in grads.items()}, state, lr=0.1, momentum=0.9)
-        p2 = params["w"].copy()
+        params = np.array([1.0])
+        velocity = np.zeros_like(params)
+        grads = np.array([0.5])
+        p0 = params.copy()
+        sgd_step(params, grads.copy(), velocity, lr=0.1, momentum=0.9)
+        p1 = params.copy()
+        sgd_step(params, grads.copy(), velocity, lr=0.1, momentum=0.9)
+        p2 = params.copy()
         np.testing.assert_allclose((p1 - p2) / (p0 - p1), 1.9, rtol=1e-14)
 
     def test_zero_momentum_is_plain_sgd(self):
-        params = {"w": np.array([2.0, -1.0])}
-        state = OptimizerState.zeros_like(params)
-        sgd_step(params, {"w": np.array([0.5, 0.25])}, state, lr=0.2, momentum=0.0)
-        np.testing.assert_allclose(params["w"], [2.0 - 0.1, -1.0 - 0.05], rtol=1e-15)
+        params = np.array([2.0, -1.0])
+        velocity = np.zeros_like(params)
+        sgd_step(params, np.array([0.5, 0.25]), velocity, lr=0.2, momentum=0.0)
+        np.testing.assert_allclose(params, [2.0 - 0.1, -1.0 - 0.05], rtol=1e-15)
 
     def test_clip_rescales_to_budget(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        clipped, norm = clip_global_norm(grads, max_norm=0.5)
+        # with lr 1 and no momentum, the step is exactly the clipped gradient
+        grads = np.array([3.0, 4.0])
+        params = np.zeros(2)
+        norm = sgd_step(params, grads, np.zeros(2), lr=1.0, momentum=0.0, clip_norm=0.5)
+        clipped = -params
         assert norm == 5.0
-        total = np.sqrt(sum(np.sum(g * g) for g in clipped.values()))
-        np.testing.assert_allclose(total, 0.5, rtol=1e-12)
-        np.testing.assert_allclose(clipped["a"][0] / clipped["b"][0], 0.75, rtol=1e-12)
+        np.testing.assert_allclose(np.sqrt(np.sum(clipped * clipped)), 0.5, rtol=1e-12)
+        np.testing.assert_allclose(clipped[0] / clipped[1], 0.75, rtol=1e-12)
 
     def test_clip_inactive_below_budget(self):
-        grads = {"a": np.array([0.3]), "b": np.array([0.4])}
-        clipped, norm = clip_global_norm(grads, max_norm=0.5)
+        grads = np.array([0.3, 0.4])
+        params = np.zeros(2)
+        norm = sgd_step(params, grads, np.zeros(2), lr=1.0, momentum=0.0, clip_norm=0.5)
         assert norm == 0.5
-        assert clipped is grads
+        assert (-params).tobytes() == grads.tobytes()
 
     def test_clip_applied_before_momentum(self):
-        params = {"w": np.array([0.0])}
-        state = OptimizerState.zeros_like(params)
-        sgd_step(params, {"w": np.array([10.0])}, state, lr=1.0, momentum=0.9, clip_norm=1.0)
-        np.testing.assert_allclose(params["w"], [-1.0], rtol=1e-14)
-        sgd_step(params, {"w": np.array([10.0])}, state, lr=1.0, momentum=0.9, clip_norm=1.0)
-        np.testing.assert_allclose(params["w"], [-1.0 - 1.9], rtol=1e-14)
+        params = np.array([0.0])
+        velocity = np.zeros_like(params)
+        sgd_step(params, np.array([10.0]), velocity, lr=1.0, momentum=0.9, clip_norm=1.0)
+        np.testing.assert_allclose(params, [-1.0], rtol=1e-14)
+        sgd_step(params, np.array([10.0]), velocity, lr=1.0, momentum=0.9, clip_norm=1.0)
+        np.testing.assert_allclose(params, [-1.0 - 1.9], rtol=1e-14)
 
     def test_validation(self):
-        params = {"w": np.array([0.0])}
-        state = OptimizerState.zeros_like(params)
-        grads = {"w": np.array([1.0])}
+        params = np.array([0.0])
+        velocity = np.zeros_like(params)
+        grads = np.array([1.0])
         with pytest.raises(ValueError):
-            sgd_step(params, grads, state, lr=0.0, momentum=0.9)
+            sgd_step(params, grads, velocity, lr=0.0, momentum=0.9)
         with pytest.raises(ValueError):
-            sgd_step(params, grads, state, lr=0.1, momentum=1.0)
+            sgd_step(params, grads, velocity, lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
-            clip_global_norm(grads, 0.0)
+            sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, clip_norm=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_norm_leaves_state_untouched(self):
+        params = np.array([1.0, 2.0])
+        velocity = np.array([0.5, -0.5])
+        for bad in (np.array([np.inf, 0.0]), np.array([np.nan, 1.0]), np.array([1e200, 1e200])):
+            norm = sgd_step(params, bad, velocity, lr=0.1, momentum=0.9, clip_norm=0.5)
+            assert not np.isfinite(norm)
+            np.testing.assert_array_equal(params, [1.0, 2.0])
+            np.testing.assert_array_equal(velocity, [0.5, -0.5])
 
 
 class TestCheckpoint:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vslct.data import synth_gaussian
+from vslct.data import Dataset, synth_gaussian
 from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams, vs_loss_binary_batch
 from vslct.metrics import roc_curve
@@ -203,12 +203,16 @@ class TestBatchLossAndGrads:
         expected = float(np.mean(vs_loss_binary_batch(data.y, logits[:, 0], logits[:, 1], hyper, beta=3.0)))
         np.testing.assert_allclose(loss, expected, rtol=1e-14)
 
-    @pytest.mark.parametrize("affine", [False, True])
-    def test_gradient_check(self, affine):
+    @pytest.mark.parametrize(
+        "affine, cond_rows",
+        [(False, 16), (True, 16), (False, 1), (True, 1)],
+        ids=["False", "True", "False-one-row", "True-one-row"],
+    )
+    def test_gradient_check(self, affine, cond_rows):
         rng = np.random.default_rng(84)
         x = rng.normal(size=(16, 3))
         y = rng.integers(0, 2, size=16)
-        cond = rng.uniform(0.0, 3.0, size=(16, 1))
+        cond = rng.uniform(0.0, 3.0, size=(cond_rows, 1))
         config = ModelConfig(input_dim=3, cond_dim=1, trunk_widths=(8, 8), film_hidden=8, film_affine=affine, film_zero_init=False)
         model = MlpFilmModel.init(config, np.random.default_rng(85))
         hyper = VsHyperParams(omega=0.7, gamma=0.2, tau=1.5)
@@ -228,6 +232,17 @@ class TestBatchLossAndGrads:
                 ana = grads[key].ravel()[idx]
                 worst = max(worst, abs(ana - fd) / max(abs(ana), abs(fd), 1e-8))
         assert worst < 1e-3
+
+
+class TestNonFiniteTraining:
+    """A step with a non-finite loss or gradient norm stops the run where it happens."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gradients_raise_naming_the_step(self):
+        data = small_data()
+        huge = Dataset(x=data.x * 1e155, y=data.y)
+        with pytest.raises(ValueError, match=r"epoch 0, batch 0, conditioning \[0\.0\]: loss .*, gradient norm inf"):
+            train_baseline(huge, VsHyperParams(), FAST)
 
 
 class TestEvaluate:

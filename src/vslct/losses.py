@@ -155,9 +155,13 @@ def softplus(x):
 
 
 def sigmoid(x):
-    """1 / (1 + e^-x) without overflow; ufunc-compatible."""
+    """1 / (1 + e^-x) without overflow; ufunc-compatible.
+
+    From one e = exp(-|x|): 1 / (1 + e) for x >= 0 and e / (1 + e) below.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(np.minimum(x, 0.0))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0.0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

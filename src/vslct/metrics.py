@@ -115,9 +115,14 @@ def roc_curve(data: LabeledScores) -> RocCurve:
     The first point is (0, 0) at threshold +inf and the last is (1, 1) at
     threshold -inf; interior point i is the confusion at `thresholds[i]`,
     i.e. counts over samples scoring strictly above it.
+
+    Cumulative counts are read only at the last index of each tied block,
+    and a tied 0.0 and -0.0 are reported as the threshold 0.0, so the
+    order within a tie is never read and any sort kind gives the same
+    curve.
     """
     data.require_both_classes()
-    order = np.argsort(-data.scores, kind="stable")
+    order = np.argsort(-data.scores)
     s = data.scores[order]
     y = data.labels[order]
     # last index of each tied block = cumulative counts through that score
@@ -128,7 +133,7 @@ def roc_curve(data: LabeledScores) -> RocCurve:
     fpr = np.concatenate(([0.0], fp / data.n_neg))
     # the point after block k is achieved by thresholding at the next
     # distinct score below it (or -inf after the last block)
-    distinct = s[block_end]
+    distinct = s[block_end] + 0.0
     thresholds = np.concatenate(([np.inf], distinct[1:], [-np.inf]))
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
 
@@ -164,12 +169,19 @@ def roc_at_fpr_grid(curve: RocCurve, fpr_grid: np.ndarray) -> np.ndarray:
 
     Vertical segments (several TPRs at one FPR) contribute their top
     point; between distinct FPRs the curve is interpolated linearly,
-    matching the trapezoid geometry used for the AUC.
+    matching the trapezoid geometry used for the AUC.  The curve is one
+    from :func:`roc_curve`: fpr non-decreasing from 0 to 1.
     """
     fpr_grid = np.asarray(fpr_grid, dtype=np.float64)
     if np.any((fpr_grid < 0.0) | (fpr_grid > 1.0)):
         raise ValueError("FPR grid values must lie in [0, 1]")
-    # np.interp with duplicated x anchors an interval on the last
-    # duplicate to its left and the first to its right, and resolves an
-    # exact hit to the last duplicate: precisely the envelope wanted.
-    return np.interp(fpr_grid, curve.fpr, curve.tpr)
+    fpr, tpr = curve.fpr, curve.tpr
+    # (x0, y0): the last point at or left of each grid value, the top of a
+    # vertical run as fpr[0] = 0; (x1, y1): the first point to its right
+    left = np.searchsorted(fpr, fpr_grid, side="right") - 1
+    right = np.minimum(left + 1, fpr.size - 1)
+    x0, y0, x1, y1 = fpr[left], tpr[left], fpr[right], tpr[right]
+    # only an exact hit on the last point divides 0 by 0, and a hit reads y0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (y1 - y0) / (x1 - x0)
+    return np.where(x0 == fpr_grid, y0, slope * (fpr_grid - x0) + y0)

@@ -22,6 +22,10 @@ All parameters live in one flat float64 buffer, `MlpFilmModel.flat`;
 its slice, in that order.  Writing through a view writes the buffer, and
 `sgd_step` updates the whole buffer with a few vector operations.
 
+Each trunk layer adds its bias and applies the ReLU in place on the
+fresh matmul output, so a large batch allocates one (n, width) array
+per layer; `x` and the parameters are never written.
+
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
 
@@ -171,8 +175,12 @@ class MlpFilmModel:
             raise ValueError(f"x must have shape (n, {self.config.input_dim}), got {x.shape}")
         if cond.ndim != 2 or cond.shape[0] not in (1, x.shape[0]) or cond.shape[1] != self.config.cond_dim:
             raise ValueError(f"cond must have shape ({x.shape[0]}, {self.config.cond_dim}) or (1, {self.config.cond_dim}), got {cond.shape}")
-        h0 = np.maximum(x @ p["trunk0_w"] + p["trunk0_b"], 0.0)
-        h1 = np.maximum(h0 @ p["trunk1_w"] + p["trunk1_b"], 0.0)
+        h0 = x @ p["trunk0_w"]
+        h0 += p["trunk0_b"]
+        np.maximum(h0, 0.0, out=h0)
+        h1 = h0 @ p["trunk1_w"]
+        h1 += p["trunk1_b"]
+        np.maximum(h1, 0.0, out=h1)
         g = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0)
         film_out = g @ p["film1_w"] + p["film1_b"]
         c = self.config.trunk_widths[1]
@@ -257,7 +265,8 @@ def sgd_step(
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
     if clip_norm is not None and clip_norm <= 0.0:
         raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
-    norm = math.sqrt(float(np.dot(grads, grads)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(float(np.dot(grads, grads)))
     if not math.isfinite(norm):
         return norm
     if clip_norm is not None and norm > clip_norm:

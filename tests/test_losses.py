@@ -223,6 +223,31 @@ class TestGradients:
             np.testing.assert_allclose([b0[i], b1[i]], [s0, s1], rtol=1e-14)
 
 
+def three_exp_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The former sigmoid, kept as the bit-level reference."""
+    neg = np.exp(np.minimum(x, 0.0))
+    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), neg / (1.0 + neg))
+
+
+class TestElementaryProperties:
+    """softplus and sigmoid over |z| <= 800, the tails |z| >= 700 drawn on purpose."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.lists(
+            st.one_of(st.floats(-800.0, 800.0), st.floats(700.0, 800.0), st.floats(-800.0, -700.0)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_finite_bounded_and_equal_to_three_exp_form(self, z):
+        z = np.array(z)
+        s = sigmoid(z)
+        assert np.all(np.isfinite(softplus(z)))
+        assert np.all(np.isfinite(s)) and np.all((s >= 0.0) & (s <= 1.0))
+        assert s.tobytes() == three_exp_sigmoid(z).tobytes()
+
+
 class TestFusedKernelProperties:
     """vs_loss_and_grad_batch over the whole hyperparameter box, |z| <= 800."""
 

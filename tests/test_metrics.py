@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vslct.metrics import (
     ConfusionCounts,
@@ -28,6 +30,33 @@ def random_labeled_scores(rng, quantize: bool) -> LabeledScores:
     labels = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_neg, dtype=int)])
     perm = rng.permutation(scores.size)
     return LabeledScores(scores=scores[perm], labels=labels[perm])
+
+
+def stable_sort_roc(data: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fpr, tpr, thresholds) from a stable sort: the reference for roc_curve."""
+    order = np.argsort(-data.scores, kind="stable")
+    s = data.scores[order]
+    y = data.labels[order]
+    block_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+    tpr = np.concatenate(([0.0], np.cumsum(y == 1)[block_end] / data.n_pos))
+    fpr = np.concatenate(([0.0], np.cumsum(y == 0)[block_end] / data.n_neg))
+    # a tied 0.0 and -0.0 are one score, reported as 0.0
+    thresholds = np.concatenate(([np.inf], s[block_end][1:] + 0.0, [-np.inf]))
+    return fpr, tpr, thresholds
+
+
+@st.composite
+def labeled_scores(draw) -> LabeledScores:
+    """Both classes present; scores either continuous or drawn from a few values."""
+    n = draw(st.integers(2, 60))
+    labels = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    labels[:2] = [0, 1]
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4, unique=True))
+        scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    else:
+        scores = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    return LabeledScores(np.array(scores), labels)
 
 
 class TestLabeledScores:
@@ -85,12 +114,35 @@ class TestRocCurve:
             np.testing.assert_allclose(counts.fpr, curve.fpr[i], rtol=1e-14)
             np.testing.assert_allclose(counts.tpr, curve.tpr[i], rtol=1e-14)
 
+    def test_tied_signed_zeros_give_threshold_zero(self):
+        labels = np.array([1, 0, 1, 0])
+        for scores in ([1.0, 0.0, -0.0, -1.0], [1.0, -0.0, 0.0, -1.0]):
+            curve = roc_curve(LabeledScores(np.array(scores), labels))
+            assert curve.thresholds.tobytes() == np.array([np.inf, 0.0, -1.0, -np.inf]).tobytes()
+
     def test_all_tied_scores(self):
         data = LabeledScores(scores=np.full(10, 0.7), labels=np.array([1, 0] * 5))
         curve = roc_curve(data)
         np.testing.assert_allclose(curve.fpr, [0.0, 1.0])
         np.testing.assert_allclose(curve.tpr, [0.0, 1.0])
         np.testing.assert_allclose(curve.auc, 0.5, rtol=1e-15)
+
+
+class TestRocCurveProperties:
+    """roc_curve on tie-heavy and continuous scores."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=labeled_scores())
+    def test_equal_to_stable_sort_monotone_and_oracle_auc(self, data):
+        curve = roc_curve(data)
+        fpr, tpr, thresholds = stable_sort_roc(data)
+        assert curve.fpr.tobytes() == fpr.tobytes()
+        assert curve.tpr.tobytes() == tpr.tobytes()
+        assert curve.thresholds.tobytes() == thresholds.tobytes()
+        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
+        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
+        assert np.all(np.diff(curve.fpr) >= 0.0) and np.all(np.diff(curve.tpr) >= 0.0)
+        assert abs(curve.auc - auc_pair_oracle(data)) <= 1e-12
 
 
 class TestAuc:
@@ -161,6 +213,17 @@ class TestRocAtFprGrid:
         grid = np.linspace(0.0, 1.0, 20001)
         dense = roc_at_fpr_grid(curve, grid)
         np.testing.assert_allclose(np.trapezoid(dense, grid), curve.auc, atol=1e-5)
+
+    def test_equal_to_np_interp_on_tied_curves(self):
+        # np.interp resolves duplicate x values to the same envelope, though
+        # numpy does not document it; it is the reference here
+        rng = np.random.default_rng(35)
+        curves = [roc_curve(LabeledScores(EX_SCORES, EX_LABELS))]
+        curves += [roc_curve(random_labeled_scores(rng, quantize=i % 2 == 0)) for i in range(200)]
+        for curve in curves:
+            grid = np.concatenate([np.linspace(0.0, 1.0, 101), rng.uniform(size=50), curve.fpr])
+            got = roc_at_fpr_grid(curve, grid)
+            assert got.tobytes() == np.interp(grid, curve.fpr, curve.tpr).tobytes()
 
     def test_rejects_out_of_range_grid(self):
         curve = roc_curve(LabeledScores(EX_SCORES, EX_LABELS))

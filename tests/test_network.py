@@ -113,6 +113,29 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(np.zeros((5, 3)), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("cond_rows", [1, 9], ids=["one-row", "per-row"])
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_in_place_trunk_matches_out_of_place_formula(self, affine, cond_rows):
+        model = MlpFilmModel.init(tiny_config(affine), np.random.default_rng(70))
+        p = model.params
+        rng = np.random.default_rng(71)
+        x = rng.normal(size=(9, 3))
+        cond = rng.normal(size=(cond_rows, 2))
+        x_before = x.copy()
+        logits, cache = model.forward(x, cond)
+        h0 = np.maximum(x @ p["trunk0_w"] + p["trunk0_b"], 0.0)
+        h1 = np.maximum(h0 @ p["trunk1_w"] + p["trunk1_b"], 0.0)
+        film_out = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0) @ p["film1_w"] + p["film1_b"]
+        mu, raw = film_out[:, :8], film_out[:, 8:]
+        hmod = ((1.0 + raw) * h1 if affine else h1) + mu
+        np.testing.assert_array_equal(cache["h0"], h0)
+        np.testing.assert_array_equal(cache["h1"], h1)
+        np.testing.assert_array_equal(cache["hmod"], hmod)
+        np.testing.assert_array_equal(logits, hmod @ p["head_w"] + p["head_b"])
+        np.testing.assert_array_equal(x, x_before)
+        for a, b in [("h0", "h1"), ("h0", "hmod"), ("h1", "hmod")]:
+            assert not np.shares_memory(cache[a], cache[b])
+
     def test_init_deterministic(self):
         a = MlpFilmModel.init(tiny_config(True), np.random.default_rng(68))
         b = MlpFilmModel.init(tiny_config(True), np.random.default_rng(68))

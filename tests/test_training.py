@@ -237,7 +237,7 @@ class TestBatchLossAndGrads:
 class TestNonFiniteTraining:
     """A step with a non-finite loss or gradient norm stops the run where it happens."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_gradients_raise_naming_the_step(self):
         data = small_data()
         huge = Dataset(x=data.x * 1e155, y=data.y)

@@ -17,7 +17,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,10 +34,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabeledScores:
-    """Parallel arrays of classifier scores and 0/1 labels."""
+    """Parallel arrays of classifier scores and 0/1 labels.
+
+    Scores become float64 and labels int64, without a copy when they
+    already are; the class sizes n_pos and n_neg are counted once, here.
+    """
 
     scores: np.ndarray
     labels: np.ndarray
+    n_pos: int = field(init=False, repr=False, compare=False)
+    n_neg: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -48,18 +54,14 @@ class LabeledScores:
             raise ValueError(f"length mismatch: {scores.shape[0]} scores, {labels.shape[0]} labels")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
-        if not np.all((labels == 0) | (labels == 1)):
+        n_pos = int(np.count_nonzero(labels == 1))
+        n_neg = int(np.count_nonzero(labels == 0))
+        if n_pos + n_neg != labels.size:
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels.astype(np.int64))
-
-    @property
-    def n_pos(self) -> int:
-        return int(np.sum(self.labels == 1))
-
-    @property
-    def n_neg(self) -> int:
-        return int(np.sum(self.labels == 0))
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
+        object.__setattr__(self, "n_pos", n_pos)
+        object.__setattr__(self, "n_neg", n_neg)
 
     def require_both_classes(self) -> None:
         if self.n_pos == 0 or self.n_neg == 0:
@@ -127,8 +129,8 @@ def roc_curve(data: LabeledScores) -> RocCurve:
     y = data.labels[order]
     # last index of each tied block = cumulative counts through that score
     block_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    tp = np.cumsum(y == 1)[block_end]
-    fp = np.cumsum(y == 0)[block_end]
+    tp = np.cumsum(y)[block_end]
+    fp = block_end + 1 - tp
     tpr = np.concatenate(([0.0], tp / data.n_pos))
     fpr = np.concatenate(([0.0], fp / data.n_neg))
     # the point after block k is achieved by thresholding at the next

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vslct.lindist import LinearDistribution, make_linear
 
@@ -129,6 +131,37 @@ class TestQuantiles:
     def test_median_shifts_with_endpoint_density(self):
         medians = [make_linear(0.0, 3.0, h_b=h).median() for h in (0.0, 0.15, 0.33, 0.66)]
         assert all(b > a for a, b in zip(medians, medians[1:]))
+
+
+@st.composite
+def linear_distributions(draw) -> LinearDistribution:
+    """Supports of width 0.1 to 10 near 0; h_b at both endpoints, uniform, or anywhere between."""
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(0.1, 10.0))
+    limit = 2.0 / (b - a)
+    h_b = draw(st.one_of(st.sampled_from([0.0, 1.0 / (b - a), limit]), st.floats(0.0, limit)))
+    return make_linear(a, b, h_b)
+
+
+class TestQuantileProperties:
+    """ppf over the whole family, u drawn with its float neighbours."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dist=linear_distributions(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+    def test_monotone_inside_support_exact_endpoints_inverts_cdf(self, dist, u):
+        u = np.array(u)
+        u = np.sort(np.concatenate([u, np.minimum(np.nextafter(u, 2.0), 1.0), [0.0, 1.0]]))
+        x = dist.ppf(u)
+        # A falling or flat density gives an exactly monotone ppf.  A rising
+        # one does not: the rationalized root 2u / (h_a + sqrt(h_a^2 + 2su))
+        # divides two increasing roundings and can step back a few ulps
+        # between neighbouring u, which this bound pins.
+        slack = 0.0 if dist.h_b <= dist.h_a else 8 * np.spacing(max(abs(dist.a), abs(dist.b), dist.b - dist.a))
+        assert np.all(np.diff(x) >= -slack)
+        assert np.all((x >= dist.a) & (x <= dist.b))
+        assert dist.ppf(0.0) == dist.a
+        assert dist.ppf(1.0) == dist.b
+        np.testing.assert_allclose(dist.cdf(x), u, rtol=0.0, atol=1e-12)
 
 
 class TestSampling:

@@ -83,6 +83,18 @@ class TestLabeledScores:
         assert data.n_pos == 3
         assert data.n_neg == 2
 
+    def test_int64_labels_kept_other_dtypes_converted(self):
+        scores = np.array([0.1, 0.2, 0.3])
+        labels = np.array([0, 1, 1], dtype=np.int64)
+        assert LabeledScores(scores, labels).labels is labels
+        for other in (labels.astype(bool), labels.astype(np.int32), labels.astype(np.float64)):
+            data = LabeledScores(scores, other)
+            assert data.labels.dtype == np.int64
+            assert data.labels.tolist() == [0, 1, 1]
+            assert (data.n_pos, data.n_neg) == (2, 1)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            LabeledScores(scores, np.array([0.0, 1.0, np.nan]))
+
 
 class TestRocCurve:
     """Curve shape, endpoints, and the worked example."""

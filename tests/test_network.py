@@ -154,7 +154,7 @@ class TestForward:
 
 
 def width64_config(affine: bool) -> ModelConfig:
-    """Trunk width of the benchmark's models, so blocks hit the same BLAS kernels."""
+    """The default trunk width, so blocks run the BLAS kernels that real models do."""
     return ModelConfig(input_dim=2, cond_dim=2, trunk_widths=(64, 64), film_hidden=16, film_affine=affine, film_zero_init=False)
 
 

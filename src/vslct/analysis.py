@@ -160,17 +160,6 @@ class PolyfitResult:
     coefficients: np.ndarray
     column_names: tuple[str, ...]
     r2: float
-    constant_target: bool
-    degree: int
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        design, _ = _poly_design(x, self.degree)
-        if design.shape[1] != self.coefficients.size:
-            raise ValueError(f"x has wrong width for this fit: expected {len(self.column_names)} terms, built {design.shape[1]}")
-        return design @ self.coefficients
 
 
 def _poly_design(x: np.ndarray, degree: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -196,7 +185,7 @@ def polyfit_r2(x, y, degree: int = 2) -> PolyfitResult:
 
     The design matrix holds an intercept, the features, and for degree 2
     their squares and pairwise products.  R^2 = 1 - SS_res / SS_tot; a
-    constant target is reported as a perfect fit with the flag set.  A
+    constant target is reported as a perfect fit.  A
     rank-deficient design (collinear features or too few samples) raises.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -216,9 +205,8 @@ def polyfit_r2(x, y, degree: int = 2) -> PolyfitResult:
     residuals = y - design @ coeffs
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        return PolyfitResult(coefficients=coeffs, column_names=names, r2=1.0, constant_target=True, degree=degree)
-    return PolyfitResult(coefficients=coeffs, column_names=names, r2=1.0 - ss_res / ss_tot, constant_target=False, degree=degree)
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return PolyfitResult(coefficients=coeffs, column_names=names, r2=r2)
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def cmd_gen_data(args) -> int:
     data = synth_gaussian(n0=args.n0, n1=args.n1, dim=args.dim, separation=args.sep, rng=rng)
     if args.beta is not None:
         data = subsample_minority(data, beta=args.beta, rng=rng)
+    counts = data.counts  # raises before anything is written if n1 > n0
     save_csv(data, out)
-    counts = data.counts
     print(f"wrote {out}: {counts.n0} majority + {counts.n1} minority samples, dim {data.dim}")
     return 0
 
@@ -241,6 +241,8 @@ def cmd_loss_geometry(args) -> int:
 
 
 def cmd_dist_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     dist = make_linear(args.a, args.b, args.h_b)
     rng = np.random.default_rng(args.seed)
     started = time.monotonic()

@@ -14,6 +14,7 @@ expected a non-empty list of numbers``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -26,7 +27,8 @@ __all__ = ["TrainSpec", "load_json", "train_spec_from_json", "train_config_from_
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; json.load also accepts NaN and Infinity."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _is_integer(value) -> bool:

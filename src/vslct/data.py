@@ -20,7 +20,7 @@ import numpy as np
 from vslct._util import atomic_write_text
 from vslct.losses import ClassCounts
 
-__all__ = ["Dataset", "synth_gaussian", "subsample_minority", "split", "load_csv", "save_csv"]
+__all__ = ["Dataset", "synth_gaussian", "subsample_minority", "load_csv", "save_csv"]
 
 
 @dataclass(frozen=True)
@@ -99,27 +99,6 @@ def subsample_minority(data: Dataset, beta: float, rng: np.random.Generator) -> 
     keep = np.concatenate([idx0, chosen])
     keep = keep[rng.permutation(keep.size)]
     return Dataset(x=data.x[keep], y=data.y[keep])
-
-
-def split(data: Dataset, test_fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    """Stratified train/test split; per class, floor(fraction * n_c) rows go to test."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie strictly inside (0, 1), got {test_fraction}")
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
-    for label in (0, 1):
-        idx = np.nonzero(data.y == label)[0]
-        n_test = int(test_fraction * idx.size)
-        if n_test < 1 or n_test >= idx.size:
-            raise ValueError(f"class {label} ends up empty on one side of the split (size {idx.size}, fraction {test_fraction})")
-        perm = rng.permutation(idx)
-        test_idx.append(perm[:n_test])
-        train_idx.append(perm[n_test:])
-    tr = np.concatenate(train_idx)
-    te = np.concatenate(test_idx)
-    tr = tr[rng.permutation(tr.size)]
-    te = te[rng.permutation(te.size)]
-    return Dataset(data.x[tr], data.y[tr]), Dataset(data.x[te], data.y[te])
 
 
 def save_csv(data: Dataset, path) -> None:

@@ -84,12 +84,6 @@ class LinearDistribution:
             raise ValueError(f"sample size must be >= 0, got {n}")
         return self.ppf(rng.random(n))
 
-    def mean(self) -> float:
-        """E[X] in closed form."""
-        w = self.b - self.a
-        # integral of t*(h_a + s t) over [0, w], shifted by a
-        return self.a + self.h_a * w * w / 2.0 + self.slope * w**3 / 3.0
-
     def median(self) -> float:
         return self.ppf(0.5)
 

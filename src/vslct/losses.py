@@ -40,7 +40,6 @@ __all__ = [
     "break_even_line",
     "break_even_softmax_score",
     "loss_difference_grid",
-    "omega_softmax_intersection",
     "softplus",
     "sigmoid",
 ]
@@ -66,11 +65,12 @@ class VsHyperParams:
     tau: float = 0.0
 
     def __post_init__(self):
+        # written so that NaN fails every check
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
 
@@ -129,17 +129,13 @@ class LossDifferenceGrid:
     z1_values: np.ndarray
     diff: np.ndarray
 
-    def to_csv_text(self) -> str:
-        """Rows (z0, z1, diff) with a header, one line per grid cell."""
+    def to_csv(self, path) -> None:
+        """Write rows (z0, z1, diff) with a header, one line per grid cell, atomically."""
         lines = ["z0,z1,diff"]
         for i, z0 in enumerate(self.z0_values):
             for j, z1 in enumerate(self.z1_values):
                 lines.append(f"{float(z0)!r},{float(z1)!r},{float(self.diff[i, j])!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        """Write :meth:`to_csv_text` atomically."""
-        atomic_write_text(path, self.to_csv_text())
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +310,9 @@ def break_even_alpha(omega: float) -> float:
     The equation's log form omega*softplus(-a) - (1-omega)*softplus(a) is
     strictly decreasing in a, so bisection converges unconditionally; the
     residual of the original equation at the returned root is below 1e-12.
-    Zero at omega=0.5, positive above, negative below.
+    Zero at omega=0.5, positive above, negative below.  sigmoid(alpha) is
+    the softmax score p1 where the weighted cross-entropy curves cross,
+    p1^omega = (1-p1)^(1-omega).
     """
     if not 0.0 < omega < 1.0:
         raise ValueError(f"omega must be strictly inside (0, 1), got {omega}")
@@ -369,26 +367,3 @@ def loss_difference_grid(p: VsHyperParams, beta: float, lo: float, hi: float, st
     diff = p.omega * softplus(m) - (1.0 - p.omega) * softplus(-m)
     return LossDifferenceGrid(z0_values=zs, z1_values=zs.copy(), diff=diff)
 
-
-def omega_softmax_intersection(omega: float) -> float:
-    """Softmax score p1 where the two weighted-CE loss curves intersect.
-
-    Solves p1^omega = (1-p1)^(1-omega) on (0, 1) by bisection on its
-    strictly increasing log form; 0.5 at omega=0.5, increasing in omega.
-    """
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"omega must be strictly inside (0, 1), got {omega}")
-
-    def h(q: float) -> float:
-        return omega * math.log(q) - (1.0 - omega) * math.log1p(-q)
-
-    lo, hi = 1e-300, 1.0 - 1e-16
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -91,11 +91,6 @@ class ConfusionCounts:
             raise ValueError("FPR undefined without negative samples")
         return self.fp / neg
 
-    @property
-    def accuracy(self) -> float:
-        total = self.tp + self.fp + self.tn + self.fn
-        return (self.tp + self.tn) / total
-
 
 @dataclass(frozen=True)
 class RocCurve:

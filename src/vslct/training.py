@@ -76,7 +76,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0.0:
+        # bounds are written so that NaN fails them
+        if not self.lr > 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if not 0.0 < self.lr_drop_factor <= 1.0:
             raise ValueError(f"lr_drop_factor must lie in (0, 1], got {self.lr_drop_factor}")
@@ -86,7 +87,7 @@ class TrainConfig:
             raise ValueError(f"milestone fractions must be sorted, got {self.lr_milestones}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.clip_norm <= 0.0:
+        if not self.clip_norm > 0.0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 
@@ -151,8 +152,6 @@ class TrainResult:
 
     model: MlpFilmModel
     epoch_losses: np.ndarray
-    lambda_draws: int
-    lambda_trace: np.ndarray | None = None
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -188,13 +187,7 @@ def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator,
     )
 
 
-def _run_training(
-    data: Dataset,
-    model_config: ModelConfig,
-    config: TrainConfig,
-    batch_settings,
-    record_lambdas: bool,
-) -> TrainResult:
+def _run_training(data: Dataset, model_config: ModelConfig, config: TrainConfig, batch_settings) -> TrainResult:
     """Shared loop; batch_settings yields (cond_row, hyper) per mini-batch."""
     counts = data.counts
     beta = counts.beta
@@ -202,18 +195,13 @@ def _run_training(
     model = MlpFilmModel.init(model_config, init_rng)
     velocity = np.zeros_like(model.flat)
     epoch_losses = np.zeros(config.epochs)
-    trace: list[np.ndarray] = []
-    draws = 0
     for epoch in range(config.epochs):
         lr = lr_at_epoch(config, epoch)
         perm = shuffle_rng.permutation(data.n)
         total = 0.0
         for batch, start in enumerate(range(0, data.n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            cond_row, hyper, drew = batch_settings(lam_rng)
-            draws += drew
-            if record_lambdas and drew:
-                trace.append(cond_row)
+            cond_row, hyper = batch_settings(lam_rng)
             loss, grads = batch_loss_and_grads(model, data.x[idx], data.y[idx], cond_row.reshape(1, -1), hyper, beta)
             flat_grads = np.concatenate([grads[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
             norm = sgd_step(model.flat, flat_grads, velocity, lr=lr, momentum=config.momentum, clip_norm=config.clip_norm)
@@ -224,12 +212,7 @@ def _run_training(
                 )
             total += loss * idx.size
         epoch_losses[epoch] = total / data.n
-    return TrainResult(
-        model=model,
-        epoch_losses=epoch_losses,
-        lambda_draws=draws,
-        lambda_trace=np.array(trace) if record_lambdas and trace else None,
-    )
+    return TrainResult(model=model, epoch_losses=epoch_losses)
 
 
 def train_baseline(
@@ -252,9 +235,9 @@ def train_baseline(
         raise ValueError(f"const_cond has {const_cond.size} entries, model expects {model_config.cond_dim}")
 
     def batch_settings(_rng):
-        return const_cond, hyper, 0
+        return const_cond, hyper
 
-    return _run_training(data, model_config, config, batch_settings, record_lambdas=False)
+    return _run_training(data, model_config, config, batch_settings)
 
 
 def train_lct(
@@ -262,7 +245,6 @@ def train_lct(
     lct: LctConfig,
     config: TrainConfig,
     model_config: ModelConfig | None = None,
-    record_lambdas: bool = False,
 ) -> TrainResult:
     """Loss-conditional training: per batch, one draw feeds input and loss."""
     if model_config is None:
@@ -272,9 +254,9 @@ def train_lct(
 
     def batch_settings(rng):
         values = lct.draw(rng)
-        return values, lct.hyper_at(values), 1
+        return values, lct.hyper_at(values)
 
-    return _run_training(data, model_config, config, batch_settings, record_lambdas)
+    return _run_training(data, model_config, config, batch_settings)
 
 
 def evaluate(model: MlpFilmModel, data: Dataset, eval_cond) -> LabeledScores:

@@ -57,6 +57,13 @@ class TestGenData:
         assert code == 0
         assert os.stat(path).st_mtime_ns == before
 
+    def test_minority_larger_than_majority_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        code = run_cli("gen-data", "--out", path, "--n0", 10, "--n1", 20, "--seed", 0)
+        assert code == 1
+        assert "need n0 >= n1" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_if_exists_overwrite_replaces(self, tmp_path):
         path = gen_csv(tmp_path / "d.csv", n0=10, n1=5, seed=0)
         code = run_cli("gen-data", "--out", path, "--n0", 12, "--n1", 6, "--seed", 1, "--if-exists", "overwrite")
@@ -290,6 +297,7 @@ class TestSweep:
         ("analyze", {"rows": [{"run_id": "r", "kind": "baseline", "seed": 0, "auc": 0.5, "params": []}]}, "rows[0].params: expected a JSON object"),
         ("analyze", {"rows": [{"run_id": "r", "kind": ["lct"], "seed": 0, "auc": 0.5, "params": {}}]}, "rows[0].kind: expected a string"),
         ("analyze", {"rows": [{"run_id": "r", "kind": "baseline", "seed": 0, "auc": 0.5, "params": {"omega": 0.5}}]}, "rows[0].params.gamma: expected a number"),
+        ("sweep", {"seeds": [0], "train": {"clip_norm": float("nan")}, "baseline_grid": {}}, "config.train.clip_norm: expected a number, got nan"),
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, command, payload, named):
@@ -403,6 +411,13 @@ class TestDistCheck:
         code = run_cli("dist-check", "--a", 0, "--b", 3, "--h-b", 0, "--samples", 2000, "--seed", 1, "--max-ks", 1e-9)
         assert code == 1
         assert "exceeds" in capsys.readouterr().err
+
+    def test_zero_samples_exits_1_naming_the_flag(self, capsys):
+        code = run_cli("dist-check", "--a", 0, "--b", 3, "--h-b", 0, "--samples", 0)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--samples" in err
 
     def test_optional_json_report(self, tmp_path):
         out = tmp_path / "ks.json"

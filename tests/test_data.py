@@ -1,9 +1,9 @@
-"""Tests for dataset generation, subsampling, splitting, and CSV round trips."""
+"""Tests for dataset generation, subsampling, and CSV round trips."""
 
 import numpy as np
 import pytest
 
-from vslct.data import Dataset, load_csv, save_csv, split, subsample_minority, synth_gaussian
+from vslct.data import Dataset, load_csv, save_csv, subsample_minority, synth_gaussian
 
 # Best achievable AUC for two unit Gaussians `sep` apart is
 # Phi(sep / sqrt(2)); value below is for sep = 2.5.
@@ -119,31 +119,6 @@ class TestSubsampleMinority:
             subsample_minority(base, beta=5.0, rng=np.random.default_rng(0))  # needs 20 > 10
         with pytest.raises(ValueError):
             subsample_minority(base, beta=200.0, rng=np.random.default_rng(0))  # floor -> 0
-
-
-class TestSplit:
-    """Stratified splitting."""
-
-    def test_stratified_counts(self):
-        base = synth_gaussian(1000, 100, 2, 1.0, np.random.default_rng(52))
-        train, test = split(base, test_fraction=0.25, rng=np.random.default_rng(53))
-        assert test.counts.n0 == 250 and test.counts.n1 == 25
-        assert train.counts.n0 == 750 and train.counts.n1 == 75
-
-    def test_partition_is_exact(self):
-        base = synth_gaussian(80, 40, 3, 1.0, np.random.default_rng(54))
-        train, test = split(base, test_fraction=0.5, rng=np.random.default_rng(55))
-        merged = np.concatenate([train.x, test.x])
-        np.testing.assert_array_equal(merged[np.lexsort(merged.T)], base.x[np.lexsort(base.x.T)])
-
-    def test_validation(self):
-        base = synth_gaussian(10, 5, 2, 1.0, np.random.default_rng(56))
-        with pytest.raises(ValueError):
-            split(base, 0.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            split(base, 1.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            split(base, 0.05, np.random.default_rng(0))  # class 1 test side empty
 
 
 class TestCsvRoundTrip:

@@ -89,14 +89,6 @@ class TestDensityAndCdf:
         np.testing.assert_allclose(d.cdf(1.5), TRI_CDF_AT_1_5, rtol=1e-14)
         np.testing.assert_allclose(d.median(), TRI_MEDIAN, rtol=1e-12)
 
-    def test_mean_closed_form(self):
-        uniform = make_linear(0.0, 4.0, h_b=0.25)
-        np.testing.assert_allclose(uniform.mean(), 2.0, rtol=1e-14)
-        falling = make_linear(0.0, 3.0, h_b=0.0)
-        np.testing.assert_allclose(falling.mean(), 1.0, rtol=1e-14)
-        rising = make_linear(0.0, 3.0, h_b=2.0 / 3.0)
-        np.testing.assert_allclose(rising.mean(), 2.0, rtol=1e-14)
-
 
 class TestQuantiles:
     """Inverse CDF correctness, including degenerate endpoint densities."""

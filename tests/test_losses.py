@@ -16,7 +16,6 @@ from vslct.losses import (
     break_even_line,
     break_even_softmax_score,
     loss_difference_grid,
-    omega_softmax_intersection,
     sigmoid,
     softplus,
     vs_loss_binary,
@@ -148,6 +147,9 @@ class TestLossForms:
             VsHyperParams(gamma=-0.1)
         with pytest.raises(ValueError):
             VsHyperParams(tau=-1.0)
+        for name in ("omega", "gamma", "tau"):
+            with pytest.raises(ValueError, match=name):
+                VsHyperParams(**{name: float("nan")})
         with pytest.raises(ValueError):
             ClassCounts(n0=5, n1=10)
         with pytest.raises(ValueError):
@@ -335,14 +337,18 @@ class TestBreakEven:
         assert all(b > a for a, b in zip(scores, scores[1:]))
         assert break_even_softmax_score(100.0, 3.0) < 1.0
 
-    def test_omega_softmax_intersection(self):
-        np.testing.assert_allclose(omega_softmax_intersection(0.5), 0.5, atol=1e-12)
-        np.testing.assert_allclose(omega_softmax_intersection(0.8), P1_CROSS_08, rtol=1e-12)
+    def test_break_even_alpha_gives_softmax_crossing(self):
+        # sigmoid(alpha_omega) is the softmax score where p1^omega = (1-p1)^(1-omega)
+        def crossing(omega):
+            return sigmoid(break_even_alpha(omega))
+
+        np.testing.assert_allclose(crossing(0.5), 0.5, atol=1e-12)
+        np.testing.assert_allclose(crossing(0.8), P1_CROSS_08, rtol=1e-12)
         rng = np.random.default_rng(10)
         for omega in rng.uniform(0.05, 0.95, size=30):
-            q = omega_softmax_intersection(float(omega))
+            q = crossing(float(omega))
             assert abs(omega * math.log(q) - (1.0 - omega) * math.log1p(-q)) < 1e-12
-        values = [omega_softmax_intersection(w) for w in (0.2, 0.4, 0.6, 0.8)]
+        values = [crossing(w) for w in (0.2, 0.4, 0.6, 0.8)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 

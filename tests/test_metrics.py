@@ -196,7 +196,6 @@ class TestConfusion:
         counts = ConfusionCounts(tp=3, fp=1, tn=4, fn=2)
         np.testing.assert_allclose(counts.tpr, 0.6)
         np.testing.assert_allclose(counts.fpr, 0.2)
-        np.testing.assert_allclose(counts.accuracy, 0.7)
 
     def test_undefined_rates_raise(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,14 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vslct
 from vslct.network import (
@@ -395,6 +398,29 @@ class TestCheckpoint:
         assert loaded.config == model.config
         for k in MlpFilmModel.PARAM_KEYS:
             np.testing.assert_array_equal(loaded.params[k], model.params[k])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 5)] * 5),
+        affine=st.booleans(),
+        zero_init=st.booleans(),
+        data=st.data(),
+    )
+    def test_random_shapes_bit_exact(self, dims, affine, zero_init, data):
+        input_dim, cond_dim, w1, w2, film_hidden = dims
+        config = ModelConfig(input_dim, cond_dim, (w1, w2), film_hidden, film_affine=affine, film_zero_init=zero_init)
+        model = MlpFilmModel.init(config, np.random.default_rng(0))
+        size = model.flat.size
+        model.flat[:] = data.draw(st.lists(st.floats(allow_nan=False), min_size=size, max_size=size))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_checkpoint(path, model)
+            loaded, _ = load_checkpoint(path)
+        assert loaded.config == config
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        for k in MlpFilmModel.PARAM_KEYS:
+            assert loaded.params[k].shape == model.params[k].shape
+            assert loaded.params[k].tobytes() == model.params[k].tobytes()
 
     def test_floats_stored_as_hex(self, tmp_path):
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(74))

@@ -1,7 +1,7 @@
 """Experiment sweeps and the statistics used to compare them.
 
-run_sweep trains a list of configured runs (fixed-loss baselines and
-loss-conditional runs), scores each trained model on a held-out test set,
+run_sweep trains a list of configured runs through train_run (the executor
+`vslct train` uses too), scores each trained model on a held-out test set,
 and returns one row per run.  Given an output directory it persists each
 row as JSON (floats hex-encoded, written atomically) and transparently
 reloads completed rows on a rerun, so an interrupted sweep resumes where
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from vslct.data import Dataset
 from vslct.losses import VsHyperParams
 from vslct.metrics import LabeledScores, roc_at_fpr_grid, roc_curve
 from vslct.network import ModelConfig
-from vslct.training import LctConfig, TrainConfig, evaluate, train_baseline, train_lct
+from vslct.training import LctConfig, TrainConfig, TrainResult, evaluate, train_baseline, train_lct
 
 __all__ = [
     "TTestResult",
@@ -42,6 +42,7 @@ __all__ = [
     "polyfit_r2",
     "SweepRun",
     "SweepRow",
+    "train_run",
     "run_sweep",
     "load_rows",
     "AucStats",
@@ -220,7 +221,8 @@ class SweepRun:
 
     kind "baseline" trains at `hyper` with the conditioning input held at
     eval_cond; kind "lct" trains with per-batch draws from `lct` and is
-    evaluated at eval_cond.  run_id must be unique and filesystem-safe.
+    evaluated at eval_cond.  run_id must be unique, filesystem-safe and not
+    start with '.' (load_rows skips dot files).
     """
 
     run_id: str
@@ -232,8 +234,10 @@ class SweepRun:
 
     def __post_init__(self):
         object.__setattr__(self, "eval_cond", tuple(float(v) for v in self.eval_cond))
-        if not self.run_id or not all(c.isalnum() or c in "._-" for c in self.run_id):
-            raise ValueError(f"run_id must be non-empty and filesystem-safe, got {self.run_id!r}")
+        if not self.run_id or self.run_id[0] == "." or not all(c.isalnum() or c in "._-" for c in self.run_id):
+            raise ValueError(f"run_id must be non-empty, filesystem-safe and not start with '.', got {self.run_id!r}")
+        if not self.eval_cond:
+            raise ValueError(f"{self.run_id}: eval_cond must not be empty")
         if self.kind == "baseline":
             if self.hyper is None or self.lct is not None:
                 raise ValueError(f"{self.run_id}: baseline runs take hyper, not lct")
@@ -303,37 +307,34 @@ def _load_row(out_dir, run: SweepRun) -> SweepRow:
 
 
 def load_rows(rows_dir) -> list[SweepRow]:
-    """Every sweep row stored in rows_dir (summary.json aside), in file-name order."""
+    """Every sweep row stored in rows_dir, in file-name order; invalid JSON and partial rows raise.
+
+    Dot files (a killed atomic write's temp file) and JSON objects holding
+    no SweepRow field (summary.json, an analyze report) are skipped.
+    """
     rows = []
     for name in sorted(os.listdir(rows_dir)):
-        if not name.endswith(".json") or name == "summary.json":
+        if not name.endswith(".json") or name.startswith("."):
             continue
         path = os.path.join(os.fspath(rows_dir), name)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                rows.append(_row_from_payload(json.load(fh)))
+                payload = json.load(fh)
+            if isinstance(payload, dict) and payload.keys().isdisjoint(f.name for f in fields(SweepRow)):
+                continue
+            rows.append(_row_from_payload(payload))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a sweep row: {exc}") from exc
     return rows
 
 
-def _execute_run(run: SweepRun, train_data: Dataset, test_data: Dataset, train_config: TrainConfig) -> SweepRow:
+def train_run(run: SweepRun, train_data: Dataset, train_config: TrainConfig, **model_fields) -> TrainResult:
+    """Train `run` at its own seed; model_fields are the ModelConfig fields besides the two dimensions."""
     config = replace(train_config, seed=run.seed)
-    cond = np.array(run.eval_cond)
+    model_config = ModelConfig(input_dim=train_data.dim, cond_dim=len(run.eval_cond), **model_fields)
     if run.kind == "baseline":
-        model_config = ModelConfig(input_dim=train_data.dim, cond_dim=max(cond.size, 1))
-        result = train_baseline(train_data, run.hyper, config, model_config=model_config, const_cond=cond if cond.size else None)
-    else:
-        result = train_lct(train_data, run.lct, config)
-    scored = evaluate(result.model, test_data, cond if cond.size else np.zeros(result.model.config.cond_dim))
-    return SweepRow(
-        run_id=run.run_id,
-        kind=run.kind,
-        seed=run.seed,
-        auc=roc_curve(scored).auc,
-        scores=scored.scores,
-        labels=scored.labels,
-    )
+        return train_baseline(train_data, run.hyper, config, model_config=model_config, const_cond=np.array(run.eval_cond))
+    return train_lct(train_data, run.lct, config, model_config=model_config)
 
 
 def run_sweep(
@@ -361,7 +362,8 @@ def run_sweep(
         if out_dir is not None and os.path.exists(_row_path(out_dir, run.run_id)):
             row = _load_row(out_dir, run)
         else:
-            row = _execute_run(run, train_data, test_data, train_config)
+            scored = evaluate(train_run(run, train_data, train_config).model, test_data, run.eval_cond)
+            row = SweepRow(run.run_id, run.kind, run.seed, roc_curve(scored).auc, scored.scores, scored.labels)
             if out_dir is not None:
                 _save_row(out_dir, row)
         rows.append(row)

@@ -31,14 +31,14 @@ import time
 import numpy as np
 
 from vslct._util import atomic_write_text
-from vslct.analysis import aggregate_roc, auc_stats, load_rows, paired_t_test, polyfit_r2, run_sweep
+from vslct.analysis import aggregate_roc, auc_stats, load_rows, paired_t_test, polyfit_r2, run_sweep, train_run
 from vslct.config import grid_runs, load_json, summary_rows_from_json, train_config_from_json, train_spec_from_json
 from vslct.data import load_csv, save_csv, subsample_minority, synth_gaussian
 from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams, break_even_line, break_even_softmax_score, loss_difference_grid
 from vslct.metrics import roc_curve
-from vslct.network import ModelConfig, save_checkpoint
-from vslct.training import evaluate, train_baseline, train_lct
+from vslct.network import save_checkpoint
+from vslct.training import evaluate
 
 __all__ = ["main"]
 
@@ -99,18 +99,13 @@ def cmd_train(args) -> int:
     if not _should_write(out, args.if_exists):
         return 0
     spec = train_spec_from_json(load_json(args.config))
-    data = load_csv(args.data)
-    model_config = ModelConfig(input_dim=data.dim, cond_dim=len(spec.eval_cond), **spec.model_kwargs)
-    if spec.lct is None:
-        result = train_baseline(data, spec.hyper, spec.train, model_config=model_config)
-    else:
-        result = train_lct(data, spec.lct, spec.train, model_config=model_config)
-    save_checkpoint(out, result.model, meta={"mode": spec.mode, "final_loss": result.epoch_losses[-1]})
-    print(f"trained {spec.mode} model for {spec.train.epochs} epochs; final epoch loss {result.epoch_losses[-1]:.6f}")
+    run = spec.run
+    result = train_run(run, load_csv(args.data), spec.train, **spec.model_kwargs)
+    save_checkpoint(out, result.model, meta={"mode": run.kind, "final_loss": result.epoch_losses[-1]})
+    print(f"trained {run.kind} model for {spec.train.epochs} epochs; final epoch loss {result.epoch_losses[-1]:.6f}")
     if args.test_data:
-        eval_cond = np.array(spec.eval_cond)
-        scored = evaluate(result.model, load_csv(args.test_data), eval_cond)
-        print(f"test AUC at conditioning {[float(v) for v in eval_cond]}: {roc_curve(scored).auc:.6f}")
+        scored = evaluate(result.model, load_csv(args.test_data), run.eval_cond)
+        print(f"test AUC at conditioning {list(run.eval_cond)}: {roc_curve(scored).auc:.6f}")
     print(f"wrote {out}")
     return 0
 
@@ -122,7 +117,6 @@ def cmd_sweep(args) -> int:
     train_data = load_csv(args.train_data)
     test_data = load_csv(args.test_data)
     out_dir = _resolve_out(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
 
     def progress(i, total, row):
@@ -149,6 +143,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_roc(args) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be >= 2, got {args.points}")
     out = _resolve_out(args.out)
     if not _should_write(out, args.if_exists):
         return 0
@@ -230,9 +226,9 @@ def cmd_loss_geometry(args) -> int:
     if not _should_write(out, args.if_exists):
         return 0
     hyper = VsHyperParams(omega=args.omega, gamma=args.gamma, tau=args.tau)
+    line = break_even_line(hyper, args.beta)  # raises for beta < 1 before anything is written
     grid = loss_difference_grid(hyper, beta=args.beta, lo=args.lo, hi=args.hi, steps=args.steps)
     grid.to_csv(out)
-    line = break_even_line(hyper, args.beta)
     print(f"break-even line: z1 = {line.slope!r} * z0 + {line.intercept!r} (offset alpha = {line.alpha_omega!r})")
     if args.omega == 0.5 and args.gamma == 0.0:
         print(f"break-even softmax score: {break_even_softmax_score(args.beta, args.tau)!r}")

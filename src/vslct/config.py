@@ -139,18 +139,21 @@ def train_config_from_json(obj: dict, context: str) -> TrainConfig:
 
 @dataclass(frozen=True)
 class TrainSpec:
-    """One `vslct train` run: a fixed loss point (hyper) or a conditioned family (lct).
+    """One `vslct train` run, named after its mode and seeded by its train block.
 
-    model_kwargs are the ModelConfig fields other than the two dimensions;
-    eval_cond is the conditioning input the trained model is scored at.
+    model_kwargs are the ModelConfig fields other than the two dimensions.
     """
 
-    mode: str
-    hyper: VsHyperParams | None
-    lct: LctConfig | None
+    run: SweepRun
     train: TrainConfig
     model_kwargs: dict
-    eval_cond: tuple[float, ...]
+
+
+def _eval_lambda(config: dict) -> float:
+    """The conditioning value a config's conditioned runs are scored at (default 0)."""
+    eval_lambda = config.get("eval_lambda", 0.0)
+    _check(eval_lambda, _NUMBER, "config.eval_lambda")
+    return float(eval_lambda)
 
 
 def train_spec_from_json(config: dict) -> TrainSpec:
@@ -164,14 +167,16 @@ def train_spec_from_json(config: dict) -> TrainSpec:
     if mode == "baseline":
         if "lct" in config:
             raise ValueError("config: baseline mode does not take an 'lct' section")
+        if "eval_lambda" in config:
+            raise ValueError("config: baseline mode does not take 'eval_lambda'")
         hyper = _hyper_from_json(config.get("hyper", {}), "config.hyper")
-        return TrainSpec(mode=mode, hyper=hyper, lct=None, train=train, model_kwargs=model_kwargs, eval_cond=(0.0,))
-    if "hyper" in config:
-        raise ValueError("config: lct mode takes an 'lct' section, not 'hyper'")
-    lct = _lct_from_json(config.get("lct", {}), "config.lct")
-    eval_lambda = config.get("eval_lambda", 0.0)
-    _check(eval_lambda, _NUMBER, "config.eval_lambda")
-    return TrainSpec(mode=mode, hyper=None, lct=lct, train=train, model_kwargs=model_kwargs, eval_cond=(float(eval_lambda),) * lct.cond_dim)
+        run = SweepRun(run_id=mode, kind=mode, seed=train.seed, eval_cond=(0.0,), hyper=hyper)
+    else:
+        if "hyper" in config:
+            raise ValueError("config: lct mode takes an 'lct' section, not 'hyper'")
+        lct = _lct_from_json(config.get("lct", {}), "config.lct")
+        run = SweepRun(run_id=mode, kind=mode, seed=train.seed, eval_cond=(_eval_lambda(config),) * lct.cond_dim, lct=lct)
+    return TrainSpec(run=run, train=train, model_kwargs=model_kwargs)
 
 
 def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
@@ -184,9 +189,7 @@ def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
     _require_keys(config, {"train", "seeds", "eval_lambda", "baseline_grid", "lct_grid"}, "config")
     seeds = config.get("seeds")
     _check(seeds, _SEEDS, "config.seeds")
-    eval_lambda = config.get("eval_lambda", 0.0)
-    _check(eval_lambda, _NUMBER, "config.eval_lambda")
-    eval_cond = (float(eval_lambda),)
+    eval_cond = (_eval_lambda(config),)
     runs: list[SweepRun] = []
     params: dict[str, dict] = {}
     if "baseline_grid" in config:

@@ -1,5 +1,6 @@
 """Tests for sweep orchestration and the self-contained statistics."""
 
+import json
 import math
 import os
 import tempfile
@@ -269,6 +270,10 @@ class TestSweep:
             SweepRun(run_id="x", kind="baseline", seed=0, eval_cond=())
         with pytest.raises(ValueError):
             SweepRun(run_id="x", kind="other", seed=0, eval_cond=(), hyper=VsHyperParams())
+        with pytest.raises(ValueError, match="eval_cond must not be empty"):
+            SweepRun(run_id="x", kind="baseline", seed=0, eval_cond=(), hyper=VsHyperParams())
+        with pytest.raises(ValueError, match="not start with '.'"):
+            SweepRun(run_id=".x", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams())
         lct = LctConfig(base=VsHyperParams(), conditioned={"tau": 1.0})
         with pytest.raises(ValueError):
             SweepRun(run_id="x", kind="lct", seed=0, eval_cond=(1.0, 2.0), lct=lct)
@@ -290,7 +295,8 @@ class TestRowCodec:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        run_id=st.text(alphabet="abcXYZ019._-", min_size=1, max_size=20),
+        # SweepRun rejects a leading '.', and load_rows skips such files
+        run_id=st.text(alphabet="abcXYZ019._-", min_size=1, max_size=20).filter(lambda s: s[0] != "."),
         kind=st.sampled_from(["baseline", "lct"]),
         seed=st.integers(0, 2**63 - 1),
         auc=finite_or_inf,
@@ -307,6 +313,24 @@ class TestRowCodec:
         assert np.float64(loaded.auc).tobytes() == np.float64(auc).tobytes()
         assert loaded.scores.tobytes() == scores.tobytes()
         assert loaded.labels.tobytes() == labels.tobytes()
+
+    def test_load_rows_skips_dot_files_and_other_json(self, tmp_path):
+        for seed in (0, 1):
+            _save_row(tmp_path, SweepRow(f"r{seed}", "lct", seed, 0.75, np.array([0.25, 0.5]), np.array([0, 1])))
+        before = load_rows(tmp_path)
+        (tmp_path / "summary.json").write_text(json.dumps({"rows": [], "stats": {}}))
+        (tmp_path / "report.json").write_text(json.dumps({"groups": {}, "paired_by_seed": None, "baseline_surface_fit": None}))
+        (tmp_path / ".tmp-x1y2r0.json").write_text('{"run_id": "r0", "kind": "lct", "scores": ["0x1.')
+        after = load_rows(tmp_path)
+        assert [(r.run_id, r.auc, r.scores.tobytes(), r.labels.tobytes()) for r in after] == [
+            (r.run_id, r.auc, r.scores.tobytes(), r.labels.tobytes()) for r in before
+        ]
+        stored = json.loads((tmp_path / "r0.json").read_text())
+        for key in stored:
+            partial = {k: v for k, v in stored.items() if k != key}
+            (tmp_path / "partial.json").write_text(json.dumps(partial))
+            with pytest.raises(ValueError, match="partial.json: not a sweep row"):
+                load_rows(tmp_path)
 
 
 class TestAggregation:

@@ -11,11 +11,15 @@ import os
 import numpy as np
 import pytest
 
-from vslct.analysis import load_rows, run_sweep
+from vslct.analysis import SweepRun, load_rows, run_sweep
 from vslct.cli import main
 from vslct.config import grid_runs, load_json, train_config_from_json
 from vslct.data import load_csv
+from vslct.lindist import make_linear
+from vslct.losses import VsHyperParams
+from vslct.metrics import roc_curve
 from vslct.network import load_checkpoint
+from vslct.training import LctConfig, TrainConfig, evaluate
 
 
 def run_cli(*argv):
@@ -170,20 +174,44 @@ class TestTrain:
         assert "unknown keys" in err
         assert "learning_rate" in err
 
-    def test_baseline_mode_rejects_lct_section(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section", ["lct", "eval_lambda"])
+    def test_baseline_mode_rejects_lct_section(self, tmp_path, capsys, section):
         data = gen_csv(tmp_path / "train.csv", n0=30, n1=10, seed=0)
         config = self.write_config(
             tmp_path,
             {
                 "mode": "baseline",
                 "hyper": {"omega": 0.5, "gamma": 0.0, "tau": 0.0},
-                "lct": {"base": {}, "conditioned": {"tau": 1.0}},
+                section: {"lct": {"base": {}, "conditioned": {"tau": 1.0}}, "eval_lambda": "three"}[section],
                 "train": {"epochs": 2},
             },
         )
         code = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "m.json")
         assert code == 1
-        assert "baseline mode" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config: baseline mode does not take" in err and f"'{section}'" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("mode", ["baseline", "lct"])
+    def test_train_matches_a_one_run_sweep(self, tmp_path, capsys, mode):
+        data = gen_csv(tmp_path / "train.csv", n0=60, n1=20, seed=0)
+        test = gen_csv(tmp_path / "test.csv", n0=40, n1=40, seed=1)
+        train = {"epochs": 2, "batch_size": 32, "seed": 5}
+        if mode == "baseline":
+            config = {"mode": mode, "hyper": {"omega": 0.9, "gamma": 0.2, "tau": 1.0}, "train": train}
+            run = SweepRun(run_id="b", kind=mode, seed=5, eval_cond=(0.0,), hyper=VsHyperParams(omega=0.9, gamma=0.2, tau=1.0))
+        else:
+            config = {"mode": mode, "lct": {"base": {"omega": 0.9}, "conditioned": {"tau": {"a": 0.0, "b": 3.0, "h_b": 0.15}}}, "train": train, "eval_lambda": 1.5}
+            lct = LctConfig(base=VsHyperParams(omega=0.9), conditioned={"tau": make_linear(0.0, 3.0, 0.15)})
+            run = SweepRun(run_id="l", kind=mode, seed=5, eval_cond=(1.5,), lct=lct)
+        out = tmp_path / "model.json"
+        assert run_cli("train", "--config", self.write_config(tmp_path, config), "--data", data, "--test-data", test, "--out", out) == 0
+        # the sweep's train block has another seed: the run's own seed must win
+        (row,) = run_sweep([run], load_csv(data), load_csv(test), TrainConfig(epochs=2, batch_size=32, seed=0))
+        scored = evaluate(load_checkpoint(out)[0], load_csv(test), run.eval_cond)
+        assert scored.scores.tobytes() == row.scores.tobytes()
+        assert roc_curve(scored).auc.hex() == row.auc.hex()
+        assert f"test AUC at conditioning {list(run.eval_cond)}: {row.auc:.6f}" in capsys.readouterr().out
 
     def test_missing_data_file_exits_1(self, tmp_path, capsys):
         code = run_cli("train", "--config", self.baseline_config(tmp_path), "--data", tmp_path / "nope.csv", "--out", tmp_path / "m.json")
@@ -341,6 +369,13 @@ class TestRoc:
         assert code == 0
         assert "aggregated 2 curves" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_too_few_points_exits_1_naming_the_flag(self, sweep_dir, tmp_path, capsys, points):
+        out = tmp_path / "roc.csv"
+        assert run_cli("roc", "--rows-dir", sweep_dir["out_dir"], "--points", points, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: --points must be >= 2, got {points}")
+        assert not out.exists()
+
     def test_empty_selection_exits_1(self, tmp_path, capsys):
         os.makedirs(tmp_path / "rows")
         code = run_cli("roc", "--rows-dir", tmp_path / "rows", "--out", tmp_path / "roc.csv")
@@ -388,6 +423,12 @@ class TestLossGeometry:
         printed = capsys.readouterr().out
         assert "break-even line" in printed
         assert "break-even softmax score" in printed
+
+    def test_beta_below_one_exits_1_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli("loss-geometry", "--beta", 0.5, "--out", out) == 1
+        assert "beta must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_off_center_hypers_skip_softmax_score(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"

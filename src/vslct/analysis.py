@@ -14,8 +14,8 @@ The statistics layer is self-contained numpy/stdlib:
   via p = I_x(df/2, 1/2) with x = df / (df + t^2).
 * polyfit_r2: least-squares polynomial surface fit (degree 1 or 2, with
   pairwise interaction terms) reporting R^2.
-* aggregate_roc / auc_stats: per-group ROC envelopes and AUC dispersion
-  across runs.
+* aggregate_roc / auc_stats / sweep_report: per-group ROC envelopes, AUC
+  dispersion across runs, and the `vslct analyze` report.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "load_rows",
     "AucStats",
     "auc_stats",
+    "sweep_report",
     "RocAggregate",
     "aggregate_roc",
 ]
@@ -252,7 +253,7 @@ class SweepRun:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Result of one run: test-set scores and the derived AUC."""
+    """Result of one run: test-set scores and the derived AUC; the arrays are checked as LabeledScores when built."""
 
     run_id: str
     kind: str
@@ -260,10 +261,10 @@ class SweepRow:
     auc: float
     scores: np.ndarray
     labels: np.ndarray
+    labeled_scores: LabeledScores = field(init=False, repr=False, compare=False)
 
-    @property
-    def labeled_scores(self) -> LabeledScores:
-        return LabeledScores(scores=self.scores, labels=self.labels)
+    def __post_init__(self):
+        object.__setattr__(self, "labeled_scores", LabeledScores(scores=self.scores, labels=self.labels))
 
 
 def _row_path(out_dir, run_id: str) -> str:
@@ -320,7 +321,7 @@ def load_rows(rows_dir) -> list[SweepRow]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if isinstance(payload, dict) and payload.keys().isdisjoint(f.name for f in fields(SweepRow)):
+            if isinstance(payload, dict) and payload.keys().isdisjoint(f.name for f in fields(SweepRow) if f.init):
                 continue
             rows.append(_row_from_payload(payload))
         except (KeyError, TypeError, ValueError) as exc:
@@ -390,6 +391,57 @@ def auc_stats(rows: list[SweepRow]) -> AucStats:
         raise ValueError(f"need at least 2 rows for dispersion, got {len(rows)}")
     aucs = np.array([row.auc for row in rows])
     return AucStats(mean=float(np.mean(aucs)), std=float(np.std(aucs, ddof=1)), n=aucs.size)
+
+
+def sweep_report(rows: list[dict]) -> dict:
+    """The `vslct analyze` report on the checked rows of a sweep summary.
+
+    AUC statistics per kind, LCT against baseline paired by seed (a
+    non-finite t is null), and a degree-2 fit of baseline AUC.
+    """
+    by_kind: dict[str, list[dict]] = {}
+    for row in rows:
+        by_kind.setdefault(row["kind"], []).append(row)
+    report: dict = {"groups": {}, "paired_by_seed": None, "baseline_surface_fit": None}
+    for kind, group in by_kind.items():
+        aucs = np.array([r["auc"] for r in group])
+        report["groups"][kind] = {
+            "n": int(aucs.size),
+            "mean": float(np.mean(aucs)),
+            "std": float(np.std(aucs, ddof=1)) if aucs.size > 1 else 0.0,
+            "min": float(np.min(aucs)),
+            "max": float(np.max(aucs)),
+        }
+    if "baseline" in by_kind and "lct" in by_kind:
+        seeds = sorted({r["seed"] for r in by_kind["baseline"]} & {r["seed"] for r in by_kind["lct"]})
+        if len(seeds) >= 2:
+            base_means = [float(np.mean([r["auc"] for r in by_kind["baseline"] if r["seed"] == s])) for s in seeds]
+            lct_means = [float(np.mean([r["auc"] for r in by_kind["lct"] if r["seed"] == s])) for s in seeds]
+            t = paired_t_test(np.array(lct_means), np.array(base_means))
+            report["paired_by_seed"] = {
+                "seeds": seeds,
+                "lct_minus_baseline_mean": float(np.mean(lct_means) - np.mean(base_means)),
+                "t_statistic": t.statistic if math.isfinite(t.statistic) else None,
+                "df": t.df,
+                "p_value": t.p_value,
+            }
+    if "baseline" in by_kind:
+        group = by_kind["baseline"]
+        names = [n for n in ("omega", "gamma", "tau") if len({r["params"][n] for r in group}) > 1]
+        if names and len(group) > 2 * (1 + 2 * len(names) + len(names) * (len(names) - 1) // 2):
+            x = np.array([[r["params"][n] for n in names] for r in group])
+            y = np.array([r["auc"] for r in group])
+            try:
+                fit = polyfit_r2(x, y, degree=2)
+                report["baseline_surface_fit"] = {
+                    "features": names,
+                    "columns": list(fit.column_names),
+                    "coefficients": [float(c) for c in fit.coefficients],
+                    "r2": fit.r2,
+                }
+            except ValueError as exc:
+                report["baseline_surface_fit"] = {"skipped": str(exc)}
+    return report
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ import time
 import numpy as np
 
 from vslct._util import atomic_write_text
-from vslct.analysis import aggregate_roc, auc_stats, load_rows, paired_t_test, polyfit_r2, run_sweep, train_run
-from vslct.config import grid_runs, load_json, summary_rows_from_json, train_config_from_json, train_spec_from_json
+from vslct.analysis import aggregate_roc, load_rows, run_sweep, sweep_report, train_run
+from vslct.config import grid_runs, load_json, summary_rows_from_json, sweep_summary, train_config_from_json, train_spec_from_json
 from vslct.data import load_csv, save_csv, subsample_minority, synth_gaussian
 from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams, break_even_line, break_even_softmax_score, loss_difference_grid
@@ -72,7 +72,7 @@ def _should_write(path: str, if_exists: str) -> bool:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +123,7 @@ def cmd_sweep(args) -> int:
         print(f"[{i + 1}/{total}] {row.run_id}: auc={row.auc:.6f}")
 
     rows = run_sweep(runs, train_data, test_data, train_config, out_dir=out_dir, progress=progress)
-    summary = {
-        "rows": [
-            {"run_id": r.run_id, "kind": r.kind, "seed": r.seed, "auc": r.auc, "params": params[r.run_id]}
-            for r in rows
-        ],
-        "stats": {},
-    }
-    for kind in ("baseline", "lct"):
-        group = [r for r in rows if r.kind == kind]
-        if len(group) >= 2:
-            stats = auc_stats(group)
-            summary["stats"][kind] = {"mean": stats.mean, "std": stats.std, "n": stats.n}
+    summary = sweep_summary(rows, params)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"swept {len(rows)} runs in {time.monotonic() - started:.1f}s; summary at {os.path.join(out_dir, 'summary.json')}")
     for kind, stats in summary["stats"].items():
@@ -165,56 +154,14 @@ def cmd_analyze(args) -> int:
     out = _resolve_out(args.out)
     if not _should_write(out, args.if_exists):
         return 0
-    by_kind: dict[str, list[dict]] = {}
-    for row in summary_rows_from_json(load_json(args.summary), str(args.summary)):
-        by_kind.setdefault(row["kind"], []).append(row)
-    report: dict = {"groups": {}, "paired_by_seed": None, "baseline_surface_fit": None}
-    for kind, group in by_kind.items():
-        aucs = np.array([r["auc"] for r in group])
-        report["groups"][kind] = {
-            "n": int(aucs.size),
-            "mean": float(np.mean(aucs)),
-            "std": float(np.std(aucs, ddof=1)) if aucs.size > 1 else 0.0,
-            "min": float(np.min(aucs)),
-            "max": float(np.max(aucs)),
-        }
-    if "baseline" in by_kind and "lct" in by_kind:
-        seeds = sorted(
-            {r["seed"] for r in by_kind["baseline"]} & {r["seed"] for r in by_kind["lct"]}
-        )
-        if len(seeds) >= 2:
-            base_means = [float(np.mean([r["auc"] for r in by_kind["baseline"] if r["seed"] == s])) for s in seeds]
-            lct_means = [float(np.mean([r["auc"] for r in by_kind["lct"] if r["seed"] == s])) for s in seeds]
-            t = paired_t_test(np.array(lct_means), np.array(base_means))
-            report["paired_by_seed"] = {
-                "seeds": seeds,
-                "lct_minus_baseline_mean": float(np.mean(lct_means) - np.mean(base_means)),
-                "t_statistic": t.statistic,
-                "df": t.df,
-                "p_value": t.p_value,
-            }
-    if "baseline" in by_kind:
-        group = by_kind["baseline"]
-        names = [n for n in ("omega", "gamma", "tau") if len({r["params"][n] for r in group}) > 1]
-        if names and len(group) > 2 * (1 + 2 * len(names) + len(names) * (len(names) - 1) // 2):
-            x = np.array([[r["params"][n] for n in names] for r in group])
-            y = np.array([r["auc"] for r in group])
-            try:
-                fit = polyfit_r2(x, y, degree=2)
-                report["baseline_surface_fit"] = {
-                    "features": names,
-                    "columns": list(fit.column_names),
-                    "coefficients": [float(c) for c in fit.coefficients],
-                    "r2": fit.r2,
-                }
-            except ValueError as exc:
-                report["baseline_surface_fit"] = {"skipped": str(exc)}
+    report = sweep_report(summary_rows_from_json(load_json(args.summary), str(args.summary)))
     _write_json(out, report)
     for kind, stats in report["groups"].items():
         print(f"{kind}: n={stats['n']} mean={stats['mean']:.6f} std={stats['std']:.6f}")
     if report["paired_by_seed"]:
         p = report["paired_by_seed"]
-        print(f"paired by seed: lct - baseline = {p['lct_minus_baseline_mean']:+.6f} (t={p['t_statistic']:.3f}, p={p['p_value']:.4f})")
+        t = p["t_statistic"] if p["t_statistic"] is not None else np.copysign(np.inf, p["lct_minus_baseline_mean"])
+        print(f"paired by seed: lct - baseline = {p['lct_minus_baseline_mean']:+.6f} (t={t:.3f}, p={p['p_value']:.4f})")
     if report["baseline_surface_fit"] and "r2" in report["baseline_surface_fit"]:
         print(f"baseline auc surface fit over {report['baseline_surface_fit']['features']}: R^2 = {report['baseline_surface_fit']['r2']:.4f}")
     print(f"wrote {out}")

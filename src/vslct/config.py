@@ -3,7 +3,8 @@
 Both `vslct train` and `vslct sweep` read their configs through this
 module, and so does any library caller that wants the same runs as the
 shell (the acceptance suite expands configs/directional.json here).
-`vslct analyze` checks the rows of a sweep summary here as well.
+It also owns the sweep summary: sweep_summary builds it for `vslct sweep`
+and summary_rows_from_json checks it for `vslct analyze`.
 
 Parsing is strict: unknown keys are errors, so a typo cannot silently
 fall back to a default, and a value of the wrong type raises a
@@ -18,12 +19,12 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from vslct.analysis import SweepRun
+from vslct.analysis import SweepRow, SweepRun, auc_stats
 from vslct.lindist import LinearDistribution, make_linear
 from vslct.losses import VsHyperParams
 from vslct.training import COND_ORDER, LctConfig, TrainConfig
 
-__all__ = ["TrainSpec", "load_json", "train_spec_from_json", "train_config_from_json", "grid_runs", "summary_rows_from_json"]
+__all__ = ["TrainSpec", "load_json", "train_spec_from_json", "train_config_from_json", "grid_runs", "sweep_summary", "summary_rows_from_json"]
 
 
 def _is_number(value) -> bool:
@@ -214,6 +215,20 @@ def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
     if not runs:
         raise ValueError("config: neither baseline_grid nor lct_grid produced any runs")
     return runs, params
+
+
+def sweep_summary(rows: list[SweepRow], params: dict[str, dict]) -> dict:
+    """The `summary.json` of a sweep; params is grid_runs' map, stats cover kinds with 2+ rows."""
+    summary = {
+        "rows": [{"run_id": r.run_id, "kind": r.kind, "seed": r.seed, "auc": r.auc, "params": params[r.run_id]} for r in rows],
+        "stats": {},
+    }
+    for kind in ("baseline", "lct"):
+        group = [r for r in rows if r.kind == kind]
+        if len(group) >= 2:
+            stats = auc_stats(group)
+            summary["stats"][kind] = {"mean": stats.mean, "std": stats.std, "n": stats.n}
+    return summary
 
 
 def summary_rows_from_json(summary, context: str) -> list[dict]:

@@ -95,7 +95,7 @@ def count_film_weights(config: ModelConfig) -> int:
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter array, in PARAM_KEYS order."""
+    """Shape of every parameter array; this order is PARAM_KEYS and the flat buffer's layout."""
     w1, w2 = config.trunk_widths
     return {
         "trunk0_w": (config.input_dim, w1),
@@ -120,18 +120,7 @@ class MlpFilmModel:
     checkpoints), which keeps runs reproducible.
     """
 
-    PARAM_KEYS = (
-        "trunk0_w",
-        "trunk0_b",
-        "trunk1_w",
-        "trunk1_b",
-        "film0_w",
-        "film0_b",
-        "film1_w",
-        "film1_b",
-        "head_w",
-        "head_b",
-    )
+    PARAM_KEYS = tuple(_param_shapes(ModelConfig(input_dim=1)))
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         missing = set(self.PARAM_KEYS) - set(params)

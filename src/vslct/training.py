@@ -179,12 +179,7 @@ def batch_loss_and_grads(
 
 def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
     """Independent (init, shuffle, hyperparameter-draw) generators."""
-    init_ss, shuffle_ss, lam_ss = np.random.SeedSequence(seed).spawn(3)
-    return (
-        np.random.default_rng(init_ss),
-        np.random.default_rng(shuffle_ss),
-        np.random.default_rng(lam_ss),
-    )
+    return tuple(np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(3))
 
 
 def _run_training(data: Dataset, model_config: ModelConfig, config: TrainConfig, batch_settings) -> TrainResult:

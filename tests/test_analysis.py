@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -282,6 +283,7 @@ class TestSweep:
 # Signed zeros, the extreme subnormals and normals, and both infinities.
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, -math.inf]
 finite_or_inf = st.floats(allow_nan=False)
+FINITE_SPECIAL_FLOATS = [v for v in SPECIAL_FLOATS if math.isfinite(v)]
 
 
 class TestRowCodec:
@@ -300,11 +302,12 @@ class TestRowCodec:
         kind=st.sampled_from(["baseline", "lct"]),
         seed=st.integers(0, 2**63 - 1),
         auc=finite_or_inf,
-        pairs=st.lists(st.tuples(finite_or_inf, st.integers(0, 1)), max_size=30),
+        # a row holds finite scores only; test_hex_floats_bit_exact covers the +-inf round trip
+        pairs=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 1)), max_size=30),
     )
     def test_saved_row_bit_exact(self, run_id, kind, seed, auc, pairs):
-        scores = np.array(SPECIAL_FLOATS + [s for s, _ in pairs], dtype=np.float64)
-        labels = np.array([i % 2 for i in range(len(SPECIAL_FLOATS))] + [y for _, y in pairs], dtype=np.int64)
+        scores = np.array(FINITE_SPECIAL_FLOATS + [s for s, _ in pairs], dtype=np.float64)
+        labels = np.array([i % 2 for i in range(len(FINITE_SPECIAL_FLOATS))] + [y for _, y in pairs], dtype=np.int64)
         row = SweepRow(run_id=run_id, kind=kind, seed=seed, auc=auc, scores=scores, labels=labels)
         with tempfile.TemporaryDirectory() as out_dir:
             _save_row(out_dir, row)
@@ -331,6 +334,24 @@ class TestRowCodec:
             (tmp_path / "partial.json").write_text(json.dumps(partial))
             with pytest.raises(ValueError, match="partial.json: not a sweep row"):
                 load_rows(tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("labels", [0, 2, 0], "labels must be 0 or 1"),
+            ("labels", [0, 1], "length mismatch: 3 scores, 2 labels"),
+            ("scores", ["0x1.0p-1", "inf", "0x0.0p+0"], "scores must be finite"),
+        ],
+    )
+    def test_bad_stored_row_raises_naming_the_file(self, data, tmp_path, key, value, message):
+        run = SweepRun(run_id="r0", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams())
+        _save_row(tmp_path, SweepRow("r0", "baseline", 0, 0.5, np.array([0.5, 0.25, 0.0]), np.array([0, 1, 0])))
+        path = tmp_path / "r0.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
+            load_rows(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message})")):
+            run_sweep([run], *data, TINY_TRAIN, out_dir=tmp_path)
 
 
 class TestAggregation:

@@ -11,9 +11,9 @@ import os
 import numpy as np
 import pytest
 
-from vslct.analysis import SweepRun, load_rows, run_sweep
+from vslct.analysis import SweepRun, load_rows, run_sweep, sweep_report
 from vslct.cli import main
-from vslct.config import grid_runs, load_json, train_config_from_json
+from vslct.config import grid_runs, load_json, summary_rows_from_json, sweep_summary, train_config_from_json
 from vslct.data import load_csv
 from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams
@@ -287,9 +287,11 @@ class TestSweep:
 
     def test_stored_rows_equal_the_library_sweep(self, sweep_dir):
         config = load_json(sweep_dir["config"])
-        runs, _ = grid_runs(config)
+        runs, params = grid_runs(config)
         train_config = train_config_from_json(config["train"], "config.train")
         expected = run_sweep(runs, load_csv(sweep_dir["train"]), load_csv(sweep_dir["test"]), train_config)
+        with open(os.path.join(sweep_dir["out_dir"], "summary.json")) as fh:
+            assert fh.read() == json.dumps(sweep_summary(expected, params), indent=2) + "\n"
         stored = {row.run_id: row for row in load_rows(sweep_dir["out_dir"])}
         assert sorted(stored) == sorted(row.run_id for row in expected)
         for row in expected:
@@ -387,11 +389,13 @@ class TestAnalyze:
     """Statistical report over a sweep summary."""
 
     def test_report_contents(self, sweep_dir, tmp_path):
+        summary = os.path.join(sweep_dir["out_dir"], "summary.json")
         out = tmp_path / "report.json"
-        code = run_cli("analyze", "--summary", os.path.join(sweep_dir["out_dir"], "summary.json"), "--out", out)
+        code = run_cli("analyze", "--summary", summary, "--out", out)
         assert code == 0
         with open(out) as fh:
             report = json.load(fh)
+        assert report == sweep_report(summary_rows_from_json(load_json(summary), summary))
         assert set(report["groups"]) == {"baseline", "lct"}
         for stats in report["groups"].values():
             assert stats["n"] == 2
@@ -401,6 +405,23 @@ class TestAnalyze:
         assert paired["df"] == 1
         assert 0.0 <= paired["p_value"] <= 1.0
         assert report["baseline_surface_fit"] is None
+
+    def test_constant_paired_shift_writes_standard_json(self, tmp_path, capsys):
+        params = {"omega": 0.5, "gamma": 0.0, "tau": 0.0}
+        aucs = {("baseline", 0): 0.5, ("baseline", 1): 0.25, ("lct", 0): 0.75, ("lct", 1): 0.5}
+        rows = [{"run_id": f"{k}-s{s}", "kind": k, "seed": s, "auc": auc, "params": params} for (k, s), auc in aucs.items()]
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"rows": rows}))
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--summary", summary, "--out", out) == 0
+        assert "t=inf, p=0.0000" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        paired = json.loads(out.read_text(), parse_constant=reject)["paired_by_seed"]
+        assert paired["t_statistic"] is None
+        assert (paired["lct_minus_baseline_mean"], paired["p_value"]) == (0.25, 0.0)
 
     def test_empty_summary_exits_1(self, tmp_path, capsys):
         summary = tmp_path / "summary.json"

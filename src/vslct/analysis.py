@@ -29,6 +29,7 @@ import numpy as np
 
 from vslct._util import atomic_write_text, floats_from_hex, floats_to_hex
 from vslct.data import Dataset
+from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
 from vslct.metrics import LabeledScores, roc_at_fpr_grid, roc_curve
 from vslct.network import ModelConfig
@@ -173,8 +174,9 @@ def _poly_design(x: np.ndarray, degree: int) -> tuple[np.ndarray, tuple[str, ...
         names.append(f"x{j}")
     if degree == 2:
         for j in range(d):
-            cols.append(x[:, j] ** 2)
-            names.append(f"x{j}^2")
+            if len(set(x[:, j].tolist())) > 2:  # a two-valued column's square is affine in it
+                cols.append(x[:, j] ** 2)
+                names.append(f"x{j}^2")
         for j in range(d):
             for k in range(j + 1, d):
                 cols.append(x[:, j] * x[:, k])
@@ -186,9 +188,10 @@ def polyfit_r2(x, y, degree: int = 2) -> PolyfitResult:
     """Least-squares fit of y by a polynomial surface in the columns of x.
 
     The design matrix holds an intercept, the features, and for degree 2
-    their squares and pairwise products.  R^2 = 1 - SS_res / SS_tot; a
-    constant target is reported as a perfect fit.  A
-    rank-deficient design (collinear features or too few samples) raises.
+    their pairwise products and the squares of features with more than two
+    distinct values (any other square is affine in its feature).  R^2 =
+    1 - SS_res / SS_tot; a constant target is reported as a perfect fit.
+    A rank-deficient design (collinear features or too few samples) raises.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -222,8 +225,9 @@ class SweepRun:
 
     kind "baseline" trains at `hyper` with the conditioning input held at
     eval_cond; kind "lct" trains with per-batch draws from `lct` and is
-    evaluated at eval_cond.  run_id must be unique, filesystem-safe and not
-    start with '.' (load_rows skips dot files).
+    evaluated at eval_cond, inside each conditioned distribution's support.
+    run_id must be unique, filesystem-safe and not start with '.'
+    (load_rows skips dot files).
     """
 
     run_id: str
@@ -247,6 +251,10 @@ class SweepRun:
                 raise ValueError(f"{self.run_id}: lct runs take lct, not hyper")
             if len(self.eval_cond) != self.lct.cond_dim:
                 raise ValueError(f"{self.run_id}: eval_cond has {len(self.eval_cond)} entries, conditioning needs {self.lct.cond_dim}")
+            for name, value in zip(self.lct.names, self.eval_cond):
+                dist = self.lct.conditioned[name]
+                if isinstance(dist, LinearDistribution) and not dist.a <= value <= dist.b:
+                    raise ValueError(f"{self.run_id}: eval_cond {name} = {value} lies outside its training support [{dist.a}, {dist.b}]")
         else:
             raise ValueError(f"{self.run_id}: kind must be 'baseline' or 'lct', got {self.kind!r}")
 
@@ -355,7 +363,7 @@ def run_sweep(
     """
     ids = [r.run_id for r in runs]
     if len(set(ids)) != len(ids):
-        raise ValueError("run_ids must be unique within a sweep")
+        raise ValueError(f"run_ids must be unique within a sweep; repeated: {sorted({i for i in ids if ids.count(i) > 1})}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     rows: list[SweepRow] = []

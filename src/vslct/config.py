@@ -53,10 +53,6 @@ _TRAIN_FIELDS = {
     "epochs": _INTEGER,
     "batch_size": _INTEGER,
     "lr": _NUMBER,
-    "lr_drop_factor": _NUMBER,
-    "lr_milestones": (lambda v: v == [] or _is_number_list(v), "a list of numbers"),
-    "momentum": _NUMBER,
-    "clip_norm": _NUMBER,
     "seed": _INTEGER,
 }
 _MODEL_FIELDS = {

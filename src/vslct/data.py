@@ -116,7 +116,7 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
     Errors cite the offending 1-based line number: wrong field count,
-    unparseable feature, non-0/1 label, or a missing/empty body.
+    unparseable or non-finite feature, non-0/1 label, or a missing/empty body.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -143,4 +143,9 @@ def load_csv(path) -> Dataset:
         labels.append(int(fields[-1]))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(x=np.array(rows, dtype=np.float64), y=np.array(labels, dtype=np.int64))
+    x = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        lineno = [n for n, ln in enumerate(lines[1:], start=2) if ln.strip()][int(np.argmin(finite))]
+        raise ValueError(f"{path}: line {lineno}: features must be finite")
+    return Dataset(x=x, y=np.array(labels, dtype=np.int64))

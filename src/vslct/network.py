@@ -282,12 +282,12 @@ def sgd_step(
     velocity: np.ndarray,
     lr: float,
     momentum: float,
-    clip_norm: float | None = None,
+    clip_norm: float,
 ) -> float:
     """One SGD-with-momentum update of flat 1-D arrays, in place; returns the pre-clip gradient norm.
 
     Order of operations: clip to the global-norm budget first (gradients
-    under it are used unscaled, so clipping is exactly inactive), then
+    under it are used unscaled, so clipping is exactly inactive; inf never clips), then
     fold into the velocity v <- momentum * v + g and move p <- p - lr * v.
     A non-finite norm leaves params and velocity untouched; the caller
     decides how to report it.
@@ -296,13 +296,13 @@ def sgd_step(
         raise ValueError(f"lr must be > 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-    if clip_norm is not None and clip_norm <= 0.0:
+    if not clip_norm > 0.0:
         raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
     with np.errstate(over="ignore", invalid="ignore"):
         norm = math.sqrt(float(np.dot(grads, grads)))
     if not math.isfinite(norm):
         return norm
-    if clip_norm is not None and norm > clip_norm:
+    if norm > clip_norm:
         grads = grads * (clip_norm / norm)
     velocity *= momentum
     velocity += grads
@@ -333,9 +333,9 @@ def save_checkpoint(path, model: MlpFilmModel, meta: dict | None = None) -> None
 
 def load_checkpoint(path) -> tuple[MlpFilmModel, dict]:
     """Inverse of :func:`save_checkpoint`; returns (model, meta)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         cfg_dict = dict(payload["config"])
         cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
         config = ModelConfig(**cfg_dict)

@@ -1,5 +1,6 @@
 """Tests for sweep orchestration and the self-contained statistics."""
 
+import itertools
 import json
 import math
 import os
@@ -24,6 +25,8 @@ from vslct.analysis import (
     run_sweep,
     SweepRow,
     SweepRun,
+    _poly_design,
+    sweep_report,
 )
 from vslct.data import synth_gaussian
 from vslct.lindist import make_linear
@@ -142,8 +145,6 @@ class TestPolyfit:
         x = rng.uniform(-1.0, 1.0, size=(80, 3))
         y = rng.normal(size=80) + x @ np.array([1.0, -2.0, 0.5])
         fit = polyfit_r2(x, y, degree=2)
-        from vslct.analysis import _poly_design
-
         design, _ = _poly_design(x, 2)
         ref = np.linalg.solve(design.T @ design, design.T @ y)
         np.testing.assert_allclose(fit.coefficients, ref, atol=1e-9)
@@ -167,8 +168,6 @@ class TestPolyfit:
         x = rng.uniform(-1.0, 1.0, size=(30, 2))
         y = 1.0 + x[:, 0] - 0.5 * x[:, 1] ** degree
         fit = polyfit_r2(x, y, degree=degree)
-        from vslct.analysis import _poly_design
-
         np.testing.assert_allclose(_poly_design(x, degree)[0] @ fit.coefficients, y, atol=1e-10)
 
     def test_constant_y_is_perfect_fit(self):
@@ -185,6 +184,33 @@ class TestPolyfit:
     def test_too_few_samples_raises(self):
         with pytest.raises(ValueError, match="samples"):
             polyfit_r2(np.ones((3, 2)), np.ones(3), degree=2)
+
+    def test_two_valued_features_get_no_square(self):
+        # the directional baseline grid: omega and gamma take two values, tau three, three seeds each
+        x = np.array([p for p in itertools.product([0.5, 0.9], [0.0, 0.2], [0.0, 1.0, 3.0]) for _ in range(3)])
+        y = np.random.default_rng(107).uniform(0.5, 1.0, size=x.shape[0])
+        fit = polyfit_r2(x, y, degree=2)
+        assert fit.column_names == ("1", "x0", "x1", "x2", "x2^2", "x0*x1", "x0*x2", "x1*x2")
+        # the full 10-column design spans the same space: its minimum-norm fit gives the same values
+        full = np.column_stack([np.ones(x.shape[0]), x, x**2, x[:, 0] * x[:, 1], x[:, 0] * x[:, 2], x[:, 1] * x[:, 2]])
+        ref, _, rank, _ = np.linalg.lstsq(full, y, rcond=None)
+        assert rank == 8
+        np.testing.assert_allclose(_poly_design(x, 2)[0] @ fit.coefficients, full @ ref, atol=1e-12)
+        resid = y - full @ ref
+        ref_r2 = 1.0 - float(resid @ resid) / float(np.sum((y - y.mean()) ** 2))
+        assert abs(fit.r2 - ref_r2) <= 1e-12
+
+
+def test_sweep_report_fits_the_directional_baseline_grid():
+    rng = np.random.default_rng(108)
+    rows = [
+        {"run_id": f"base-{i}", "kind": "baseline", "seed": seed, "auc": float(rng.uniform(0.5, 1.0)), "params": {"omega": w, "gamma": g, "tau": t}}
+        for i, (w, g, t, seed) in enumerate(itertools.product([0.5, 0.9], [0.0, 0.2], [0.0, 1.0, 3.0], [0, 1, 2]))
+    ]
+    fit = sweep_report(rows)["baseline_surface_fit"]
+    assert fit["features"] == ["omega", "gamma", "tau"]
+    assert fit["columns"] == ["1", "x0", "x1", "x2", "x2^2", "x0*x1", "x0*x2", "x1*x2"]
+    assert 0.0 <= fit["r2"] <= 1.0
 
 
 def tiny_sweep_runs():

@@ -158,6 +158,25 @@ class TestTrain:
         )
         assert run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "m.json") == 0
 
+    def test_eval_lambda_outside_the_support_exits_1(self, tmp_path, capsys):
+        data = gen_csv(tmp_path / "train.csv", n0=60, n1=20, seed=0)
+        config = self.write_config(
+            tmp_path,
+            {
+                "mode": "lct",
+                "lct": {
+                    "base": {"omega": 0.5, "gamma": 0.0, "tau": 0.0},
+                    "conditioned": {"omega": {"a": 0.0, "b": 1.0, "h_b": 1.0}, "tau": {"a": 0.0, "b": 3.0, "h_b": 0.0}},
+                },
+                "train": {"epochs": 2, "batch_size": 32, "seed": 0},
+                "eval_lambda": 3.0,
+            },
+        )
+        out = tmp_path / "m.json"
+        assert run_cli("train", "--config", config, "--data", data, "--out", out) == 1
+        assert "eval_cond omega = 3.0 lies outside its training support [0.0, 1.0]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = gen_csv(tmp_path / "train.csv", n0=30, n1=10, seed=0)
         config = self.write_config(
@@ -327,7 +346,14 @@ class TestSweep:
         ("analyze", {"rows": [{"run_id": "r", "kind": "baseline", "seed": 0, "auc": 0.5, "params": []}]}, "rows[0].params: expected a JSON object"),
         ("analyze", {"rows": [{"run_id": "r", "kind": ["lct"], "seed": 0, "auc": 0.5, "params": {}}]}, "rows[0].kind: expected a string"),
         ("analyze", {"rows": [{"run_id": "r", "kind": "baseline", "seed": 0, "auc": 0.5, "params": {"omega": 0.5}}]}, "rows[0].params.gamma: expected a number"),
-        ("sweep", {"seeds": [0], "train": {"clip_norm": float("nan")}, "baseline_grid": {}}, "config.train.clip_norm: expected a number, got nan"),
+        ("sweep", {"seeds": [0], "train": {"lr": float("nan")}, "baseline_grid": {}}, "config.train.lr: expected a number, got nan"),
+        (
+            "sweep",
+            {"seeds": [0], "train": {"momentum": 0.5}, "baseline_grid": {}},
+            "config.train: unknown keys ['momentum']; allowed keys are ['batch_size', 'epochs', 'lr', 'seed']",
+        ),
+        ("sweep", {"seeds": [0], "eval_lambda": 7.0, "lct_grid": {}}, "eval_cond tau = 7.0 lies outside its training support [0.0, 3.0]"),
+        ("sweep", {"seeds": [0], "baseline_grid": {"omega": [0.5, 0.5]}}, "repeated: ['base-w0.5-g0.0-t0.0-s0']"),
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, command, payload, named):

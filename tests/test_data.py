@@ -1,5 +1,7 @@
 """Tests for dataset generation, subsampling, and CSV round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,12 @@ class TestCsvRoundTrip:
             load_csv(path)
         path.write_text("f0,f1,label\n1.0,2.0,7\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_csv(path)
+
+    def test_non_finite_feature_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n\n1.0,nan,1\n-inf,0.0,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: features must be finite")):
             load_csv(path)
 
     def test_structural_errors(self, tmp_path):

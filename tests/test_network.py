@@ -1,5 +1,6 @@
 """Tests for the FiLM-conditioned MLP: shapes, gradients, optimizer, checkpoints."""
 
+import math
 import os
 import platform
 import re
@@ -326,16 +327,16 @@ class TestOptimizer:
         velocity = np.zeros_like(params)
         grads = np.array([0.5])
         p0 = params.copy()
-        sgd_step(params, grads.copy(), velocity, lr=0.1, momentum=0.9)
+        sgd_step(params, grads.copy(), velocity, lr=0.1, momentum=0.9, clip_norm=math.inf)
         p1 = params.copy()
-        sgd_step(params, grads.copy(), velocity, lr=0.1, momentum=0.9)
+        sgd_step(params, grads.copy(), velocity, lr=0.1, momentum=0.9, clip_norm=math.inf)
         p2 = params.copy()
         np.testing.assert_allclose((p1 - p2) / (p0 - p1), 1.9, rtol=1e-14)
 
     def test_zero_momentum_is_plain_sgd(self):
         params = np.array([2.0, -1.0])
         velocity = np.zeros_like(params)
-        sgd_step(params, np.array([0.5, 0.25]), velocity, lr=0.2, momentum=0.0)
+        sgd_step(params, np.array([0.5, 0.25]), velocity, lr=0.2, momentum=0.0, clip_norm=math.inf)
         np.testing.assert_allclose(params, [2.0 - 0.1, -1.0 - 0.05], rtol=1e-15)
 
     def test_clip_rescales_to_budget(self):
@@ -368,11 +369,13 @@ class TestOptimizer:
         velocity = np.zeros_like(params)
         grads = np.array([1.0])
         with pytest.raises(ValueError):
-            sgd_step(params, grads, velocity, lr=0.0, momentum=0.9)
+            sgd_step(params, grads, velocity, lr=0.0, momentum=0.9, clip_norm=math.inf)
         with pytest.raises(ValueError):
-            sgd_step(params, grads, velocity, lr=0.1, momentum=1.0)
+            sgd_step(params, grads, velocity, lr=0.1, momentum=1.0, clip_norm=math.inf)
         with pytest.raises(ValueError):
             sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, clip_norm=0.0)
+        with pytest.raises(ValueError, match="clip_norm"):
+            sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, clip_norm=float("nan"))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_norm_leaves_state_untouched(self):
@@ -427,6 +430,13 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(path, model)
         assert "0x1." in path.read_text()
+
+    def test_truncated_checkpoint_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, MlpFilmModel.init(tiny_config(False), np.random.default_rng(76)))
+        path.write_text(path.read_text()[:100])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint")):
+            load_checkpoint(path)
 
     def test_corrupt_checkpoint_raises(self, tmp_path):
         path = tmp_path / "model.json"

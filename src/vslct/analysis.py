@@ -33,7 +33,7 @@ from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
 from vslct.metrics import LabeledScores, roc_at_fpr_grid, roc_curve
 from vslct.network import ModelConfig
-from vslct.training import LctConfig, TrainConfig, TrainResult, evaluate, train_baseline, train_lct
+from vslct.training import COND_ORDER, LctConfig, TrainConfig, TrainResult, evaluate, train_baseline, train_lct
 
 __all__ = [
     "TTestResult",
@@ -435,9 +435,9 @@ def sweep_report(rows: list[dict]) -> dict:
             }
     if "baseline" in by_kind:
         group = by_kind["baseline"]
-        names = [n for n in ("omega", "gamma", "tau") if len({r["params"][n] for r in group}) > 1]
-        if names and len(group) > 2 * (1 + 2 * len(names) + len(names) * (len(names) - 1) // 2):
-            x = np.array([[r["params"][n] for n in names] for r in group])
+        names = [n for n in COND_ORDER if len({r["params"][n] for r in group}) > 1]
+        x = np.array([[r["params"][n] for n in names] for r in group])
+        if names and len(group) > 2 * _poly_design(x, 2)[0].shape[1]:  # at least two rows per column
             y = np.array([r["auc"] for r in group])
             try:
                 fit = polyfit_r2(x, y, degree=2)

@@ -13,8 +13,10 @@ Conventions:
   leaves a truncated file behind.
 * Relative output paths are placed under $VSLCT_OUT_ROOT when that
   variable is set.
-* Single-file outputs honor --if-exists {error,skip,overwrite}; sweeps
-  instead resume per run from their output directory.
+* main checks every --out before the command does any work: it resolves
+  the path, then applies --if-exists {error,skip,overwrite}, and skip
+  skips the whole command.  Sweeps instead resume per run from their
+  output directory.
 * JSON configs are parsed by vslct.config, which validates them
   strictly: unknown keys are errors, so a typo cannot silently fall back
   to a default, and a value of the wrong type names its key path.
@@ -75,38 +77,38 @@ def _write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
+def _write_table(path: str, header: str, rows) -> None:
+    """CSV of float cells as repr(float(v)), which also prints a numpy scalar as a plain number."""
+    lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
-    out = _resolve_out(args.out)
-    if not _should_write(out, args.if_exists):
-        return 0
     rng = np.random.default_rng(args.seed)
     data = synth_gaussian(n0=args.n0, n1=args.n1, dim=args.dim, separation=args.sep, rng=rng)
     if args.beta is not None:
         data = subsample_minority(data, beta=args.beta, rng=rng)
     counts = data.counts  # raises before anything is written if n1 > n0
-    save_csv(data, out)
-    print(f"wrote {out}: {counts.n0} majority + {counts.n1} minority samples, dim {data.dim}")
+    save_csv(data, args.out)
+    print(f"wrote {args.out}: {counts.n0} majority + {counts.n1} minority samples, dim {data.dim}")
     return 0
 
 
 def cmd_train(args) -> int:
-    out = _resolve_out(args.out)
-    if not _should_write(out, args.if_exists):
-        return 0
     spec = train_spec_from_json(load_json(args.config))
     run = spec.run
     result = train_run(run, load_csv(args.data), spec.train, **spec.model_kwargs)
-    save_checkpoint(out, result.model, meta={"mode": run.kind, "final_loss": result.epoch_losses[-1]})
+    save_checkpoint(args.out, result.model, meta={"mode": run.kind, "final_loss": result.epoch_losses[-1]})
     print(f"trained {run.kind} model for {spec.train.epochs} epochs; final epoch loss {result.epoch_losses[-1]:.6f}")
     if args.test_data:
         scored = evaluate(result.model, load_csv(args.test_data), run.eval_cond)
         print(f"test AUC at conditioning {list(run.eval_cond)}: {roc_curve(scored).auc:.6f}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -134,28 +136,19 @@ def cmd_sweep(args) -> int:
 def cmd_roc(args) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    out = _resolve_out(args.out)
-    if not _should_write(out, args.if_exists):
-        return 0
     rows = [row for row in load_rows(args.rows_dir) if args.select in ("all", row.kind)]
     if not rows:
         raise ValueError(f"{args.rows_dir}: no sweep rows matching --select {args.select}")
     grid = np.linspace(0.0, 1.0, args.points)
     agg = aggregate_roc([row.labeled_scores for row in rows], grid)
-    lines = ["fpr,mean_tpr,std_tpr"]
-    for f, m, s in zip(agg.fpr_grid, agg.mean_tpr, agg.std_tpr):
-        lines.append(f"{float(f)!r},{float(m)!r},{float(s)!r}")
-    atomic_write_text(out, "\n".join(lines) + "\n")
-    print(f"aggregated {agg.n} curves onto {args.points} grid points; wrote {out}")
+    _write_table(args.out, "fpr,mean_tpr,std_tpr", zip(agg.fpr_grid, agg.mean_tpr, agg.std_tpr))
+    print(f"aggregated {agg.n} curves onto {args.points} grid points; wrote {args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    out = _resolve_out(args.out)
-    if not _should_write(out, args.if_exists):
-        return 0
     report = sweep_report(summary_rows_from_json(load_json(args.summary), str(args.summary)))
-    _write_json(out, report)
+    _write_json(args.out, report)
     for kind, stats in report["groups"].items():
         print(f"{kind}: n={stats['n']} mean={stats['mean']:.6f} std={stats['std']:.6f}")
     if report["paired_by_seed"]:
@@ -164,22 +157,20 @@ def cmd_analyze(args) -> int:
         print(f"paired by seed: lct - baseline = {p['lct_minus_baseline_mean']:+.6f} (t={t:.3f}, p={p['p_value']:.4f})")
     if report["baseline_surface_fit"] and "r2" in report["baseline_surface_fit"]:
         print(f"baseline auc surface fit over {report['baseline_surface_fit']['features']}: R^2 = {report['baseline_surface_fit']['r2']:.4f}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
 def cmd_loss_geometry(args) -> int:
-    out = _resolve_out(args.out)
-    if not _should_write(out, args.if_exists):
-        return 0
     hyper = VsHyperParams(omega=args.omega, gamma=args.gamma, tau=args.tau)
     line = break_even_line(hyper, args.beta)  # raises for beta < 1 before anything is written
     grid = loss_difference_grid(hyper, beta=args.beta, lo=args.lo, hi=args.hi, steps=args.steps)
-    grid.to_csv(out)
+    cells = ((z0, z1, grid.diff[i, j]) for i, z0 in enumerate(grid.z0_values) for j, z1 in enumerate(grid.z1_values))
+    _write_table(args.out, "z0,z1,diff", cells)
     print(f"break-even line: z1 = {line.slope!r} * z0 + {line.intercept!r} (offset alpha = {line.alpha_omega!r})")
     if args.omega == 0.5 and args.gamma == 0.0:
         print(f"break-even softmax score: {break_even_softmax_score(args.beta, args.tau)!r}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -197,10 +188,8 @@ def cmd_dist_check(args) -> int:
     ks = max(float(np.max(np.arange(1, n + 1) / n - cdf)), float(np.max(cdf - np.arange(0, n) / n)))
     print(f"drew {n} samples in {elapsed:.3f}s; KS distance to exact CDF = {ks:.6f}")
     if args.out:
-        out = _resolve_out(args.out)
-        if _should_write(out, args.if_exists):
-            _write_json(out, {"a": args.a, "b": args.b, "h_b": args.h_b, "samples": n, "seed": args.seed, "ks": ks, "seconds": elapsed})
-            print(f"wrote {out}")
+        _write_json(args.out, {"a": args.a, "b": args.b, "h_b": args.h_b, "samples": n, "seed": args.seed, "ks": ks, "seconds": elapsed})
+        print(f"wrote {args.out}")
     if args.max_ks is not None and ks > args.max_ks:
         print(f"KS {ks:.6f} exceeds --max-ks {args.max_ks}", file=sys.stderr)
         return 1
@@ -292,6 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the one output gate: every --out is resolved and checked before its command runs
+        if getattr(args, "out", None):
+            args.out = _resolve_out(args.out)
+            if not _should_write(args.out, args.if_exists):
+                return 0
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

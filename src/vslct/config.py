@@ -61,9 +61,9 @@ _MODEL_FIELDS = {
     "film_affine": _FLAG,
     "film_zero_init": _FLAG,
 }
-_HYPER_FIELDS = dict.fromkeys(("omega", "gamma", "tau"), _NUMBER)
+_HYPER_FIELDS = dict.fromkeys(COND_ORDER, _NUMBER)
 _DIST_FIELDS = dict.fromkeys(("a", "b", "h_b"), _NUMBER)
-_BASELINE_GRID_FIELDS = dict.fromkeys(("omega", "gamma", "tau"), _NUMBER_LIST)
+_BASELINE_GRID_FIELDS = dict.fromkeys(COND_ORDER, _NUMBER_LIST)
 _SUMMARY_ROW_FIELDS = {"kind": _STRING, "seed": _INTEGER, "auc": _NUMBER, "params": _OBJECT}
 _LCT_GRID_FIELDS = {
     "h_b": _NUMBER_LIST,
@@ -181,7 +181,8 @@ def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
 
     The baseline grid is the product omega x gamma x tau x seeds; the
     conditioned grid is h_b x omega x seeds, each run drawing the
-    `conditioned` hyperparameter from a linear density on lambda_range.
+    `conditioned` hyperparameter from a linear density on lambda_range,
+    so lct_grid may not also set that hyperparameter.
     """
     _require_keys(config, {"train", "seeds", "eval_lambda", "baseline_grid", "lct_grid"}, "config")
     seeds = config.get("seeds")
@@ -199,6 +200,8 @@ def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
     if "lct_grid" in config:
         grid = _fields_from_json(config["lct_grid"], _LCT_GRID_FIELDS, "config.lct_grid")
         conditioned_name = grid.get("conditioned", "tau")
+        if conditioned_name in grid:
+            raise ValueError(f"config.lct_grid.{conditioned_name}: has no effect when conditioned is {conditioned_name!r}, since every draw replaces it")
         lo, hi = (float(v) for v in grid.get("lambda_range", [0.0, 3.0]))
         gamma = float(grid.get("gamma", 0.0))
         for h_b, omega in product(grid.get("h_b", [0.0]), grid.get("omega", [0.5])):
@@ -245,6 +248,6 @@ def summary_rows_from_json(summary, context: str) -> list[dict]:
         for key, field in _SUMMARY_ROW_FIELDS.items():
             _check(row[key], field, f"{where}.{key}")
         if row["kind"] == "baseline":
-            for name in ("omega", "gamma", "tau"):
+            for name in COND_ORDER:
                 _check(row["params"].get(name), _NUMBER, f"{where}.params.{name}")
     return rows

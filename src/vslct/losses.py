@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vslct._util import atomic_write_text
-
 __all__ = [
     "VsHyperParams",
     "ClassCounts",
@@ -128,14 +126,6 @@ class LossDifferenceGrid:
     z0_values: np.ndarray
     z1_values: np.ndarray
     diff: np.ndarray
-
-    def to_csv(self, path) -> None:
-        """Write rows (z0, z1, diff) with a header, one line per grid cell, atomically."""
-        lines = ["z0,z1,diff"]
-        for i, z0 in enumerate(self.z0_values):
-            for j, z1 in enumerate(self.z1_values):
-                lines.append(f"{float(z0)!r},{float(z1)!r},{float(self.diff[i, j])!r}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

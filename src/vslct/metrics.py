@@ -170,7 +170,7 @@ def roc_at_fpr_grid(curve: RocCurve, fpr_grid: np.ndarray) -> np.ndarray:
     from :func:`roc_curve`: fpr non-decreasing from 0 to 1.
     """
     fpr_grid = np.asarray(fpr_grid, dtype=np.float64)
-    if np.any((fpr_grid < 0.0) | (fpr_grid > 1.0)):
+    if not np.all((fpr_grid >= 0.0) & (fpr_grid <= 1.0)):  # written so that NaN fails too
         raise ValueError("FPR grid values must lie in [0, 1]")
     fpr, tpr = curve.fpr, curve.tpr
     # (x0, y0): the last point at or left of each grid value, the top of a

@@ -213,6 +213,30 @@ def test_sweep_report_fits_the_directional_baseline_grid():
     assert 0.0 <= fit["r2"] <= 1.0
 
 
+def baseline_rows(grid, rng_seed):
+    """Summary rows of a baseline grid of (omega, gamma, tau) points with random AUCs."""
+    rng = np.random.default_rng(rng_seed)
+    return [
+        {"run_id": f"base-{i}", "kind": "baseline", "seed": i, "auc": float(rng.uniform(0.5, 1.0)), "params": {"omega": w, "gamma": g, "tau": t}}
+        for i, (w, g, t) in enumerate(grid)
+    ]
+
+
+def test_sweep_report_fits_when_rows_outnumber_twice_the_design_columns():
+    # omega two-valued, tau three-valued, two seeds: 12 rows for a 5-column design
+    rows = baseline_rows([(w, 0.0, t) for w, t, _ in itertools.product([0.5, 0.9], [0.0, 1.0, 3.0], [0, 1])], 109)
+    fit = sweep_report(rows)["baseline_surface_fit"]
+    assert fit["features"] == ["omega", "tau"]
+    assert fit["columns"] == ["1", "x0", "x1", "x1^2", "x0*x1"]
+    assert 0.0 <= fit["r2"] <= 1.0
+
+
+def test_sweep_report_records_a_skipped_fit():
+    # gamma = omega / 5 is collinear with omega
+    rows = baseline_rows([(w, w / 5.0, t) for w, t, _ in itertools.product([0.5, 0.7, 0.9], [0.0, 1.0, 3.0], [0, 1, 2])], 110)
+    assert sweep_report(rows)["baseline_surface_fit"] == {"skipped": "rank-deficient design matrix (rank 6 < 10 columns)"}
+
+
 def tiny_sweep_runs():
     lct = LctConfig(base=VsHyperParams(), conditioned={"tau": make_linear(0.0, 3.0, 0.15)})
     runs = []

@@ -5,6 +5,7 @@ the files left behind, exactly the way a shell user would observe the
 tool.
 """
 
+import argparse
 import json
 import os
 
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 from vslct.analysis import SweepRun, load_rows, run_sweep, sweep_report
-from vslct.cli import main
+from vslct.cli import build_parser, main
 from vslct.config import grid_runs, load_json, summary_rows_from_json, sweep_summary, train_config_from_json
 from vslct.data import load_csv
 from vslct.lindist import make_linear
-from vslct.losses import VsHyperParams
+from vslct.losses import VsHyperParams, loss_difference_grid
 from vslct.metrics import roc_curve
 from vslct.network import load_checkpoint
 from vslct.training import LctConfig, TrainConfig, evaluate
@@ -354,6 +355,16 @@ class TestSweep:
         ),
         ("sweep", {"seeds": [0], "eval_lambda": 7.0, "lct_grid": {}}, "eval_cond tau = 7.0 lies outside its training support [0.0, 3.0]"),
         ("sweep", {"seeds": [0], "baseline_grid": {"omega": [0.5, 0.5]}}, "repeated: ['base-w0.5-g0.0-t0.0-s0']"),
+        (
+            "sweep",
+            {"seeds": [0], "lct_grid": {"conditioned": "omega", "omega": [0.5, 0.9], "lambda_range": [0, 1]}},
+            "config.lct_grid.omega: has no effect when conditioned is 'omega'",
+        ),
+        (
+            "sweep",
+            {"seeds": [0], "lct_grid": {"conditioned": "gamma", "gamma": 0.2, "lambda_range": [0, 1]}},
+            "config.lct_grid.gamma: has no effect when conditioned is 'gamma'",
+        ),
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, command, payload, named):
@@ -471,6 +482,17 @@ class TestLossGeometry:
         assert "break-even line" in printed
         assert "break-even softmax score" in printed
 
+    def test_grid_csv_rows_hold_the_exact_grid_values(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        argv = ["--omega", 0.55, "--gamma", 0.1, "--tau", 0.3, "--beta", 8, "--lo", -1, "--hi", 1, "--steps", 4]
+        assert run_cli("loss-geometry", *argv, "--out", out) == 0
+        grid = loss_difference_grid(VsHyperParams(omega=0.55, gamma=0.1, tau=0.3), beta=8.0, lo=-1.0, hi=1.0, steps=4)
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "z0,z1,diff"
+        assert len(lines) == 1 + 16
+        rows = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
+        assert rows == [(z0, z1, grid.diff[i, j]) for i, z0 in enumerate(grid.z0_values) for j, z1 in enumerate(grid.z1_values)]
+
     def test_beta_below_one_exits_1_writing_nothing(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli("loss-geometry", "--beta", 0.5, "--out", out) == 1
@@ -515,6 +537,64 @@ class TestDistCheck:
             report = json.load(fh)
         assert report["samples"] == 5000
         assert report["ks"] < 0.05
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    """command -> every option string its parser takes, found by walking build_parser()."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for a in p._actions for opt in a.option_strings} for name, p in sub.choices.items()}
+
+
+@pytest.fixture
+def gated_argv(sweep_dir, tmp_path):
+    """command -> a working argv without --out; a new command with --out needs an entry here."""
+    config = tmp_path / "baseline.json"
+    config.write_text(json.dumps({"mode": "baseline", "train": {"epochs": 1, "batch_size": 32}}))
+    return {
+        "gen-data": ["--n0", 10, "--n1", 5],
+        "train": ["--config", config, "--data", sweep_dir["train"]],
+        "roc": ["--rows-dir", sweep_dir["out_dir"], "--points", 3],
+        "analyze": ["--summary", os.path.join(sweep_dir["out_dir"], "summary.json")],
+        "loss-geometry": ["--beta", 10, "--steps", 3],
+        "dist-check": ["--a", 0, "--b", 3, "--h-b", 0, "--samples", 1000],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(name for name, options in subcommand_options().items() if "--out" in options))
+class TestOutputGate:
+    """main checks every --out before its command does any work."""
+
+    def existing_output(self, tmp_path):
+        path = tmp_path / "existing.out"
+        path.write_text("sentinel\n")
+        return path, os.stat(path).st_mtime_ns
+
+    def test_parser_takes_if_exists(self, command):
+        assert "--if-exists" in subcommand_options()[command]
+
+    def test_existing_output_exits_1_before_any_work(self, command, gated_argv, tmp_path, capsys):
+        path, mtime = self.existing_output(tmp_path)
+        assert run_cli(command, *gated_argv[command], "--out", path) == 1
+        captured = capsys.readouterr()
+        assert "already exists" in captured.err
+        assert captured.out == ""  # dist-check drew no samples: no KS line
+        assert path.read_text() == "sentinel\n"
+        assert os.stat(path).st_mtime_ns == mtime
+
+    def test_skip_skips_the_whole_command(self, command, gated_argv, tmp_path, capsys):
+        path, mtime = self.existing_output(tmp_path)
+        assert run_cli(command, *gated_argv[command], "--out", path, "--if-exists", "skip") == 0
+        assert capsys.readouterr().out == f"skipping {path}: already exists\n"
+        assert path.read_text() == "sentinel\n"
+        assert os.stat(path).st_mtime_ns == mtime
+
+    def test_relative_out_lands_under_out_root(self, command, gated_argv, tmp_path, monkeypatch):
+        monkeypatch.setenv("VSLCT_OUT_ROOT", str(tmp_path / "root"))
+        os.makedirs(tmp_path / "cwd")
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert run_cli(command, *gated_argv[command], "--out", os.path.join("nested", "result.out")) == 0
+        assert (tmp_path / "root" / "nested" / "result.out").is_file()
+        assert os.listdir(tmp_path / "cwd") == []
 
 
 class TestUsageErrors:

@@ -293,6 +293,14 @@ class TestBreakEven:
             residual = (1.0 + math.exp(-a)) ** omega - (1.0 + math.exp(a)) ** (1.0 - omega)
             assert abs(residual) < 1e-12
 
+    def test_alpha_root_outside_the_starting_bracket(self):
+        # the root lies near -64.9, beyond the initial bracket of +-50, so the bracket must expand
+        omega = 1e-30
+        a = break_even_alpha(omega)
+        assert a < -50.0
+        residual = omega * softplus(-a) - (1.0 - omega) * softplus(a)
+        assert abs(residual) <= 1e-12 * omega * softplus(-a)
+
     def test_alpha_antisymmetry_and_monotonicity(self):
         rng = np.random.default_rng(8)
         omegas = np.sort(rng.uniform(0.05, 0.95, size=20))
@@ -378,19 +386,6 @@ class TestLossDifferenceGrid:
         z = LogitPair(float(grid.z0_values[1]), float(grid.z1_values[3]))
         expected = vs_loss_binary(1, z, p, 5.0) - vs_loss_binary(0, z, p, 5.0)
         np.testing.assert_allclose(grid.diff[1, 3], expected, rtol=1e-14)
-
-    def test_csv_roundtrip(self, tmp_path):
-        p = VsHyperParams(omega=0.55, gamma=0.1, tau=0.3)
-        grid = loss_difference_grid(p, beta=8.0, lo=-1.0, hi=1.0, steps=4)
-        path = tmp_path / "grid.csv"
-        grid.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "z0,z1,diff"
-        assert len(lines) == 1 + 16
-        z0, z1, d = (float(tok) for tok in lines[1 + 4 * 1 + 3].split(","))
-        assert z0 == grid.z0_values[1]
-        assert z1 == grid.z1_values[3]
-        assert d == grid.diff[1, 3]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -242,3 +242,8 @@ class TestRocAtFprGrid:
             roc_at_fpr_grid(curve, np.array([-0.1]))
         with pytest.raises(ValueError):
             roc_at_fpr_grid(curve, np.array([1.1]))
+
+    def test_rejects_nan_in_grid(self):
+        curve = roc_curve(LabeledScores(EX_SCORES, EX_LABELS))
+        with pytest.raises(ValueError, match="must lie in"):
+            roc_at_fpr_grid(curve, np.array([np.nan, 0.5]))

@@ -1,28 +1,70 @@
-"""Small shared helpers: lossless float serialization and atomic writes."""
+"""Small shared helpers: the bit-exact array codec, the file format version and atomic writes."""
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
 import numpy as np
 
-__all__ = ["floats_to_hex", "floats_from_hex", "atomic_write_text"]
+__all__ = ["FORMAT", "check_format", "encode_array", "decode_array", "atomic_write_text"]
+
+# Version of every JSON file the package writes with encoded arrays (sweep
+# rows, checkpoints).  Files without a "format" field are format 1, which
+# stored each float as its own float.hex() token.
+FORMAT = 2
+
+# Stored dtype -> the native dtype decoding returns; all are 8 bytes wide.
+_DTYPES = {"<f8": np.float64, "<i8": np.int64}
 
 
-def floats_to_hex(values) -> list[str]:
-    """Hex-encode floats so JSON round trips are bit-exact."""
-    return [float(v).hex() for v in np.asarray(values, dtype=np.float64).ravel()]
+def check_format(payload) -> None:
+    """Raise unless payload is a JSON object written in FORMAT."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+    version = payload.get("format", 1)
+    if version != FORMAT:
+        raise ValueError(f"stored in format {version}, this version reads format {FORMAT} only; recompute it")
 
 
-def floats_from_hex(tokens) -> np.ndarray:
-    return np.array([float.fromhex(tok) for tok in tokens], dtype=np.float64)
+def encode_array(values) -> dict:
+    """{"dtype", "shape", "hex"}: the array's little-endian bytes in hex, so JSON round trips are bit-exact.
+
+    Floating arrays are stored as <f8 and integer arrays as <i8.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        dtype = "<f8"
+    elif a.dtype.kind in "iu":
+        dtype = "<i8"
+    else:
+        raise ValueError(f"cannot encode an array of dtype {a.dtype}")
+    return {"dtype": dtype, "shape": list(a.shape), "hex": a.astype(dtype, copy=False).tobytes().hex()}
+
+
+def decode_array(obj: dict) -> np.ndarray:
+    """Inverse of encode_array: a fresh, writable native array; a malformed payload raises ValueError."""
+    dtype, shape = obj["dtype"], obj["shape"]
+    if dtype not in _DTYPES:
+        raise ValueError(f"array dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+    if not isinstance(shape, list) or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ValueError(f"array shape must be a list of sizes >= 0, got {shape!r}")
+    raw = bytes.fromhex(obj["hex"])
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"array of {len(raw)} bytes does not hold shape {shape} of 8-byte {dtype}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPES[dtype])
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a same-directory temp file + rename; readers never see partial files."""
+    """Write via a same-directory temp file + rename; readers never see partial files.
+
+    Missing parent directories are created here, at write time, so a
+    command that fails before writing leaves none behind.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -3,9 +3,17 @@
 run_sweep trains a list of configured runs through train_run (the executor
 `vslct train` uses too), scores each trained model on a held-out test set,
 and returns one row per run.  Given an output directory it persists each
-row as JSON (floats hex-encoded, written atomically) and transparently
-reloads completed rows on a rerun, so an interrupted sweep resumes where
-it stopped; load_rows reads every row of such a directory back.
+row as JSON and transparently reloads completed rows on a rerun, so an
+interrupted sweep resumes where it stopped; load_rows reads every row of
+such a directory back.
+
+A stored row is file format 2 (`vslct._util.FORMAT`), written atomically:
+the AUC as `float.hex()`, scores and labels in the bit-exact byte-hex
+array codec of `vslct._util`, and a fingerprint of what produced it (the
+run's definition, the TrainConfig epochs, batch_size and lr, and SHA-256
+digests of the train and test data).  Resume reuses a row only when its
+identity and fingerprint equal the requested run's, and otherwise fails
+naming every field that differs.
 
 The statistics layer is self-contained numpy/stdlib:
 
@@ -20,14 +28,15 @@ The statistics layer is self-contained numpy/stdlib:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from vslct._util import atomic_write_text, floats_from_hex, floats_to_hex
+from vslct._util import FORMAT, atomic_write_text, check_format, decode_array, encode_array
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
@@ -279,38 +288,98 @@ def _row_path(out_dir, run_id: str) -> str:
     return os.path.join(os.fspath(out_dir), f"{run_id}.json")
 
 
-def _save_row(out_dir, row: SweepRow) -> None:
+def _data_digest(data: Dataset) -> str:
+    """SHA-256 over the dtype, shape and bytes of the features and the labels."""
+    digest = hashlib.sha256()
+    for a in (data.x, data.y):
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _fingerprint(run: SweepRun, train_config: TrainConfig, data_digests: dict[str, str]) -> dict:
+    """What a stored row must match to be reused: run definition, training settings, data digests.
+
+    The seed is part of the row's identity, so train holds the other
+    TrainConfig fields.
+    """
+    if run.kind == "baseline":
+        definition = {"eval_cond": list(run.eval_cond), "hyper": asdict(run.hyper)}
+    else:
+        conditioned = {}
+        for name in run.lct.names:
+            dist = run.lct.conditioned[name]
+            conditioned[name] = {"a": dist.a, "b": dist.b, "h_b": dist.h_b} if isinstance(dist, LinearDistribution) else float(dist)
+        definition = {"eval_cond": list(run.eval_cond), "base": asdict(run.lct.base), "conditioned": conditioned}
+    train = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
+    return {"run": definition, "train": train, "data": data_digests}
+
+
+def _key_paths(tree, prefix: str = "") -> dict:
+    """Leaf values of nested dicts by dotted key path; an empty dict is a leaf."""
+    if not isinstance(tree, dict) or not tree:
+        return {prefix: tree}
+    leaves = {}
+    for key, value in tree.items():
+        leaves.update(_key_paths(value, f"{prefix}.{key}" if prefix else key))
+    return leaves
+
+
+def _differences(stored: dict, requested: dict) -> list[str]:
+    """One 'path: stored X, requested Y' entry per key path whose values differ."""
+    stored, requested = _key_paths(stored), _key_paths(requested)
+
+    def shown(leaves, path):
+        return json.dumps(leaves[path]) if path in leaves else "nothing"
+
+    paths = list(requested) + [p for p in stored if p not in requested]
+    return [
+        f"{p}: stored {shown(stored, p)}, requested {shown(requested, p)}"
+        for p in paths
+        if p not in stored or p not in requested or stored[p] != requested[p]
+    ]
+
+
+def _save_row(out_dir, row: SweepRow, fingerprint: dict) -> None:
     payload = {
+        "format": FORMAT,
         "run_id": row.run_id,
         "kind": row.kind,
         "seed": row.seed,
         "auc": float(row.auc).hex(),
-        "scores": floats_to_hex(row.scores),
-        "labels": [int(v) for v in row.labels],
+        "scores": encode_array(row.scores),
+        "labels": encode_array(row.labels),
+        "fingerprint": fingerprint,
     }
     atomic_write_text(_row_path(out_dir, row.run_id), json.dumps(payload))
 
 
-def _row_from_payload(payload: dict) -> SweepRow:
+def _row_from_payload(payload) -> SweepRow:
     """Decode a stored row; a malformed payload raises KeyError, TypeError or ValueError."""
+    check_format(payload)
+    if not isinstance(payload["fingerprint"], dict):
+        raise TypeError("fingerprint must be a JSON object")
     return SweepRow(
         run_id=payload["run_id"],
         kind=payload["kind"],
         seed=int(payload["seed"]),
         auc=float.fromhex(payload["auc"]),
-        scores=floats_from_hex(payload["scores"]),
-        labels=np.array(payload["labels"], dtype=np.int64),
+        scores=decode_array(payload["scores"]),
+        labels=decode_array(payload["labels"]),
     )
 
 
-def _load_row(out_dir, run: SweepRun) -> SweepRow:
+def _load_row(out_dir, run: SweepRun, fingerprint: dict) -> SweepRow:
     path = _row_path(out_dir, run.run_id)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload["run_id"] != run.run_id or payload["kind"] != run.kind or payload["seed"] != run.seed:
-            raise ValueError("identity fields do not match the requested run")
-        return _row_from_payload(payload)
+        row = _row_from_payload(payload)
+        stored = {"run_id": row.run_id, "kind": row.kind, "seed": row.seed, **payload["fingerprint"]}
+        requested = {"run_id": run.run_id, "kind": run.kind, "seed": run.seed, **fingerprint}
+        if stored != requested:
+            raise ValueError("; ".join(_differences(stored, requested)))
+        return row
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: stale or corrupt sweep row ({exc}); delete it to recompute") from exc
 
@@ -358,23 +427,26 @@ def run_sweep(
 
     With out_dir set, each finished run is written to out_dir/run_id.json
     and found again on the next invocation; delete a file to force that
-    run to recompute.  `progress`, if given, is called as
-    progress(index, total, row) after each run.
+    run to recompute.  A found row whose fingerprint differs from the
+    requested run's raises, naming each differing field.  `progress`, if
+    given, is called as progress(index, total, row) after each run.
     """
     ids = [r.run_id for r in runs]
     if len(set(ids)) != len(ids):
         raise ValueError(f"run_ids must be unique within a sweep; repeated: {sorted({i for i in ids if ids.count(i) > 1})}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        data_digests = {"train": _data_digest(train_data), "test": _data_digest(test_data)}
     rows: list[SweepRow] = []
     for i, run in enumerate(runs):
+        fingerprint = None if out_dir is None else _fingerprint(run, train_config, data_digests)
         if out_dir is not None and os.path.exists(_row_path(out_dir, run.run_id)):
-            row = _load_row(out_dir, run)
+            row = _load_row(out_dir, run, fingerprint)
         else:
             scored = evaluate(train_run(run, train_data, train_config).model, test_data, run.eval_cond)
             row = SweepRow(run.run_id, run.kind, run.seed, roc_curve(scored).auc, scored.scores, scored.labels)
             if out_dir is not None:
-                _save_row(out_dir, row)
+                _save_row(out_dir, row, fingerprint)
         rows.append(row)
         if progress is not None:
             progress(i, len(runs), row)

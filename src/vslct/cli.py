@@ -67,9 +67,6 @@ def _should_write(path: str, if_exists: str) -> bool:
         if if_exists == "skip":
             print(f"skipping {path}: already exists")
             return False
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     return True
 
 

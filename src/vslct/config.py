@@ -182,7 +182,9 @@ def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
     The baseline grid is the product omega x gamma x tau x seeds; the
     conditioned grid is h_b x omega x seeds, each run drawing the
     `conditioned` hyperparameter from a linear density on lambda_range,
-    so lct_grid may not also set that hyperparameter.
+    so lct_grid may not also set that hyperparameter.  An lct run's
+    parameters name that hyperparameter under "conditioned" and leave
+    out its value, since no single value was trained at.
     """
     _require_keys(config, {"train", "seeds", "eval_lambda", "baseline_grid", "lct_grid"}, "config")
     seeds = config.get("seeds")
@@ -207,10 +209,11 @@ def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
         for h_b, omega in product(grid.get("h_b", [0.0]), grid.get("omega", [0.5])):
             base = VsHyperParams(omega=float(omega), gamma=gamma, tau=0.0)
             lct = LctConfig(base=base, conditioned={conditioned_name: make_linear(lo, hi, float(h_b))})
+            fixed = {name: value for name, value in (("omega", float(omega)), ("gamma", gamma)) if name != conditioned_name}
             for seed in seeds:
                 run_id = f"lct-hb{h_b}-w{omega}-s{seed}"
                 runs.append(SweepRun(run_id=run_id, kind="lct", seed=seed, eval_cond=eval_cond, lct=lct))
-                params[run_id] = {"omega": float(omega), "gamma": gamma, "h_b": float(h_b), "lambda_lo": lo, "lambda_hi": hi}
+                params[run_id] = {**fixed, "conditioned": conditioned_name, "h_b": float(h_b), "lambda_lo": lo, "lambda_hi": hi}
     if not runs:
         raise ValueError("config: neither baseline_grid nor lct_grid produced any runs")
     return runs, params

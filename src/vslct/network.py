@@ -35,8 +35,12 @@ from one unblocked `forward` in the last few bits (see `scores`).
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
 
-Checkpoints are JSON with every float stored via `float.hex()`, making
-save/load round trips bit-exact.
+Checkpoints are JSON in file format 2 (`vslct._util.FORMAT`): each
+parameter array is stored as the hex of its little-endian float64 bytes
+(`vslct._util.encode_array`, the codec sweep rows use too), making
+save/load round trips bit-exact.  A format-1 checkpoint, which stored
+each float as a `float.hex()` token, fails to load with a message that
+says to recompute it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vslct._util import atomic_write_text, floats_from_hex, floats_to_hex
+from vslct._util import FORMAT, atomic_write_text, check_format, decode_array, encode_array
 from vslct.losses import sigmoid
 
 # Rows per `forward` call in `MlpFilmModel.scores`.  A set of at most this
@@ -313,19 +317,12 @@ def sgd_step(
 # -- checkpoints ------------------------------------------------------------
 
 
-def _array_to_hex(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": floats_to_hex(a)}
-
-
-def _array_from_hex(obj: dict) -> np.ndarray:
-    return floats_from_hex(obj["data"]).reshape(obj["shape"])
-
-
 def save_checkpoint(path, model: MlpFilmModel, meta: dict | None = None) -> None:
-    """Serialize config + parameters as JSON, atomically; floats as hex."""
+    """Serialize config + parameters as JSON, atomically; arrays in the bit-exact byte-hex codec."""
     payload = {
+        "format": FORMAT,
         "config": asdict(model.config),
-        "params": {k: _array_to_hex(v) for k, v in model.params.items()},
+        "params": {k: encode_array(v) for k, v in model.params.items()},
         "meta": meta or {},
     }
     atomic_write_text(path, json.dumps(payload))
@@ -336,10 +333,11 @@ def load_checkpoint(path) -> tuple[MlpFilmModel, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        check_format(payload)
         cfg_dict = dict(payload["config"])
         cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
         config = ModelConfig(**cfg_dict)
-        params = {k: _array_from_hex(v) for k, v in payload["params"].items()}
+        params = {k: decode_array(v) for k, v in payload["params"].items()}
         meta = payload.get("meta", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from exc

@@ -6,15 +6,18 @@ import math
 import os
 import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vslct._util import floats_from_hex, floats_to_hex
+from vslct._util import decode_array, encode_array
 from vslct.analysis import (
     AucStats,
+    _data_digest,
+    _fingerprint,
     _save_row,
     aggregate_roc,
     auc_stats,
@@ -28,7 +31,7 @@ from vslct.analysis import (
     _poly_design,
     sweep_report,
 )
-from vslct.data import synth_gaussian
+from vslct.data import Dataset, synth_gaussian
 from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams
 from vslct.metrics import LabeledScores
@@ -314,6 +317,27 @@ class TestSweep:
         with pytest.raises(ValueError, match="stale or corrupt"):
             run_sweep([other], train, test, TINY_TRAIN, out_dir=tmp_path)
 
+    def test_stale_row_fails_naming_every_differing_field(self, data, tmp_path):
+        train, test = data
+        runs = tiny_sweep_runs()
+        run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
+        stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other_train = synth_gaussian(60, 20, 2, 2.0, np.random.default_rng(112))
+        longer_range = LctConfig(base=VsHyperParams(), conditioned={"tau": make_linear(0.0, 4.0, 0.15)})
+        cases = [
+            (runs, other_train, replace(TINY_TRAIN, epochs=3), ["train.epochs: stored 2, requested 3", "data.train: stored"]),
+            (runs, train, replace(TINY_TRAIN, batch_size=16, lr=0.2), ["train.batch_size: stored 32, requested 16; train.lr: stored 0.1, requested 0.2"]),
+            (runs, other_train, TINY_TRAIN, [f'data.train: stored "{_data_digest(train)}", requested "{_data_digest(other_train)}"']),
+            ([replace(runs[0], hyper=VsHyperParams(omega=0.9))], train, TINY_TRAIN, ["run.hyper.omega: stored 0.5, requested 0.9"]),
+            ([replace(runs[1], lct=longer_range)], train, TINY_TRAIN, ["run.conditioned.tau.b: stored 3.0, requested 4.0"]),
+        ]
+        for requested, train_data, train_config, named in cases:
+            with pytest.raises(ValueError, match="stale or corrupt sweep row .*; delete it to recompute") as exc:
+                run_sweep(requested, train_data, test, train_config, out_dir=tmp_path)
+            for field_message in named:
+                assert field_message in str(exc.value)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+
     def test_run_validation(self):
         with pytest.raises(ValueError):
             SweepRun(run_id="bad/slash", kind="baseline", seed=0, eval_cond=(), hyper=VsHyperParams())
@@ -336,14 +360,55 @@ finite_or_inf = st.floats(allow_nan=False)
 FINITE_SPECIAL_FLOATS = [v for v in SPECIAL_FLOATS if math.isfinite(v)]
 
 
+def fingerprint_for(run, train, test, train_config=TINY_TRAIN):
+    """The fingerprint run_sweep stores for `run` on these datasets."""
+    return _fingerprint(run, train_config, {"train": _data_digest(train), "test": _data_digest(test)})
+
+
+# A fingerprint for rows that no resume reads.
+NO_FINGERPRINT: dict = {}
+
+# The text _save_row writes for GOLDEN_ROW, pinned so any change to the row
+# format, the array codec or the fingerprint shows up here.
+GOLDEN_ROW_TEXT = (
+    '{"format": 2, "run_id": "lct-s3", "kind": "lct", "seed": 3, "auc": "0x1.8000000000000p-1", '
+    '"scores": {"dtype": "<f8", "shape": [2], "hex": "000000000000d03f000000000000e03f"}, '
+    '"labels": {"dtype": "<i8", "shape": [2], "hex": "00000000000000000100000000000000"}, '
+    '"fingerprint": {"run": {"eval_cond": [1.5], "base": {"omega": 0.5, "gamma": 0.0, "tau": 0.0}, '
+    '"conditioned": {"tau": {"a": 0.0, "b": 3.0, "h_b": 0.5}}}, "train": {"epochs": 3, "batch_size": 128, "lr": 0.1}, '
+    '"data": {"train": "acc73a3280c41f19a5d53bb8b3fa367daa5c8d1c062d0b6e7f3fa071b1ba9dac", '
+    '"test": "10f9d09c5e725b554b3ab1134bf3174ab5a0cb0fe445221b0c02345e0126ac8f"}}}'
+)
+
+
 class TestRowCodec:
-    """Hex floats and stored sweep rows round-trip bit for bit."""
+    """The array codec and stored sweep rows round-trip bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(finite_or_inf, max_size=40))
-    def test_hex_floats_bit_exact(self, values):
-        original = np.array(SPECIAL_FLOATS + values, dtype=np.float64)
-        assert floats_from_hex(floats_to_hex(original)).tobytes() == original.tobytes()
+    @given(values=st.lists(finite_or_inf, max_size=40), cols=st.integers(1, 4), ints=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=10))
+    def test_array_codec_bit_exact(self, values, cols, ints):
+        flat = np.array(SPECIAL_FLOATS + values, dtype=np.float64)
+        two_d = flat[: flat.size // cols * cols].reshape(-1, cols)
+        for original in (flat, two_d, two_d.T, np.empty((0, cols)), np.array(ints, dtype=np.int64), np.empty((cols, 0), dtype=np.int64)):
+            decoded = decode_array(json.loads(json.dumps(encode_array(original))))
+            assert (decoded.dtype, decoded.shape) == (original.dtype, original.shape)
+            assert decoded.tobytes() == np.ascontiguousarray(original).tobytes()
+            assert decoded.flags.writeable and decoded.dtype.isnative
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"hex": "000"}, "non-hexadecimal number found in fromhex()"),
+            ({"hex": "00" * 12}, "array of 12 bytes does not hold shape [2] of 8-byte <f8"),
+            ({"dtype": "<f4"}, "array dtype must be one of ['<f8', '<i8'], got '<f4'"),
+            ({"shape": [3]}, "array of 16 bytes does not hold shape [3] of 8-byte <f8"),
+            ({"shape": [-2]}, "array shape must be a list of sizes >= 0, got [-2]"),
+        ],
+    )
+    def test_malformed_array_payload_raises(self, change, message):
+        good = encode_array(np.array([0.25, 0.5]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode_array({**good, **change})
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -352,7 +417,7 @@ class TestRowCodec:
         kind=st.sampled_from(["baseline", "lct"]),
         seed=st.integers(0, 2**63 - 1),
         auc=finite_or_inf,
-        # a row holds finite scores only; test_hex_floats_bit_exact covers the +-inf round trip
+        # a row holds finite scores only; test_array_codec_bit_exact covers the +-inf round trip
         pairs=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 1)), max_size=30),
     )
     def test_saved_row_bit_exact(self, run_id, kind, seed, auc, pairs):
@@ -360,20 +425,29 @@ class TestRowCodec:
         labels = np.array([i % 2 for i in range(len(FINITE_SPECIAL_FLOATS))] + [y for _, y in pairs], dtype=np.int64)
         row = SweepRow(run_id=run_id, kind=kind, seed=seed, auc=auc, scores=scores, labels=labels)
         with tempfile.TemporaryDirectory() as out_dir:
-            _save_row(out_dir, row)
+            _save_row(out_dir, row, NO_FINGERPRINT)
             (loaded,) = load_rows(out_dir)
         assert (loaded.run_id, loaded.kind, loaded.seed) == (run_id, kind, seed)
         assert np.float64(loaded.auc).tobytes() == np.float64(auc).tobytes()
         assert loaded.scores.tobytes() == scores.tobytes()
         assert loaded.labels.tobytes() == labels.tobytes()
 
+    def test_saved_row_golden_text(self, tmp_path):
+        train = Dataset(x=np.array([[0.0, 1.0], [1.0, 0.0]]), y=np.array([0, 1]))
+        test = Dataset(x=np.array([[0.5, 0.5]]), y=np.array([1]))
+        lct = LctConfig(base=VsHyperParams(), conditioned={"tau": make_linear(0.0, 3.0, 0.5)})
+        run = SweepRun(run_id="lct-s3", kind="lct", seed=3, eval_cond=(1.5,), lct=lct)
+        row = SweepRow("lct-s3", "lct", 3, 0.75, np.array([0.25, 0.5]), np.array([0, 1]))
+        _save_row(tmp_path, row, fingerprint_for(run, train, test, TrainConfig(epochs=3, batch_size=128, lr=0.1)))
+        assert (tmp_path / "lct-s3.json").read_text() == GOLDEN_ROW_TEXT
+
     def test_load_rows_skips_dot_files_and_other_json(self, tmp_path):
         for seed in (0, 1):
-            _save_row(tmp_path, SweepRow(f"r{seed}", "lct", seed, 0.75, np.array([0.25, 0.5]), np.array([0, 1])))
+            _save_row(tmp_path, SweepRow(f"r{seed}", "lct", seed, 0.75, np.array([0.25, 0.5]), np.array([0, 1])), NO_FINGERPRINT)
         before = load_rows(tmp_path)
         (tmp_path / "summary.json").write_text(json.dumps({"rows": [], "stats": {}}))
         (tmp_path / "report.json").write_text(json.dumps({"groups": {}, "paired_by_seed": None, "baseline_surface_fit": None}))
-        (tmp_path / ".tmp-x1y2r0.json").write_text('{"run_id": "r0", "kind": "lct", "scores": ["0x1.')
+        (tmp_path / ".tmp-x1y2r0.json").write_text('{"format": 2, "run_id": "r0", "kind": "lct", "scores": {"dtype": "<f8", "hex": "00')
         after = load_rows(tmp_path)
         assert [(r.run_id, r.auc, r.scores.tobytes(), r.labels.tobytes()) for r in after] == [
             (r.run_id, r.auc, r.scores.tobytes(), r.labels.tobytes()) for r in before
@@ -388,19 +462,29 @@ class TestRowCodec:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("labels", [0, 2, 0], "labels must be 0 or 1"),
-            ("labels", [0, 1], "length mismatch: 3 scores, 2 labels"),
-            ("scores", ["0x1.0p-1", "inf", "0x0.0p+0"], "scores must be finite"),
+            ("labels", encode_array(np.array([0, 2, 0])), "labels must be 0 or 1"),
+            ("labels", encode_array(np.array([0, 1])), "length mismatch: 3 scores, 2 labels"),
+            ("scores", encode_array(np.array([0.5, math.inf, 0.0])), "scores must be finite"),
         ],
     )
     def test_bad_stored_row_raises_naming_the_file(self, data, tmp_path, key, value, message):
         run = SweepRun(run_id="r0", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams())
-        _save_row(tmp_path, SweepRow("r0", "baseline", 0, 0.5, np.array([0.5, 0.25, 0.0]), np.array([0, 1, 0])))
+        _save_row(tmp_path, SweepRow("r0", "baseline", 0, 0.5, np.array([0.5, 0.25, 0.0]), np.array([0, 1, 0])), fingerprint_for(run, *data))
         path = tmp_path / "r0.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
             load_rows(tmp_path)
         with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message})")):
+            run_sweep([run], *data, TINY_TRAIN, out_dir=tmp_path)
+
+    def test_format_1_row_fails_saying_recompute(self, data, tmp_path):
+        run = SweepRun(run_id="r0", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams())
+        path = tmp_path / "r0.json"
+        path.write_text(json.dumps({"run_id": "r0", "kind": "baseline", "seed": 0, "auc": "0x1.0p-1", "scores": ["0x1.0p-1", "0x1.0p-2"], "labels": [0, 1]}))
+        message = "stored in format 1, this version reads format 2 only; recompute it"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
+            load_rows(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message}); delete it to recompute")):
             run_sweep([run], *data, TINY_TRAIN, out_dir=tmp_path)
 
 

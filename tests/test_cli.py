@@ -8,6 +8,7 @@ tool.
 import argparse
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -321,6 +322,30 @@ class TestSweep:
             assert got.scores.tobytes() == row.scores.tobytes()
             assert got.labels.tobytes() == row.labels.tobytes()
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"train": {"epochs": 3, "batch_size": 32, "lr": 0.05, "seed": 0}}, "train.epochs: stored 2, requested 3"),
+            ({"lct_grid": {"h_b": [0.0], "omega": [0.5], "gamma": 0.0, "conditioned": "tau", "lambda_range": [0.0, 2.0]}}, "run.conditioned.tau.b: stored 3.0, requested 2.0"),
+            ({}, "data.train: stored"),
+        ],
+    )
+    def test_resume_with_a_changed_definition_exits_1_naming_the_field(self, sweep_dir, tmp_path, capsys, change, named):
+        out_dir = tmp_path / "runs"
+        shutil.copytree(sweep_dir["out_dir"], out_dir)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**load_json(sweep_dir["config"]), **change}))
+        train = sweep_dir["train"] if change else gen_csv(tmp_path / "other.csv", n0=120, n1=40, seed=5)
+        code = run_cli("sweep", "--config", config, "--train-data", train, "--test-data", sweep_dir["test"], "--out-dir", out_dir)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "stale or corrupt sweep row" in err and named in err and "delete it to recompute" in err
+
+    def test_lct_params_name_the_conditioned_hyperparameter(self):
+        for conditioned, fixed in (("omega", {"gamma": 0.0}), ("gamma", {"omega": 0.5}), ("tau", {"omega": 0.5, "gamma": 0.0})):
+            runs, params = grid_runs({"seeds": [0], "lct_grid": {"conditioned": conditioned, "lambda_range": [0, 1]}})
+            assert params[runs[0].run_id] == {**fixed, "conditioned": conditioned, "h_b": 0.0, "lambda_lo": 0.0, "lambda_hi": 1.0}
+
     def test_config_without_any_grid_exits_1(self, sweep_dir, tmp_path, capsys):
         config = tmp_path / "empty.json"
         config.write_text(json.dumps({"train": {"epochs": 2}, "seeds": [0]}))
@@ -560,6 +585,21 @@ def gated_argv(sweep_dir, tmp_path):
     }
 
 
+@pytest.fixture
+def failing_argv(sweep_dir, tmp_path):
+    """command -> an argv without --out on which the command fails after the output gate."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"mode": "other"}))
+    return {
+        "gen-data": ["--n0", 5, "--n1", 10],
+        "train": ["--config", config, "--data", sweep_dir["train"]],
+        "roc": ["--rows-dir", sweep_dir["out_dir"], "--points", 1],
+        "analyze": ["--summary", tmp_path / "missing.json"],
+        "loss-geometry": ["--beta", 0.5, "--steps", 3],
+        "dist-check": ["--a", 0, "--b", 3, "--h-b", 0, "--samples", 0],
+    }
+
+
 @pytest.mark.parametrize("command", sorted(name for name, options in subcommand_options().items() if "--out" in options))
 class TestOutputGate:
     """main checks every --out before its command does any work."""
@@ -587,6 +627,11 @@ class TestOutputGate:
         assert capsys.readouterr().out == f"skipping {path}: already exists\n"
         assert path.read_text() == "sentinel\n"
         assert os.stat(path).st_mtime_ns == mtime
+
+    def test_failing_command_leaves_no_output_directory(self, command, failing_argv, tmp_path, capsys):
+        assert run_cli(command, *failing_argv[command], "--out", tmp_path / "sub" / "result.out") == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "sub").exists()
 
     def test_relative_out_lands_under_out_root(self, command, gated_argv, tmp_path, monkeypatch):
         monkeypatch.setenv("VSLCT_OUT_ROOT", str(tmp_path / "root"))

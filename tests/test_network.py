@@ -1,5 +1,6 @@
 """Tests for the FiLM-conditioned MLP: shapes, gradients, optimizer, checkpoints."""
 
+import json
 import math
 import os
 import platform
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -429,7 +431,21 @@ class TestCheckpoint:
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(74))
         path = tmp_path / "model.json"
         save_checkpoint(path, model)
-        assert "0x1." in path.read_text()
+        payload = json.loads(path.read_text())
+        assert payload["format"] == 2
+        for key in MlpFilmModel.PARAM_KEYS:
+            stored = payload["params"][key]
+            assert (stored["dtype"], stored["shape"]) == ("<f8", list(model.params[key].shape))
+            assert stored["hex"] == model.params[key].astype("<f8").tobytes().hex()
+
+    def test_format_1_checkpoint_fails_saying_recompute(self, tmp_path):
+        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(75))
+        path = tmp_path / "model.json"
+        params = {k: {"shape": list(v.shape), "data": [float(x).hex() for x in v.ravel()]} for k, v in model.params.items()}
+        path.write_text(json.dumps({"config": asdict(model.config), "params": params, "meta": {}}))
+        message = "stored in format 1, this version reads format 2 only; recompute it"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint: {message}")):
+            load_checkpoint(path)
 
     def test_truncated_checkpoint_names_the_file(self, tmp_path):
         path = tmp_path / "model.json"

@@ -11,6 +11,11 @@ Sampling uses the closed-form inverse CDF, written in the rationalized
 form t = 2u / (h_a + sqrt(h_a^2 + 2 s u)) with s the density slope, which
 stays accurate as the quadratic term degenerates and maps u=1 to exactly
 t = b - a when the arithmetic allows.
+
+One draw (`sample(1, rng)`, once per mini-batch in loss-conditional
+training) takes a scalar path: the same root on one `rng.random()`
+double in `math` floats, which costs a fraction of numpy's per-call
+overhead on a one-element array and gives the same bits as `ppf`.
 """
 
 from __future__ import annotations
@@ -79,10 +84,27 @@ class LinearDistribution:
         return out if out.ndim else float(out)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n values by inverse-transform sampling from rng."""
+        """Draw n values by inverse-transform sampling from rng.
+
+        n = 1 skips numpy: `rng.random()` takes the same double from the
+        stream as `rng.random(1)`, and the root below repeats `ppf`'s
+        operations in the same order on Python floats.  IEEE arithmetic
+        and a correctly rounded square root (math.sqrt and np.sqrt both)
+        give the same bits for the same operands, and max/min/the u >= 1
+        branch pick the same value, so the draw equals `ppf(u)`.
+        """
         if n < 0:
             raise ValueError(f"sample size must be >= 0, got {n}")
-        return self.ppf(rng.random(n))
+        if n != 1:
+            return self.ppf(rng.random(n))
+        u = rng.random()
+        if abs(self.h_b - self.h_a) < _FLAT_EPS:
+            t = u * (self.b - self.a)
+        else:
+            rad = max(self.h_a * self.h_a + 2.0 * self.slope * u, 0.0)
+            denom = self.h_a + math.sqrt(rad)
+            t = 2.0 * u / denom if denom > 0.0 else 0.0
+        return np.array([self.b if u >= 1.0 else min(self.a + t, self.b)])
 
     def median(self) -> float:
         return self.ppf(0.5)

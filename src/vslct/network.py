@@ -22,15 +22,24 @@ All parameters live in one flat float64 buffer, `MlpFilmModel.flat`;
 its slice, in that order.  Writing through a view writes the buffer, and
 `sgd_step` updates the whole buffer with a few vector operations.
 
-Each trunk layer adds its bias and applies the ReLU in place on the
-fresh matmul output, so a batch allocates one (n, width) array per
-layer; `x` and the parameters are never written.  `forward` keeps
-those arrays for `backward`, which scoring never runs, so `scores`
-calls `forward` on consecutive blocks of SCORE_BLOCK_ROWS rows: a
-block's activations (1 MB each at width 64) stay in cache and the next
-block reuses their pages, where one call on 10^5 rows faults in three
-51 MB arrays and streams them through memory.  Blocked scores can differ
-from one unblocked `forward` in the last few bits (see `scores`).
+Each trunk layer adds its bias and applies the ReLU in place on its
+matmul output; `x` and the parameters are never written.  `forward` and
+`backward` take an optional `Workspace` and run the same statements
+either way.  The training loop passes one: every (n, width) product,
+the logits, the logit gradient and the masked gradients go through
+`out=` into its row buffers (a short batch uses the leading rows), and
+each parameter gradient into its view of one flat buffer in `flat`'s
+layout, which `sgd_step` takes as it is.  The same kernels on the same
+values give the same bits; the arrays returned are views, valid until
+the workspace's next use.  Without one, `out=None` lets numpy allocate
+one (n, width) array per layer, and every call returns fresh arrays.
+Scoring takes that path.  `forward` keeps those arrays for `backward`,
+which scoring never runs, so `scores` calls `forward` on consecutive
+blocks of SCORE_BLOCK_ROWS rows: a block's activations (1 MB each at
+width 64) stay in cache and the next block reuses their pages, where
+one call on 10^5 rows faults in three 51 MB arrays and streams them
+through memory.  Blocked scores can differ from one unblocked `forward`
+in the last few bits (see `scores`).
 
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
@@ -61,6 +70,7 @@ SCORE_BLOCK_ROWS = 2048
 __all__ = [
     "ModelConfig",
     "MlpFilmModel",
+    "Workspace",
     "count_film_weights",
     "sgd_step",
     "save_checkpoint",
@@ -115,6 +125,58 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Each name of `shapes` mapped to a reshaped view of its slice of `flat`, in order."""
+    views = {}
+    start = 0
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
+
+
+def _param_count(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for shape in _param_shapes(config).values())
+
+
+def _row_widths(config: ModelConfig) -> dict[str, int]:
+    """Width of every (n, width) array a `Workspace` holds."""
+    w1, w2 = config.trunk_widths
+    return {"h0": w1, "h1": w2, "hmod": w2, "logits": 2, "dlogits": 2, "dh": w2, "dpre1": w2, "dpre0": w1}
+
+
+# Row buffers without a workspace: out=None lets numpy allocate.
+_ALLOCATE = dict.fromkeys(_row_widths(ModelConfig(input_dim=1)))
+
+
+class Workspace:
+    """Preallocated arrays for the training step of one model shape, for batches of up to `rows` rows.
+
+    `forward` and `backward` write into it when given one (see the module
+    docstring).  `flat_grads` has the layout of `MlpFilmModel.flat`, and
+    `grads` maps each name of PARAM_KEYS to a view of its slice.  A
+    workspace belongs to the loop that made it and is never stored on a
+    model, so `MlpFilmModel.copy` and checkpoints cannot see it.
+    """
+
+    def __init__(self, config: ModelConfig, rows: int):
+        if rows < 1:
+            raise ValueError(f"rows must be >= 1, got {rows}")
+        self.rows = rows
+        self._full = {name: np.empty((rows, width)) for name, width in _row_widths(config).items()}
+        self.flat_grads = np.zeros(_param_count(config))
+        self.grads = _views(self.flat_grads, _param_shapes(config))
+
+    def take(self, n: int) -> dict[str, np.ndarray]:
+        """The leading n rows of every row buffer, by name."""
+        if n == self.rows:
+            return self._full
+        if n > self.rows:
+            raise ValueError(f"a batch of {n} rows does not fit a workspace of {self.rows} rows")
+        return {name: a[:n] for name, a in self._full.items()}
+
+
 class MlpFilmModel:
     """Bundles a ModelConfig with its parameters.
 
@@ -130,19 +192,14 @@ class MlpFilmModel:
         missing = set(self.PARAM_KEYS) - set(params)
         if missing:
             raise ValueError(f"missing parameter arrays: {sorted(missing)}")
-        shapes = _param_shapes(config)
         self.config = config
-        self.flat = np.empty(sum(math.prod(shape) for shape in shapes.values()))
-        self.params: dict[str, np.ndarray] = {}
-        start = 0
-        for key, shape in shapes.items():
+        self.flat = np.empty(_param_count(config))
+        self.params = _views(self.flat, _param_shapes(config))
+        for key, view in self.params.items():
             value = np.asarray(params[key], dtype=np.float64)
-            if value.shape != shape:
-                raise ValueError(f"{key}: expected shape {shape}, got {value.shape}")
-            view = self.flat[start : start + value.size].reshape(shape)
+            if value.shape != view.shape:
+                raise ValueError(f"{key}: expected shape {view.shape}, got {value.shape}")
             view[...] = value
-            self.params[key] = view
-            start += value.size
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "MlpFilmModel":
@@ -165,27 +222,36 @@ class MlpFilmModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward(self, x: np.ndarray, cond: np.ndarray, workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
         """Logits of shape (n, 2) plus the cache consumed by backward.
 
         x: (n, input_dim); cond: (n, cond_dim) per row, or (1, cond_dim)
-        for one conditioning row shared by every row of x.
+        for one conditioning row shared by every row of x.  With a
+        workspace, the logits and the cached activations are views of its
+        leading n rows; without one they are fresh arrays.
         """
         p = self.params
         x, cond = self._checked_inputs(x, cond)
-        h0 = x @ p["trunk0_w"]
+        out = _ALLOCATE if workspace is None else workspace.take(x.shape[0])
+        h0 = np.matmul(x, p["trunk0_w"], out=out["h0"])
         h0 += p["trunk0_b"]
         np.maximum(h0, 0.0, out=h0)
-        h1 = h0 @ p["trunk1_w"]
+        h1 = np.matmul(h0, p["trunk1_w"], out=out["h1"])
         h1 += p["trunk1_b"]
         np.maximum(h1, 0.0, out=h1)
         g = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0)
         film_out = g @ p["film1_w"] + p["film1_b"]
         c = self.config.trunk_widths[1]
         mu = film_out[:, :c]
-        sigma = 1.0 + film_out[:, c:] if self.config.film_affine else None
-        hmod = (sigma * h1 if sigma is not None else h1) + mu
-        logits = hmod @ p["head_w"] + p["head_b"]
+        if self.config.film_affine:
+            sigma = 1.0 + film_out[:, c:]
+            hmod = np.multiply(sigma, h1, out=out["hmod"])
+            hmod += mu
+        else:
+            sigma = None
+            hmod = np.add(h1, mu, out=out["hmod"])
+        logits = np.matmul(hmod, p["head_w"], out=out["logits"])
+        logits += p["head_b"]
         cache = {"x": x, "cond": cond, "h0": h0, "h1": h1, "g": g, "sigma": sigma, "hmod": hmod}
         return logits, cache
 
@@ -199,41 +265,49 @@ class MlpFilmModel:
             raise ValueError(f"cond must have shape ({x.shape[0]}, {self.config.cond_dim}) or (1, {self.config.cond_dim}), got {cond.shape}")
         return x, cond
 
-    def backward(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache: dict, dlogits: np.ndarray, workspace: Workspace | None = None) -> dict[str, np.ndarray]:
         """Parameter gradients of an objective whose logit gradient is dlogits.
 
         dlogits must already carry any batch averaging; backward is linear.
         With a shared conditioning row, the FiLM output gradient is summed
-        over the batch first, so the FiLM backward runs on one row.
+        over the batch first, so the FiLM backward runs on one row.  With
+        a workspace, each gradient is written into its view of
+        `workspace.flat_grads` and the returned mapping is
+        `workspace.grads`; without one, every gradient is a fresh array.
         """
         p = self.params
         x, cond = cache["x"], cache["cond"]
         h0, h1, g, sigma, hmod = cache["h0"], cache["h1"], cache["g"], cache["sigma"], cache["hmod"]
-        grads: dict[str, np.ndarray] = {}
-        grads["head_w"] = hmod.T @ dlogits
-        grads["head_b"] = dlogits.sum(axis=0)
-        dhmod = dlogits @ p["head_w"].T
-        dmu = dhmod
+        if workspace is None:
+            out, grads = _ALLOCATE, dict.fromkeys(self.PARAM_KEYS)
+        else:
+            out, grads = workspace.take(dlogits.shape[0]), workspace.grads
+        # np.add.reduce is the kernel behind ndarray.sum, without its Python wrapper
+        grads["head_w"] = np.matmul(hmod.T, dlogits, out=grads["head_w"])
+        grads["head_b"] = np.add.reduce(dlogits, axis=0, out=grads["head_b"])
+        dhmod = np.matmul(dlogits, p["head_w"].T, out=out["dh"])
         if sigma is not None:
             dsigma = dhmod * h1
-            dfilm_out = np.concatenate([dmu, dsigma], axis=1)
-            dh1 = dhmod * sigma
+            dfilm_out = np.concatenate([dhmod, dsigma], axis=1)
+            # dhmod is read for the last time above, so dh1 may take its buffer
+            dh1 = np.multiply(dhmod, sigma, out=out["dh"])
         else:
-            dfilm_out = dmu
+            dfilm_out = dhmod
             dh1 = dhmod
         if cond.shape[0] == 1:
-            dfilm_out = dfilm_out.sum(axis=0, keepdims=True)
-        grads["film1_w"] = g.T @ dfilm_out
-        grads["film1_b"] = dfilm_out.sum(axis=0)
+            dfilm_out = np.add.reduce(dfilm_out, axis=0, keepdims=True)
+        grads["film1_w"] = np.matmul(g.T, dfilm_out, out=grads["film1_w"])
+        grads["film1_b"] = np.add.reduce(dfilm_out, axis=0, out=grads["film1_b"])
         dg = (dfilm_out @ p["film1_w"].T) * (g > 0.0)
-        grads["film0_w"] = cond.T @ dg
-        grads["film0_b"] = dg.sum(axis=0)
-        dpre1 = dh1 * (h1 > 0.0)
-        grads["trunk1_w"] = h0.T @ dpre1
-        grads["trunk1_b"] = dpre1.sum(axis=0)
-        dpre0 = (dpre1 @ p["trunk1_w"].T) * (h0 > 0.0)
-        grads["trunk0_w"] = x.T @ dpre0
-        grads["trunk0_b"] = dpre0.sum(axis=0)
+        grads["film0_w"] = np.matmul(cond.T, dg, out=grads["film0_w"])
+        grads["film0_b"] = np.add.reduce(dg, axis=0, out=grads["film0_b"])
+        dpre1 = np.multiply(dh1, h1 > 0.0, out=out["dpre1"])
+        grads["trunk1_w"] = np.matmul(h0.T, dpre1, out=grads["trunk1_w"])
+        grads["trunk1_b"] = np.add.reduce(dpre1, axis=0, out=grads["trunk1_b"])
+        dpre0 = np.matmul(dpre1, p["trunk1_w"].T, out=out["dpre0"])
+        np.multiply(dpre0, h0 > 0.0, out=dpre0)
+        grads["trunk0_w"] = np.matmul(x.T, dpre0, out=grads["trunk0_w"])
+        grads["trunk0_b"] = np.add.reduce(dpre0, axis=0, out=grads["trunk0_b"])
         return grads
 
     def scores(self, x: np.ndarray, cond: np.ndarray) -> np.ndarray:

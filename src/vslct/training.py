@@ -13,6 +13,14 @@ Every batch conditions on one row: training and evaluation pass the
 network a (1, cond_dim) conditioning row, so its FiLM block runs once
 per batch instead of once per sample.
 
+A run allocates its step arrays once: `_run_training` makes one
+`network.Workspace` of min(batch_size, n) rows, the short last batch of
+an epoch uses its leading rows, and each step's forward, logit
+gradient, backward and flat gradient are written into it, so
+`sgd_step` updates the parameters from the workspace's flat gradient
+buffer.  The numbers are bit for bit those of the allocating path that
+`batch_loss_and_grads` takes without a workspace.
+
 A step whose loss or gradient norm is not finite stops the run with a
 ValueError naming the epoch, the batch and the conditioning row, so a
 diverged run fails where it diverges instead of "finishing" on inf/NaN.
@@ -38,7 +46,7 @@ from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams, vs_loss_and_grad_batch
 from vslct.metrics import LabeledScores
-from vslct.network import MlpFilmModel, ModelConfig, sgd_step
+from vslct.network import MlpFilmModel, ModelConfig, Workspace, sgd_step
 
 __all__ = [
     "TrainConfig",
@@ -160,12 +168,21 @@ def batch_loss_and_grads(
     cond: np.ndarray,
     hyper: VsHyperParams,
     beta: float,
+    workspace: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean VS loss over the batch and its parameter gradients."""
-    logits, cache = model.forward(x, cond)
+    """Mean VS loss over the batch and its parameter gradients.
+
+    With a workspace, the logit gradient goes into its buffer and the
+    gradients are views of `workspace.flat_grads` (see `MlpFilmModel.backward`).
+    """
+    logits, cache = model.forward(x, cond, workspace)
     losses, g0, g1 = vs_loss_and_grad_batch(y, logits[:, 0], logits[:, 1], hyper, beta)
-    dlogits = np.stack([g0, g1], axis=1) / y.shape[0]
-    return float(np.mean(losses)), model.backward(cache, dlogits)
+    n = y.shape[0]
+    dlogits = np.empty((n, 2)) if workspace is None else workspace.take(n)["dlogits"]
+    np.divide(g0, n, out=dlogits[:, 0])
+    np.divide(g1, n, out=dlogits[:, 1])
+    # np.add.reduce(losses) / n is np.mean(losses) without its Python wrapper
+    return float(np.add.reduce(losses) / n), model.backward(cache, dlogits, workspace)
 
 
 def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
@@ -179,6 +196,7 @@ def _run_training(data: Dataset, model_config: ModelConfig, config: TrainConfig,
     beta = counts.beta
     init_rng, shuffle_rng, lam_rng = _spawn_streams(config.seed)
     model = MlpFilmModel.init(model_config, init_rng)
+    workspace = Workspace(model_config, min(config.batch_size, data.n))
     velocity = np.zeros_like(model.flat)
     epoch_losses = np.zeros(config.epochs)
     for epoch in range(config.epochs):
@@ -188,9 +206,9 @@ def _run_training(data: Dataset, model_config: ModelConfig, config: TrainConfig,
         for batch, start in enumerate(range(0, data.n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             cond_row, hyper = batch_settings(lam_rng)
-            loss, grads = batch_loss_and_grads(model, data.x[idx], data.y[idx], cond_row.reshape(1, -1), hyper, beta)
-            flat_grads = np.concatenate([grads[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
-            norm = sgd_step(model.flat, flat_grads, velocity, lr=lr, momentum=MOMENTUM, clip_norm=CLIP_NORM)
+            # the gradients land in workspace.flat_grads
+            loss, _ = batch_loss_and_grads(model, data.x[idx], data.y[idx], cond_row.reshape(1, -1), hyper, beta, workspace)
+            norm = sgd_step(model.flat, workspace.flat_grads, velocity, lr=lr, momentum=MOMENTUM, clip_norm=CLIP_NORM)
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise ValueError(
                     f"training diverged at epoch {epoch}, batch {batch}, conditioning {cond_row.tolist()}: "

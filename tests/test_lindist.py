@@ -156,6 +156,41 @@ class TestQuantileProperties:
         np.testing.assert_allclose(dist.cdf(x), u, rtol=0.0, atol=1e-12)
 
 
+class _FixedUniforms:
+    """Stands in for a Generator whose random() returns the given doubles in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self, size=None):
+        assert size is None
+        return next(self._values)
+
+
+class TestScalarDraw:
+    """sample(1, rng) takes a scalar path that must equal ppf on the same double."""
+
+    @pytest.mark.parametrize(
+        "a, b, h_b",
+        [(0.0, 3.0, 0.0), (0.0, 3.0, 0.15), (0.0, 3.0, 1.0 / 3.0), (0.0, 3.0, 0.66), (0.0, 3.0, 2.0 / 3.0), (1.0, 1.0 + 2.0**-20, 1.5 * 2.0**20)],
+        ids=["falling", "0.15", "uniform", "0.66", "rising-to-zero-h_a", "narrow"],
+    )
+    def test_equals_ppf_and_uses_the_stream_alike(self, a, b, h_b):
+        d = make_linear(a, b, h_b)
+        rng, rng2 = np.random.default_rng(25), np.random.default_rng(25)
+        draws = np.array([d.sample(1, rng)[0] for _ in range(10_000)])
+        assert draws.tobytes() == d.ppf(rng2.random(10_000)).tobytes()
+        assert rng.random() == rng2.random()
+
+    @pytest.mark.parametrize("h_b", [0.0, 1.0 / 3.0, 0.66, 2.0 / 3.0])
+    def test_endpoints_equal_ppf(self, h_b):
+        d = make_linear(0.0, 3.0, h_b)
+        u = [0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0]
+        draws = np.array([d.sample(1, _FixedUniforms([v]))[0] for v in u])
+        assert draws.tobytes() == d.ppf(np.array(u)).tobytes()
+        assert draws[0] == 0.0 and draws[-1] == 3.0
+
+
 class TestSampling:
     """Inverse-transform sampling distributional checks."""
 

@@ -22,6 +22,7 @@ from vslct.network import (
     SCORE_BLOCK_ROWS,
     MlpFilmModel,
     ModelConfig,
+    Workspace,
     count_film_weights,
     load_checkpoint,
     minority_score,
@@ -319,6 +320,74 @@ class TestFlatParameters:
         params = dict(model.params, head_b=np.zeros((1, 2)))
         with pytest.raises(ValueError, match="head_b"):
             MlpFilmModel(model.config, params)
+
+
+class TestWorkspace:
+    """forward/backward into a workspace equal the allocating path; nothing leaks outside training."""
+
+    @pytest.mark.parametrize("n", [9, 4], ids=["full", "leading-rows"])
+    @pytest.mark.parametrize("cond_rows", ["one-row", "per-row"])
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_bit_identical_to_allocating_path(self, affine, cond_rows, n):
+        model = MlpFilmModel.init(tiny_config(affine), np.random.default_rng(90))
+        rng = np.random.default_rng(91)
+        x = rng.normal(size=(n, 3))
+        cond = rng.normal(size=(1 if cond_rows == "one-row" else n, 2))
+        dlogits = rng.normal(size=(n, 2))
+        workspace = Workspace(model.config, 9)
+        logits, cache = model.forward(x, cond)
+        grads = model.backward(cache, dlogits)
+        ws_logits, ws_cache = model.forward(x, cond, workspace)
+        ws_grads = model.backward(ws_cache, dlogits, workspace)
+        assert ws_logits.tobytes() == logits.tobytes()
+        assert np.shares_memory(ws_logits, workspace.take(n)["logits"])
+        flat = np.concatenate([grads[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
+        assert workspace.flat_grads.tobytes() == flat.tobytes()
+        assert ws_grads is workspace.grads
+        for key in MlpFilmModel.PARAM_KEYS:
+            assert np.shares_memory(ws_grads[key], workspace.flat_grads)
+
+    def test_allocating_calls_return_independent_arrays(self):
+        model = MlpFilmModel.init(tiny_config(True), np.random.default_rng(92))
+        rng = np.random.default_rng(93)
+        x = rng.normal(size=(6, 3))
+        cond = rng.normal(size=(1, 2))
+        dlogits = rng.normal(size=(6, 2))
+        computed = ("h0", "h1", "g", "sigma", "hmod")
+        calls = []
+        for _ in range(2):
+            logits, cache = model.forward(x, cond)
+            grads = model.backward(cache, dlogits)
+            calls.append([logits, *(cache[k] for k in computed), *grads.values()])
+        first, second = calls
+        assert len(second) == 1 + len(computed) + len(MlpFilmModel.PARAM_KEYS)
+        for a in second:
+            assert not any(np.shares_memory(a, b) for b in first)
+            assert not np.shares_memory(a, model.flat)
+
+    def test_copy_and_checkpoint_never_see_the_workspace(self, tmp_path):
+        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(94))
+        rng = np.random.default_rng(95)
+        save_checkpoint(tmp_path / "before.json", model)
+        workspace = Workspace(model.config, 5)
+        _, cache = model.forward(rng.normal(size=(5, 3)), rng.normal(size=(1, 2)), workspace)
+        model.backward(cache, rng.normal(size=(5, 2)), workspace)
+        save_checkpoint(tmp_path / "after.json", model)
+        assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
+        copy = model.copy()
+        assert set(vars(copy)) == set(vars(model)) == {"config", "flat", "params"}
+        buffers = [workspace.flat_grads, *workspace.take(5).values()]
+        for a in [copy.flat, model.flat]:
+            assert not any(np.shares_memory(a, b) for b in buffers)
+
+    def test_batch_larger_than_workspace_names_both_row_counts(self):
+        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(96))
+        workspace = Workspace(model.config, 8)
+        with pytest.raises(ValueError, match="batch of 9 rows does not fit a workspace of 8 rows"):
+            model.forward(np.zeros((9, 3)), np.zeros((1, 2)), workspace)
+        _, cache = model.forward(np.zeros((9, 3)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="batch of 9 rows does not fit a workspace of 8 rows"):
+            model.backward(cache, np.zeros((9, 2)), workspace)
 
 
 class TestOptimizer:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vslct.data import Dataset, synth_gaussian
-from vslct.lindist import make_linear
-from vslct.losses import VsHyperParams, vs_loss_binary_batch
+from vslct.lindist import LinearDistribution, make_linear
+from vslct.losses import VsHyperParams, vs_loss_and_grad_batch, vs_loss_binary_batch
 from vslct.metrics import roc_curve
-from vslct.network import MlpFilmModel, ModelConfig
+from vslct.network import MlpFilmModel, ModelConfig, sgd_step
 from vslct.training import (
     CLIP_NORM,
     LR_DROP_FACTOR,
@@ -181,11 +181,81 @@ class TestLambdaAccounting:
             trace.append(values)
             return values
 
+        # This compares `sample` with itself, so a scalar `sample(1, rng)`
+        # that drifted from `ppf` would pass here; TestScalarDraw in
+        # test_lindist.py and TestStepOracle below check that.
         monkeypatch.setattr(LctConfig, "draw", recording_draw)
         train_lct(data, lct, FAST)
         lam_rng = np.random.default_rng(np.random.SeedSequence(FAST.seed).spawn(3)[2])
         expected = [dist.sample(1, lam_rng)[0] for _ in range(3 * 4)]
         np.testing.assert_array_equal(np.array(trace), np.reshape(expected, (12, 1)))
+
+
+def plain_training(data, model_config, config, batch_settings):
+    """The training loop as a plain allocating step, the oracle for `_run_training`.
+
+    forward/backward without a workspace, the gradients concatenated into
+    a fresh flat array, np.stack for the logit gradient and np.mean for
+    the loss, on the same three seed streams.
+    """
+    init_rng, shuffle_rng, lam_rng = (np.random.default_rng(ss) for ss in np.random.SeedSequence(config.seed).spawn(3))
+    model = MlpFilmModel.init(model_config, init_rng)
+    velocity = np.zeros_like(model.flat)
+    epoch_losses = []
+    for epoch in range(config.epochs):
+        lr = lr_at_epoch(config, epoch)
+        perm = shuffle_rng.permutation(data.n)
+        total = 0.0
+        for start in range(0, data.n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            cond_row, hyper = batch_settings(lam_rng)
+            logits, cache = model.forward(data.x[idx], cond_row.reshape(1, -1))
+            losses, g0, g1 = vs_loss_and_grad_batch(data.y[idx], logits[:, 0], logits[:, 1], hyper, data.counts.beta)
+            grads = model.backward(cache, np.stack([g0, g1], axis=1) / idx.size)
+            flat_grads = np.concatenate([grads[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
+            sgd_step(model.flat, flat_grads, velocity, lr=lr, momentum=MOMENTUM, clip_norm=CLIP_NORM)
+            total += float(np.mean(losses)) * idx.size
+        epoch_losses.append(total / data.n)
+    return model, np.array(epoch_losses)
+
+
+def plain_draw(lct, rng):
+    """LctConfig.draw through `ppf` on a one-element array, the path `sample(1, rng)` took before its scalar form."""
+    values = []
+    for name in lct.names:
+        dist = lct.conditioned[name]
+        values.append(float(dist.ppf(rng.random(1))[0]) if isinstance(dist, LinearDistribution) else float(dist))
+    values = np.array(values)
+    return values, lct.hyper_at(values)
+
+
+class TestStepOracle:
+    """The workspace step trains bit for bit like the plain allocating step."""
+
+    # 100 rows in batches of 32: the last batch of each epoch has 4 rows
+    DATA = small_data(n0=70, n1=30)
+
+    @pytest.mark.parametrize("affine", [False, True], ids=["additive", "affine"])
+    @pytest.mark.parametrize(
+        "conditioned",
+        [None, make_linear(0.0, 3.0, 0.0), make_linear(0.0, 3.0, 0.66), 2.0],
+        ids=["baseline", "falling", "rising", "point-mass"],
+    )
+    def test_flat_params_and_losses_bit_identical(self, affine, conditioned):
+        data = self.DATA
+        model_config = ModelConfig(input_dim=3, film_affine=affine, film_zero_init=False)
+        if conditioned is None:
+            hyper = VsHyperParams(omega=0.9, gamma=0.2, tau=1.0)
+            cond_row = np.array([3.0])
+            result = train_baseline(data, hyper, FAST, model_config, const_cond=cond_row)
+            model, losses = plain_training(data, model_config, FAST, lambda _rng: (cond_row, hyper))
+        else:
+            lct = LctConfig(base=VsHyperParams(omega=0.9), conditioned={"tau": conditioned})
+            result = train_lct(data, lct, FAST, model_config)
+            model, losses = plain_training(data, model_config, FAST, lambda rng: plain_draw(lct, rng))
+        assert data.n % FAST.batch_size != 0
+        assert result.model.flat.tobytes() == model.flat.tobytes()
+        assert result.epoch_losses.tobytes() == losses.tobytes()
 
 
 class TestBatchLossAndGrads:

@@ -335,6 +335,9 @@ class TestWorkspace:
         cond = rng.normal(size=(1 if cond_rows == "one-row" else n, 2))
         dlogits = rng.normal(size=(n, 2))
         workspace = Workspace(model.config, 9)
+        # a short batch follows full ones, so fill every buffer first
+        _, full = model.forward(rng.normal(size=(9, 3)), rng.normal(size=(9, 2)), workspace)
+        model.backward(full, rng.normal(size=(9, 2)), workspace)
         logits, cache = model.forward(x, cond)
         grads = model.backward(cache, dlogits)
         ws_logits, ws_cache = model.forward(x, cond, workspace)

@@ -9,8 +9,9 @@ such a directory back.
 
 A stored row is file format 2 (`vslct._util.FORMAT`), written atomically:
 the AUC as `float.hex()`, scores and labels in the bit-exact byte-hex
-array codec of `vslct._util`, and a fingerprint of what produced it (the
-run's definition, the TrainConfig epochs, batch_size and lr, and SHA-256
+array codec of `vslct._util`, and a fingerprint of what produced it
+(SweepRun.params, the run's one JSON description, which the sweep summary
+also writes; the TrainConfig epochs, batch_size and lr; and SHA-256
 digests of the train and test data).  Resume reuses a row only when its
 identity and fingerprint equal the requested run's, and otherwise fails
 naming every field that differs.
@@ -32,7 +33,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -267,6 +268,29 @@ class SweepRun:
         else:
             raise ValueError(f"{self.run_id}: kind must be 'baseline' or 'lct', got {self.kind!r}")
 
+    @property
+    def params(self) -> dict:
+        """The run as a fresh JSON object, both its resume fingerprint and its sweep-summary params.
+
+        eval_cond, then each trained-at hyperparameter value (for an lct run,
+        the base of each unconditioned name), then an lct run's "conditioned"
+        names: a, b and h_b of a linear density, or a point mass's value.
+        """
+        hyper, dists = (self.hyper, {}) if self.lct is None else (self.lct.base, self.lct.conditioned)
+        params: dict = {"eval_cond": list(self.eval_cond)}
+        conditioned = {}
+        for name in COND_ORDER:
+            dist = dists.get(name)
+            if dist is None:
+                params[name] = float(getattr(hyper, name))
+            elif isinstance(dist, LinearDistribution):
+                conditioned[name] = {"a": float(dist.a), "b": float(dist.b), "h_b": float(dist.h_b)}
+            else:
+                conditioned[name] = float(dist)
+        if conditioned:
+            params["conditioned"] = conditioned
+        return params
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -295,24 +319,6 @@ def _data_digest(data: Dataset) -> str:
         digest.update(f"{a.dtype.str}{a.shape}".encode())
         digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
-
-
-def _fingerprint(run: SweepRun, train_config: TrainConfig, data_digests: dict[str, str]) -> dict:
-    """What a stored row must match to be reused: run definition, training settings, data digests.
-
-    The seed is part of the row's identity, so train holds the other
-    TrainConfig fields.
-    """
-    if run.kind == "baseline":
-        definition = {"eval_cond": list(run.eval_cond), "hyper": asdict(run.hyper)}
-    else:
-        conditioned = {}
-        for name in run.lct.names:
-            dist = run.lct.conditioned[name]
-            conditioned[name] = {"a": dist.a, "b": dist.b, "h_b": dist.h_b} if isinstance(dist, LinearDistribution) else float(dist)
-        definition = {"eval_cond": list(run.eval_cond), "base": asdict(run.lct.base), "conditioned": conditioned}
-    train = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
-    return {"run": definition, "train": train, "data": data_digests}
 
 
 def _key_paths(tree, prefix: str = "") -> dict:
@@ -436,10 +442,12 @@ def run_sweep(
         raise ValueError(f"run_ids must be unique within a sweep; repeated: {sorted({i for i in ids if ids.count(i) > 1})}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        # the seed is part of a row's identity, so train holds the other TrainConfig fields
+        train = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
         data_digests = {"train": _data_digest(train_data), "test": _data_digest(test_data)}
     rows: list[SweepRow] = []
     for i, run in enumerate(runs):
-        fingerprint = None if out_dir is None else _fingerprint(run, train_config, data_digests)
+        fingerprint = None if out_dir is None else {"run": run.params, "train": train, "data": data_digests}
         if out_dir is not None and os.path.exists(_row_path(out_dir, run.run_id)):
             row = _load_row(out_dir, run, fingerprint)
         else:

@@ -111,7 +111,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_json(args.config)
-    runs, params = grid_runs(config)
+    runs = grid_runs(config)
     train_config = train_config_from_json(config.get("train", {}), "config.train")
     train_data = load_csv(args.train_data)
     test_data = load_csv(args.test_data)
@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
         print(f"[{i + 1}/{total}] {row.run_id}: auc={row.auc:.6f}")
 
     rows = run_sweep(runs, train_data, test_data, train_config, out_dir=out_dir, progress=progress)
-    summary = sweep_summary(rows, params)
+    summary = sweep_summary(runs, rows)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"swept {len(rows)} runs in {time.monotonic() - started:.1f}s; summary at {os.path.join(out_dir, 'summary.json')}")
     for kind, stats in summary["stats"].items():

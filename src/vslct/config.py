@@ -2,20 +2,24 @@
 
 Both `vslct train` and `vslct sweep` read their configs through this
 module, and so does any library caller that wants the same runs as the
-shell (the acceptance suite expands configs/directional.json here).
-It also owns the sweep summary: sweep_summary builds it for `vslct sweep`
-and summary_rows_from_json checks it for `vslct analyze`.
+shell (the acceptance suite expands configs/directional.json here):
+grid_runs expands a sweep config into a list of SweepRuns.  It also owns
+the sweep summary: sweep_summary builds it for `vslct sweep`, each row's
+params being its run's SweepRun.params, and summary_rows_from_json checks
+it for `vslct analyze`.
 
 Parsing is strict: unknown keys are errors, so a typo cannot silently
 fall back to a default, and a value of the wrong type raises a
 ValueError that names its key path, e.g. ``config.baseline_grid.omega:
-expected a non-empty list of numbers``.
+expected a non-empty list of numbers``.  So does a grid value out of its
+legal range, e.g. ``config.baseline_grid: omega must be in [0, 1], got 1.5``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 
@@ -94,6 +98,15 @@ def _fields_from_json(obj: dict, fields: dict[str, tuple], context: str) -> dict
     for key, value in obj.items():
         _check(value, fields[key], f"{context}.{key}")
     return {key: tuple(value) if isinstance(value, list) else value for key, value in obj.items()}
+
+
+@contextmanager
+def _naming(context: str):
+    """Prefix a ValueError raised in the block with the config key path it comes from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from exc
 
 
 def load_json(path) -> dict:
@@ -176,29 +189,25 @@ def train_spec_from_json(config: dict) -> TrainSpec:
     return TrainSpec(run=run, train=train, model_kwargs=model_kwargs)
 
 
-def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
-    """Expand a sweep config into runs; also return run_id -> parameter map.
+def grid_runs(config: dict) -> list[SweepRun]:
+    """Expand a sweep config into runs.
 
     The baseline grid is the product omega x gamma x tau x seeds; the
     conditioned grid is h_b x omega x seeds, each run drawing the
     `conditioned` hyperparameter from a linear density on lambda_range,
-    so lct_grid may not also set that hyperparameter.  An lct run's
-    parameters name that hyperparameter under "conditioned" and leave
-    out its value, since no single value was trained at.
+    so lct_grid may not also set that hyperparameter.
     """
     _require_keys(config, {"train", "seeds", "eval_lambda", "baseline_grid", "lct_grid"}, "config")
     seeds = config.get("seeds")
     _check(seeds, _SEEDS, "config.seeds")
     eval_cond = (_eval_lambda(config),)
     runs: list[SweepRun] = []
-    params: dict[str, dict] = {}
     if "baseline_grid" in config:
         grid = _fields_from_json(config["baseline_grid"], _BASELINE_GRID_FIELDS, "config.baseline_grid")
         for omega, gamma, tau, seed in product(grid.get("omega", [0.5]), grid.get("gamma", [0.0]), grid.get("tau", [0.0]), seeds):
-            run_id = f"base-w{omega}-g{gamma}-t{tau}-s{seed}"
-            hyper = VsHyperParams(omega=float(omega), gamma=float(gamma), tau=float(tau))
-            runs.append(SweepRun(run_id=run_id, kind="baseline", seed=seed, eval_cond=(0.0,), hyper=hyper))
-            params[run_id] = {"omega": float(omega), "gamma": float(gamma), "tau": float(tau)}
+            with _naming("config.baseline_grid"):
+                hyper = VsHyperParams(omega=float(omega), gamma=float(gamma), tau=float(tau))
+            runs.append(SweepRun(run_id=f"base-w{omega}-g{gamma}-t{tau}-s{seed}", kind="baseline", seed=seed, eval_cond=(0.0,), hyper=hyper))
     if "lct_grid" in config:
         grid = _fields_from_json(config["lct_grid"], _LCT_GRID_FIELDS, "config.lct_grid")
         conditioned_name = grid.get("conditioned", "tau")
@@ -206,23 +215,24 @@ def grid_runs(config: dict) -> tuple[list[SweepRun], dict[str, dict]]:
             raise ValueError(f"config.lct_grid.{conditioned_name}: has no effect when conditioned is {conditioned_name!r}, since every draw replaces it")
         lo, hi = (float(v) for v in grid.get("lambda_range", [0.0, 3.0]))
         gamma = float(grid.get("gamma", 0.0))
+        # an h_b or a drawn value out of range depends on lambda_range, so its error names it
+        range_context = f"config.lct_grid.lambda_range {[lo, hi]}" + ("" if "lambda_range" in grid else " (the default)")
         for h_b, omega in product(grid.get("h_b", [0.0]), grid.get("omega", [0.5])):
-            base = VsHyperParams(omega=float(omega), gamma=gamma, tau=0.0)
-            lct = LctConfig(base=base, conditioned={conditioned_name: make_linear(lo, hi, float(h_b))})
-            fixed = {name: value for name, value in (("omega", float(omega)), ("gamma", gamma)) if name != conditioned_name}
+            with _naming("config.lct_grid"):
+                base = VsHyperParams(omega=float(omega), gamma=gamma, tau=0.0)
+            with _naming(range_context):
+                lct = LctConfig(base=base, conditioned={conditioned_name: make_linear(lo, hi, float(h_b))})
             for seed in seeds:
-                run_id = f"lct-hb{h_b}-w{omega}-s{seed}"
-                runs.append(SweepRun(run_id=run_id, kind="lct", seed=seed, eval_cond=eval_cond, lct=lct))
-                params[run_id] = {**fixed, "conditioned": conditioned_name, "h_b": float(h_b), "lambda_lo": lo, "lambda_hi": hi}
+                runs.append(SweepRun(run_id=f"lct-hb{h_b}-w{omega}-s{seed}", kind="lct", seed=seed, eval_cond=eval_cond, lct=lct))
     if not runs:
         raise ValueError("config: neither baseline_grid nor lct_grid produced any runs")
-    return runs, params
+    return runs
 
 
-def sweep_summary(rows: list[SweepRow], params: dict[str, dict]) -> dict:
-    """The `summary.json` of a sweep; params is grid_runs' map, stats cover kinds with 2+ rows."""
+def sweep_summary(runs: list[SweepRun], rows: list[SweepRow]) -> dict:
+    """The `summary.json` of a sweep: each row with its run's params; stats cover kinds with 2+ rows."""
     summary = {
-        "rows": [{"run_id": r.run_id, "kind": r.kind, "seed": r.seed, "auc": r.auc, "params": params[r.run_id]} for r in rows],
+        "rows": [{"run_id": r.run_id, "kind": r.kind, "seed": r.seed, "auc": r.auc, "params": run.params} for run, r in zip(runs, rows, strict=True)],
         "stats": {},
     }
     for kind in ("baseline", "lct"):

@@ -243,7 +243,7 @@ def test_c08_directional_variance_reduction(announce, capsys):
         train_data = dataset_from_block(config["train_data"])
         test_data = dataset_from_block(config["test_data"])
         assert train_data.counts.beta == 100.0
-        runs, _ = grid_runs(config["sweep"])
+        runs = grid_runs(config["sweep"])
         train_config = train_config_from_json(config["sweep"]["train"], "sweep.train")
         rows = run_sweep(runs, train_data, test_data, train_config)
         elapsed = time.monotonic() - started

@@ -17,7 +17,6 @@ from vslct._util import decode_array, encode_array
 from vslct.analysis import (
     AucStats,
     _data_digest,
-    _fingerprint,
     _save_row,
     aggregate_roc,
     auc_stats,
@@ -328,7 +327,7 @@ class TestSweep:
             (runs, other_train, replace(TINY_TRAIN, epochs=3), ["train.epochs: stored 2, requested 3", "data.train: stored"]),
             (runs, train, replace(TINY_TRAIN, batch_size=16, lr=0.2), ["train.batch_size: stored 32, requested 16; train.lr: stored 0.1, requested 0.2"]),
             (runs, other_train, TINY_TRAIN, [f'data.train: stored "{_data_digest(train)}", requested "{_data_digest(other_train)}"']),
-            ([replace(runs[0], hyper=VsHyperParams(omega=0.9))], train, TINY_TRAIN, ["run.hyper.omega: stored 0.5, requested 0.9"]),
+            ([replace(runs[0], hyper=VsHyperParams(omega=0.9))], train, TINY_TRAIN, ["run.omega: stored 0.5, requested 0.9"]),
             ([replace(runs[1], lct=longer_range)], train, TINY_TRAIN, ["run.conditioned.tau.b: stored 3.0, requested 4.0"]),
         ]
         for requested, train_data, train_config, named in cases:
@@ -354,6 +353,53 @@ class TestSweep:
             SweepRun(run_id="x", kind="lct", seed=0, eval_cond=(1.0, 2.0), lct=lct)
 
 
+def lct_run(eval_cond, **conditioned):
+    return SweepRun(run_id="r", kind="lct", seed=0, eval_cond=eval_cond, lct=LctConfig(base=VsHyperParams(0.9, 0.2, 1.0), conditioned=conditioned))
+
+
+class TestSweepRunParams:
+    """SweepRun.params, the one JSON description of a run, key for key and in order."""
+
+    @pytest.mark.parametrize(
+        "run, expected",
+        [
+            (
+                SweepRun(run_id="r", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams(0.9, 0.2, 1.0)),
+                {"eval_cond": [0.0], "omega": 0.9, "gamma": 0.2, "tau": 1.0},
+            ),
+            (
+                lct_run((0.5,), omega=make_linear(0.0, 1.0, 0.5)),
+                {"eval_cond": [0.5], "gamma": 0.2, "tau": 1.0, "conditioned": {"omega": {"a": 0.0, "b": 1.0, "h_b": 0.5}}},
+            ),
+            (
+                lct_run((1.0,), gamma=make_linear(0.0, 2.0, 0.25)),
+                {"eval_cond": [1.0], "omega": 0.9, "tau": 1.0, "conditioned": {"gamma": {"a": 0.0, "b": 2.0, "h_b": 0.25}}},
+            ),
+            (
+                lct_run((3.0,), tau=make_linear(0.0, 3.0, 0.66)),
+                {"eval_cond": [3.0], "omega": 0.9, "gamma": 0.2, "conditioned": {"tau": {"a": 0.0, "b": 3.0, "h_b": 0.66}}},
+            ),
+            (
+                lct_run((0.5, 1.5), tau=make_linear(0.0, 3.0, 0.2), omega=make_linear(0.0, 1.0, 1.5)),
+                {"eval_cond": [0.5, 1.5], "gamma": 0.2, "conditioned": {"omega": {"a": 0.0, "b": 1.0, "h_b": 1.5}, "tau": {"a": 0.0, "b": 3.0, "h_b": 0.2}}},
+            ),
+            (lct_run((1.0,), tau=1), {"eval_cond": [1.0], "omega": 0.9, "gamma": 0.2, "conditioned": {"tau": 1.0}}),
+        ],
+        ids=["baseline", "omega", "gamma", "tau", "omega-and-tau", "point-mass"],
+    )
+    def test_params_exactly(self, run, expected):
+        assert json.dumps(run.params, allow_nan=False) == json.dumps(expected)
+
+    def test_each_call_returns_a_fresh_object(self):
+        run = lct_run((0.5, 1.5), omega=make_linear(0.0, 1.0, 1.5), tau=make_linear(0.0, 3.0, 0.2))
+        before = json.dumps(run.params)
+        params = run.params
+        params["eval_cond"].append(9.0)
+        params["conditioned"]["tau"]["b"] = 9.0
+        params["gamma"] = 9.0
+        assert json.dumps(run.params) == before
+
+
 # Signed zeros, the extreme subnormals and normals, and both infinities.
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, -math.inf]
 finite_or_inf = st.floats(allow_nan=False)
@@ -362,15 +408,37 @@ FINITE_SPECIAL_FLOATS = [v for v in SPECIAL_FLOATS if math.isfinite(v)]
 
 def fingerprint_for(run, train, test, train_config=TINY_TRAIN):
     """The fingerprint run_sweep stores for `run` on these datasets."""
-    return _fingerprint(run, train_config, {"train": _data_digest(train), "test": _data_digest(test)})
+    train_block = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
+    return {"run": run.params, "train": train_block, "data": {"train": _data_digest(train), "test": _data_digest(test)}}
 
 
 # A fingerprint for rows that no resume reads.
 NO_FINGERPRINT: dict = {}
 
-# The text _save_row writes for GOLDEN_ROW, pinned so any change to the row
-# format, the array codec or the fingerprint shows up here.
+def golden_row_inputs():
+    """The run, datasets and TrainConfig of the golden row below."""
+    train = Dataset(x=np.array([[0.0, 1.0], [1.0, 0.0]]), y=np.array([0, 1]))
+    test = Dataset(x=np.array([[0.5, 0.5]]), y=np.array([1]))
+    lct = LctConfig(base=VsHyperParams(), conditioned={"tau": make_linear(0.0, 3.0, 0.5)})
+    run = SweepRun(run_id="lct-s3", kind="lct", seed=3, eval_cond=(1.5,), lct=lct)
+    return run, train, test, TrainConfig(epochs=3, batch_size=128, lr=0.1)
+
+
+# The text _save_row writes for the golden row, pinned so any change to the
+# row format, the array codec or the fingerprint shows up here.
 GOLDEN_ROW_TEXT = (
+    '{"format": 2, "run_id": "lct-s3", "kind": "lct", "seed": 3, "auc": "0x1.8000000000000p-1", '
+    '"scores": {"dtype": "<f8", "shape": [2], "hex": "000000000000d03f000000000000e03f"}, '
+    '"labels": {"dtype": "<i8", "shape": [2], "hex": "00000000000000000100000000000000"}, '
+    '"fingerprint": {"run": {"eval_cond": [1.5], "omega": 0.5, "gamma": 0.0, '
+    '"conditioned": {"tau": {"a": 0.0, "b": 3.0, "h_b": 0.5}}}, "train": {"epochs": 3, "batch_size": 128, "lr": 0.1}, '
+    '"data": {"train": "acc73a3280c41f19a5d53bb8b3fa367daa5c8d1c062d0b6e7f3fa071b1ba9dac", '
+    '"test": "10f9d09c5e725b554b3ab1134bf3174ab5a0cb0fe445221b0c02345e0126ac8f"}}}'
+)
+
+# The same row as written before the fingerprint's run block became
+# SweepRun.params: the lct base nested under "base", the tau it replaces included.
+BASE_LAYOUT_ROW_TEXT = (
     '{"format": 2, "run_id": "lct-s3", "kind": "lct", "seed": 3, "auc": "0x1.8000000000000p-1", '
     '"scores": {"dtype": "<f8", "shape": [2], "hex": "000000000000d03f000000000000e03f"}, '
     '"labels": {"dtype": "<i8", "shape": [2], "hex": "00000000000000000100000000000000"}, '
@@ -433,13 +501,27 @@ class TestRowCodec:
         assert loaded.labels.tobytes() == labels.tobytes()
 
     def test_saved_row_golden_text(self, tmp_path):
-        train = Dataset(x=np.array([[0.0, 1.0], [1.0, 0.0]]), y=np.array([0, 1]))
-        test = Dataset(x=np.array([[0.5, 0.5]]), y=np.array([1]))
-        lct = LctConfig(base=VsHyperParams(), conditioned={"tau": make_linear(0.0, 3.0, 0.5)})
-        run = SweepRun(run_id="lct-s3", kind="lct", seed=3, eval_cond=(1.5,), lct=lct)
+        run, train, test, train_config = golden_row_inputs()
         row = SweepRow("lct-s3", "lct", 3, 0.75, np.array([0.25, 0.5]), np.array([0, 1]))
-        _save_row(tmp_path, row, fingerprint_for(run, train, test, TrainConfig(epochs=3, batch_size=128, lr=0.1)))
+        _save_row(tmp_path, row, fingerprint_for(run, train, test, train_config))
         assert (tmp_path / "lct-s3.json").read_text() == GOLDEN_ROW_TEXT
+        # run_sweep requests the same fingerprint, so it reuses the row instead of training
+        (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
+        assert (resumed.auc, resumed.scores.tobytes()) == (row.auc, row.scores.tobytes())
+
+    def test_base_layout_row_fails_to_resume_and_stays_untouched(self, tmp_path):
+        run, train, test, train_config = golden_row_inputs()
+        path = tmp_path / "lct-s3.json"
+        path.write_text(BASE_LAYOUT_ROW_TEXT)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row (")) as exc:
+            run_sweep([run], train, test, train_config, out_dir=tmp_path)
+        assert str(exc.value).endswith(
+            "(run.omega: stored nothing, requested 0.5; run.gamma: stored nothing, requested 0.0; "
+            "run.base.omega: stored 0.5, requested nothing; run.base.gamma: stored 0.0, requested nothing; "
+            "run.base.tau: stored 0.0, requested nothing); delete it to recompute"
+        )
+        assert path.read_bytes() == BASE_LAYOUT_ROW_TEXT.encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["lct-s3.json"]
 
     def test_load_rows_skips_dot_files_and_other_json(self, tmp_path):
         for seed in (0, 1):

@@ -308,11 +308,11 @@ class TestSweep:
 
     def test_stored_rows_equal_the_library_sweep(self, sweep_dir):
         config = load_json(sweep_dir["config"])
-        runs, params = grid_runs(config)
+        runs = grid_runs(config)
         train_config = train_config_from_json(config["train"], "config.train")
         expected = run_sweep(runs, load_csv(sweep_dir["train"]), load_csv(sweep_dir["test"]), train_config)
         with open(os.path.join(sweep_dir["out_dir"], "summary.json")) as fh:
-            assert fh.read() == json.dumps(sweep_summary(expected, params), indent=2) + "\n"
+            assert fh.read() == json.dumps(sweep_summary(runs, expected), indent=2) + "\n"
         stored = {row.run_id: row for row in load_rows(sweep_dir["out_dir"])}
         assert sorted(stored) == sorted(row.run_id for row in expected)
         for row in expected:
@@ -341,10 +341,13 @@ class TestSweep:
         assert code == 1
         assert "stale or corrupt sweep row" in err and named in err and "delete it to recompute" in err
 
-    def test_lct_params_name_the_conditioned_hyperparameter(self):
-        for conditioned, fixed in (("omega", {"gamma": 0.0}), ("gamma", {"omega": 0.5}), ("tau", {"omega": 0.5, "gamma": 0.0})):
-            runs, params = grid_runs({"seeds": [0], "lct_grid": {"conditioned": conditioned, "lambda_range": [0, 1]}})
-            assert params[runs[0].run_id] == {**fixed, "conditioned": conditioned, "h_b": 0.0, "lambda_lo": 0.0, "lambda_hi": 1.0}
+    def test_summary_params_are_the_row_fingerprint_run(self, sweep_dir):
+        with open(os.path.join(sweep_dir["out_dir"], "summary.json")) as fh:
+            summary_rows = json.load(fh)["rows"]
+        assert len(summary_rows) == 4
+        for row in summary_rows:
+            with open(os.path.join(sweep_dir["out_dir"], f"{row['run_id']}.json")) as fh:
+                assert row["params"] == json.load(fh)["fingerprint"]["run"]
 
     def test_config_without_any_grid_exits_1(self, sweep_dir, tmp_path, capsys):
         config = tmp_path / "empty.json"
@@ -390,6 +393,15 @@ class TestSweep:
             {"seeds": [0], "lct_grid": {"conditioned": "gamma", "gamma": 0.2, "lambda_range": [0, 1]}},
             "config.lct_grid.gamma: has no effect when conditioned is 'gamma'",
         ),
+        # grid values out of range; the first comes from the lambda_range default
+        ("sweep", {"seeds": [0], "lct_grid": {"conditioned": "omega"}}, "error: config.lct_grid.lambda_range [0.0, 3.0] (the default): omega must be in [0, 1], got 3.0\n"),
+        (
+            "sweep",
+            {"seeds": [0], "lct_grid": {"h_b": [1.0], "lambda_range": [0, 3]}},
+            "error: config.lct_grid.lambda_range [0.0, 3.0]: h_b must lie in [0, 0.6666666666666666] for [0.0, 3.0], got 1.0\n",
+        ),
+        ("sweep", {"seeds": [0], "lct_grid": {"lambda_range": [3, 0]}}, "error: config.lct_grid.lambda_range [3.0, 0.0]: need a < b, got [3.0, 0.0]\n"),
+        ("sweep", {"seeds": [0], "baseline_grid": {"omega": [0.5, 1.5]}}, "error: config.baseline_grid: omega must be in [0, 1], got 1.5\n"),
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, command, payload, named):

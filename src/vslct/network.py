@@ -24,22 +24,17 @@ its slice, in that order.  Writing through a view writes the buffer, and
 
 Each trunk layer adds its bias and applies the ReLU in place on its
 matmul output; `x` and the parameters are never written.  `forward` and
-`backward` take an optional `Workspace` and run the same statements
-either way.  The training loop passes one: every (n, width) product,
-the logits, the logit gradient and the masked gradients go through
-`out=` into its row buffers (a short batch uses the leading rows), and
-each parameter gradient into its view of one flat buffer in `flat`'s
-layout, which `sgd_step` takes as it is.  The same kernels on the same
-values give the same bits; the arrays returned are views, valid until
-the workspace's next use.  Without one, `out=None` lets numpy allocate
-one (n, width) array per layer, and every call returns fresh arrays.
-Scoring takes that path.  `forward` keeps those arrays for `backward`,
-which scoring never runs, so `scores` calls `forward` on consecutive
-blocks of SCORE_BLOCK_ROWS rows: a block's activations (1 MB each at
-width 64) stay in cache and the next block reuses their pages, where
-one call on 10^5 rows faults in three 51 MB arrays and streams them
-through memory.  Blocked scores can differ from one unblocked `forward`
-in the last few bits (see `scores`).
+`backward` take every array they write from a `Workspace`: every
+(n, width) product, the logits, the logit gradient and the masked
+gradients go through `out=` into its row buffers (a short batch uses the
+leading rows), and each parameter gradient into its view of one flat
+buffer in `flat`'s layout, which `sgd_step` takes as it is.  The arrays
+returned are views, valid until the workspace's next use; a call given
+no workspace makes one for its own rows, so it returns fresh arrays.
+`scores` runs `forward` on consecutive blocks of SCORE_BLOCK_ROWS rows
+in one workspace, so each block's activations stay in cache and reuse
+the pages of the block before.  Blocked scores can differ from one
+unblocked `forward` in the last few bits (see `scores`).
 
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
@@ -146,25 +141,22 @@ def _row_widths(config: ModelConfig) -> dict[str, int]:
     return {"h0": w1, "h1": w2, "hmod": w2, "logits": 2, "dlogits": 2, "dh": w2, "dpre1": w2, "dpre0": w1}
 
 
-# Row buffers without a workspace: out=None lets numpy allocate.
-_ALLOCATE = dict.fromkeys(_row_widths(ModelConfig(input_dim=1)))
-
-
 class Workspace:
-    """Preallocated arrays for the training step of one model shape, for batches of up to `rows` rows.
+    """The arrays `forward` and `backward` write, for one model shape and batches of up to `rows` rows.
 
-    `forward` and `backward` write into it when given one (see the module
-    docstring).  `flat_grads` has the layout of `MlpFilmModel.flat`, and
-    `grads` maps each name of PARAM_KEYS to a view of its slice.  A
-    workspace belongs to the loop that made it and is never stored on a
-    model, so `MlpFilmModel.copy` and checkpoints cannot see it.
+    The row buffers are (rows, width) views of one allocation.  Training
+    makes one workspace per run and `scores` one per call, and each
+    reuses it for every batch or block (see the module docstring).
+    `flat_grads` has the layout of `MlpFilmModel.flat`, and `grads` maps
+    each name of PARAM_KEYS to a view of its slice.  A workspace belongs
+    to the caller that made it and is never stored on a model, so
+    `MlpFilmModel.copy` and checkpoints cannot see it.
     """
 
     def __init__(self, config: ModelConfig, rows: int):
-        if rows < 1:
-            raise ValueError(f"rows must be >= 1, got {rows}")
         self.rows = rows
-        self._full = {name: np.empty((rows, width)) for name, width in _row_widths(config).items()}
+        widths = _row_widths(config)
+        self._full = _views(np.empty(rows * sum(widths.values())), {name: (rows, w) for name, w in widths.items()})
         self.flat_grads = np.zeros(_param_count(config))
         self.grads = _views(self.flat_grads, _param_shapes(config))
 
@@ -226,13 +218,15 @@ class MlpFilmModel:
         """Logits of shape (n, 2) plus the cache consumed by backward.
 
         x: (n, input_dim); cond: (n, cond_dim) per row, or (1, cond_dim)
-        for one conditioning row shared by every row of x.  With a
-        workspace, the logits and the cached activations are views of its
-        leading n rows; without one they are fresh arrays.
+        for one conditioning row shared by every row of x.  The logits and
+        the cached activations are views of the workspace's leading n rows;
+        given none, the call makes one of n rows, so they are fresh arrays.
         """
         p = self.params
         x, cond = self._checked_inputs(x, cond)
-        out = _ALLOCATE if workspace is None else workspace.take(x.shape[0])
+        if workspace is None:
+            workspace = Workspace(self.config, x.shape[0])
+        out = workspace.take(x.shape[0])
         h0 = np.matmul(x, p["trunk0_w"], out=out["h0"])
         h0 += p["trunk0_b"]
         np.maximum(h0, 0.0, out=h0)
@@ -270,18 +264,17 @@ class MlpFilmModel:
 
         dlogits must already carry any batch averaging; backward is linear.
         With a shared conditioning row, the FiLM output gradient is summed
-        over the batch first, so the FiLM backward runs on one row.  With
-        a workspace, each gradient is written into its view of
-        `workspace.flat_grads` and the returned mapping is
-        `workspace.grads`; without one, every gradient is a fresh array.
+        over the batch first, so the FiLM backward runs on one row.  Each
+        gradient is written into its view of `workspace.flat_grads` and the
+        returned mapping is `workspace.grads`; given no workspace, the call
+        makes one of dlogits' rows, so every gradient is a fresh array.
         """
         p = self.params
         x, cond = cache["x"], cache["cond"]
         h0, h1, g, sigma, hmod = cache["h0"], cache["h1"], cache["g"], cache["sigma"], cache["hmod"]
         if workspace is None:
-            out, grads = _ALLOCATE, dict.fromkeys(self.PARAM_KEYS)
-        else:
-            out, grads = workspace.take(dlogits.shape[0]), workspace.grads
+            workspace = Workspace(self.config, dlogits.shape[0])
+        out, grads = workspace.take(dlogits.shape[0]), workspace.grads
         # np.add.reduce is the kernel behind ndarray.sum, without its Python wrapper
         grads["head_w"] = np.matmul(hmod.T, dlogits, out=grads["head_w"])
         grads["head_b"] = np.add.reduce(dlogits, axis=0, out=grads["head_b"])
@@ -315,7 +308,7 @@ class MlpFilmModel:
 
         Takes the inputs of `forward` and runs it on consecutive blocks of
         SCORE_BLOCK_ROWS rows, slicing per-row conditioning along with x,
-        so memory stays bounded by one block's activations.  Up to one
+        all in one workspace of at most one block's rows.  Up to one
         block, that is a single `forward` on the whole input, so the
         scores are bit for bit those of `forward`.  Above it, a score can
         differ from an unblocked `forward`'s by a few ulps (at most
@@ -326,21 +319,11 @@ class MlpFilmModel:
         x, cond = self._checked_inputs(x, cond)
         n = x.shape[0]
         per_row = cond.shape[0] == n
-        if n > SCORE_BLOCK_ROWS:
-            # glibc maps requests above its mmap threshold afresh and hands
-            # freed heap above its trim threshold back to the OS; both
-            # thresholds rise to fit the largest mapped block freed so far
-            # (mallopt(3)).  Freeing one array of four blocks' activations
-            # lifts them above a block's working set, so each block reuses
-            # the pages of the block before instead of faulting in new ones.
-            # One block has nothing to reuse, and the heap kept back would
-            # only raise the resident memory of callers scoring small sets.
-            np.empty(4 * SCORE_BLOCK_ROWS * max(self.config.trunk_widths))
         out = np.empty(n)
+        workspace = Workspace(self.config, min(n, SCORE_BLOCK_ROWS))
         for start in range(0, n, SCORE_BLOCK_ROWS):
             stop = start + SCORE_BLOCK_ROWS
-            # [0] drops the block's cache before the next block allocates its own
-            logits = self.forward(x[start:stop], cond[start:stop] if per_row else cond)[0]
+            logits = self.forward(x[start:stop], cond[start:stop] if per_row else cond, workspace)[0]
             out[start:stop] = minority_score(logits)
         return out
 

@@ -18,8 +18,7 @@ A run allocates its step arrays once: `_run_training` makes one
 an epoch uses its leading rows, and each step's forward, logit
 gradient, backward and flat gradient are written into it, so
 `sgd_step` updates the parameters from the workspace's flat gradient
-buffer.  The numbers are bit for bit those of the allocating path that
-`batch_loss_and_grads` takes without a workspace.
+buffer.
 
 A step whose loss or gradient norm is not finite stops the run with a
 ValueError naming the epoch, the batch and the conditioning row, so a
@@ -172,13 +171,15 @@ def batch_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean VS loss over the batch and its parameter gradients.
 
-    With a workspace, the logit gradient goes into its buffer and the
-    gradients are views of `workspace.flat_grads` (see `MlpFilmModel.backward`).
+    The gradients are views of `workspace.flat_grads` (see `MlpFilmModel.backward`);
+    given no workspace, the call makes one of the batch's rows.
     """
+    n = y.shape[0]
+    if workspace is None:
+        workspace = Workspace(model.config, n)
     logits, cache = model.forward(x, cond, workspace)
     losses, g0, g1 = vs_loss_and_grad_batch(y, logits[:, 0], logits[:, 1], hyper, beta)
-    n = y.shape[0]
-    dlogits = np.empty((n, 2)) if workspace is None else workspace.take(n)["dlogits"]
+    dlogits = workspace.take(n)["dlogits"]
     np.divide(g0, n, out=dlogits[:, 0])
     np.divide(g1, n, out=dlogits[:, 1])
     # np.add.reduce(losses) / n is np.mean(losses) without its Python wrapper

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vslct
+from vslct import network
 from vslct.network import (
     SCORE_BLOCK_ROWS,
     MlpFilmModel,
@@ -233,6 +234,50 @@ class TestBlockedScores:
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert int(run.stdout) < 1000
 
+    @pytest.mark.parametrize("cond_rows", [1, 0])
+    def test_no_rows_give_an_empty_array(self, cond_rows):
+        model = MlpFilmModel.init(width64_config(False), np.random.default_rng(95))
+        scores = model.scores(np.zeros((0, 2)), np.ones((cond_rows, 2)))
+        assert (scores.shape, scores.dtype) == ((0,), np.float64)
+
+    def test_one_workspace_per_call(self, monkeypatch):
+        made = []
+
+        class CountedWorkspace(Workspace):
+            def __init__(self, config, rows):
+                made.append(rows)
+                super().__init__(config, rows)
+
+        model = MlpFilmModel.init(width64_config(True), np.random.default_rng(96))
+        x = np.random.default_rng(97).normal(size=(2 * SCORE_BLOCK_ROWS + 1, 2))
+        expected = model.scores(x, np.ones((1, 2)))
+        monkeypatch.setattr(network, "Workspace", CountedWorkspace)
+        assert model.scores(x, np.ones((1, 2))).tobytes() == expected.tobytes()
+        assert made == [SCORE_BLOCK_ROWS]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts pages under glibc's malloc")
+    def test_later_calls_fault_no_new_pages_in_a_fresh_process(self):
+        # Every block of every call runs in one workspace of one allocation,
+        # so once the process holds its pages, a call faults almost none in.
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from vslct.network import MlpFilmModel, ModelConfig
+            model = MlpFilmModel.init(ModelConfig(input_dim=2, film_zero_init=False), np.random.default_rng(0))
+            x = np.random.default_rng(1).normal(size=(100_000, 2))
+            for _ in range(5):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                model.scores(x, np.ones((1, 1)))
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vslct.__file__)), OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        faults = [int(line) for line in run.stdout.split()]
+        assert len(faults) == 5
+        assert all(count < 50 for count in faults[2:]), faults
+
 
 class TestBackward:
     """Hand-written backward pass against finite differences."""
@@ -323,7 +368,7 @@ class TestFlatParameters:
 
 
 class TestWorkspace:
-    """forward/backward into a workspace equal the allocating path; nothing leaks outside training."""
+    """forward/backward into a reused workspace equal calls that make a fresh one; nothing leaks outside training."""
 
     @pytest.mark.parametrize("n", [9, 4], ids=["full", "leading-rows"])
     @pytest.mark.parametrize("cond_rows", ["one-row", "per-row"])

@@ -192,11 +192,11 @@ class TestLambdaAccounting:
 
 
 def plain_training(data, model_config, config, batch_settings):
-    """The training loop as a plain allocating step, the oracle for `_run_training`.
+    """The training loop as a plain step, the oracle for `_run_training`.
 
-    forward/backward without a workspace, the gradients concatenated into
-    a fresh flat array, np.stack for the logit gradient and np.mean for
-    the loss, on the same three seed streams.
+    forward/backward without a workspace, so each call makes a fresh one,
+    the gradients concatenated into a fresh flat array, np.stack for the
+    logit gradient and np.mean for the loss, on the same three seed streams.
     """
     init_rng, shuffle_rng, lam_rng = (np.random.default_rng(ss) for ss in np.random.SeedSequence(config.seed).spawn(3))
     model = MlpFilmModel.init(model_config, init_rng)
@@ -230,7 +230,7 @@ def plain_draw(lct, rng):
 
 
 class TestStepOracle:
-    """The workspace step trains bit for bit like the plain allocating step."""
+    """The step on one reused workspace trains bit for bit like the plain step on fresh ones."""
 
     # 100 rows in batches of 32: the last batch of each epoch has 4 rows
     DATA = small_data(n0=70, n1=30)

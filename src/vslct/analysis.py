@@ -13,8 +13,9 @@ array codec of `vslct._util`, and a fingerprint of what produced it
 (SweepRun.params, the run's one JSON description, which the sweep summary
 also writes; the TrainConfig epochs, batch_size and lr; and SHA-256
 digests of the train and test data).  Resume reuses a row only when its
-identity and fingerprint equal the requested run's, and otherwise fails
-naming every field that differs.
+identity and fingerprint equal the requested run's.  It checks every
+stored row before training anything and otherwise fails once, counting
+the stale rows and naming every field that differs in the first.
 
 The statistics layer is self-contained numpy/stdlib:
 
@@ -433,28 +434,40 @@ def run_sweep(
 
     With out_dir set, each finished run is written to out_dir/run_id.json
     and found again on the next invocation; delete a file to force that
-    run to recompute.  A found row whose fingerprint differs from the
-    requested run's raises, naming each differing field.  `progress`, if
-    given, is called as progress(index, total, row) after each run.
+    run to recompute.  Every found row is checked before any run trains;
+    if any is stale or corrupt (its fingerprint differs from the
+    requested run's, or it does not decode), one error counts them and
+    gives the first one's message, naming each differing field.
+    `progress`, if given, is called as progress(index, total, row) after
+    each run.
     """
     ids = [r.run_id for r in runs]
     if len(set(ids)) != len(ids):
         raise ValueError(f"run_ids must be unique within a sweep; repeated: {sorted({i for i in ids if ids.count(i) > 1})}")
+    found: dict[str, SweepRow] = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         # the seed is part of a row's identity, so train holds the other TrainConfig fields
         train = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
         data_digests = {"train": _data_digest(train_data), "test": _data_digest(test_data)}
+        fingerprints = {run.run_id: {"run": run.params, "train": train, "data": data_digests} for run in runs}
+        stored = [run for run in runs if os.path.exists(_row_path(out_dir, run.run_id))]
+        errors = []
+        for run in stored:
+            try:
+                found[run.run_id] = _load_row(out_dir, run, fingerprints[run.run_id])
+            except ValueError as exc:
+                errors.append(exc)
+        if errors:
+            raise ValueError(f"{out_dir}: {len(errors)} of {len(stored)} stored rows are stale or corrupt; the first: {errors[0]}") from errors[0]
     rows: list[SweepRow] = []
     for i, run in enumerate(runs):
-        fingerprint = None if out_dir is None else {"run": run.params, "train": train, "data": data_digests}
-        if out_dir is not None and os.path.exists(_row_path(out_dir, run.run_id)):
-            row = _load_row(out_dir, run, fingerprint)
-        else:
+        row = found.get(run.run_id)
+        if row is None:
             scored = evaluate(train_run(run, train_data, train_config).model, test_data, run.eval_cond)
             row = SweepRow(run.run_id, run.kind, run.seed, roc_curve(scored).auc, scored.scores, scored.labels)
             if out_dir is not None:
-                _save_row(out_dir, row, fingerprint)
+                _save_row(out_dir, row, fingerprints[run.run_id])
         rows.append(row)
         if progress is not None:
             progress(i, len(runs), row)

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -74,6 +75,13 @@ __all__ = [
 ]
 
 
+def _size(name: str, value) -> int:
+    """value as an int, if it is an integer >= 1 (numpy integers included, bools not); otherwise ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Static shape/behavior description of an MLP-with-FiLM model."""
@@ -86,10 +94,10 @@ class ModelConfig:
     film_zero_init: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "trunk_widths", tuple(int(w) for w in self.trunk_widths))
-        if self.input_dim < 1 or self.cond_dim < 1 or self.film_hidden < 1:
-            raise ValueError(f"dimensions must be >= 1: {self}")
-        if len(self.trunk_widths) != 2 or any(w < 1 for w in self.trunk_widths):
+        for name in ("input_dim", "cond_dim", "film_hidden"):
+            object.__setattr__(self, name, _size(name, getattr(self, name)))
+        object.__setattr__(self, "trunk_widths", tuple(_size("trunk_widths entry", w) for w in self.trunk_widths))
+        if len(self.trunk_widths) != 2:
             raise ValueError(f"trunk_widths must be two sizes >= 1, got {self.trunk_widths}")
 
     @property

@@ -337,6 +337,25 @@ class TestSweep:
                 assert field_message in str(exc.value)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
 
+    def test_every_stale_row_counted_before_any_run_trains(self, data, tmp_path, monkeypatch):
+        train, test = data
+        runs = tiny_sweep_runs()
+        run_sweep(runs[:3], train, test, replace(TINY_TRAIN, epochs=3), out_dir=tmp_path)
+        stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def no_training(run, *args, **kwargs):
+            raise AssertionError(f"{run.run_id} trained")
+
+        monkeypatch.setattr("vslct.analysis.train_run", no_training)
+        # the missing run comes first, so a per-run check would train it before failing
+        with pytest.raises(ValueError) as exc:
+            run_sweep([runs[3], *runs[:3]], train, test, replace(TINY_TRAIN, epochs=4), out_dir=tmp_path)
+        assert str(exc.value) == (
+            f"{tmp_path}: 3 of 3 stored rows are stale or corrupt; the first: {tmp_path / 'base-s0.json'}: "
+            "stale or corrupt sweep row (train.epochs: stored 3, requested 4); delete it to recompute"
+        )
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+
     def test_run_validation(self):
         with pytest.raises(ValueError):
             SweepRun(run_id="bad/slash", kind="baseline", seed=0, eval_cond=(), hyper=VsHyperParams())

@@ -67,6 +67,28 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(input_dim=3, film_hidden=0)
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("input_dim", 2.5, "2.5"),
+            ("input_dim", True, "True"),
+            ("cond_dim", 1.0, "1.0"),
+            ("film_hidden", 128.5, "128.5"),
+            ("trunk_widths", (64.9, 3.5), "64.9"),
+            ("trunk_widths", (64, False), "False"),
+        ],
+    )
+    def test_non_integral_size_rejected_naming_the_field(self, field, value, shown):
+        with pytest.raises(ValueError, match=re.escape(f"{field}") + ".* must be an integer >= 1, got " + re.escape(shown)):
+            ModelConfig(**{"input_dim": 2, field: value})
+
+    def test_numpy_integer_sizes_stored_as_int(self, tmp_path):
+        config = ModelConfig(input_dim=np.int64(2), cond_dim=np.int32(1), trunk_widths=(np.int64(8), 4), film_hidden=np.uint8(16))
+        assert config == ModelConfig(input_dim=2, trunk_widths=(8, 4), film_hidden=16)
+        assert all(type(v) is int for v in (config.input_dim, config.cond_dim, config.film_hidden, *config.trunk_widths))
+        save_checkpoint(tmp_path / "model.json", MlpFilmModel.init(config, np.random.default_rng(0)))
+        assert load_checkpoint(tmp_path / "model.json")[0].config == config
+
 
 class TestFilmWeightCount:
     """FiLM block size accounting (weights only, biases excluded)."""
@@ -569,6 +591,16 @@ class TestCheckpoint:
         save_checkpoint(path, MlpFilmModel.init(tiny_config(False), np.random.default_rng(76)))
         path.write_text(path.read_text()[:100])
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint")):
+            load_checkpoint(path)
+
+    def test_non_integral_config_size_is_not_a_valid_checkpoint(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, MlpFilmModel.init(REFERENCE_CONFIG, np.random.default_rng(77)))
+        payload = json.loads(path.read_text())
+        payload["config"]["trunk_widths"] = [64.5, 64]
+        path.write_text(json.dumps(payload))
+        message = "trunk_widths entry must be an integer >= 1, got 64.5"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint: {message}")):
             load_checkpoint(path)
 
     def test_corrupt_checkpoint_raises(self, tmp_path):

@@ -79,7 +79,7 @@ class TestModelConfig:
         ],
     )
     def test_non_integral_size_rejected_naming_the_field(self, field, value, shown):
-        with pytest.raises(ValueError, match=re.escape(f"{field}") + ".* must be an integer >= 1, got " + re.escape(shown)):
+        with pytest.raises(ValueError, match=re.escape(field) + ".* must be an integer >= 1, got " + re.escape(shown)):
             ModelConfig(**{"input_dim": 2, field: value})
 
     def test_numpy_integer_sizes_stored_as_int(self, tmp_path):

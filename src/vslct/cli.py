@@ -123,10 +123,18 @@ def cmd_sweep(args) -> int:
 
     rows = run_sweep(runs, train_data, test_data, train_config, out_dir=out_dir, progress=progress)
     summary = sweep_summary(runs, rows)
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    print(f"swept {len(rows)} runs in {time.monotonic() - started:.1f}s; summary at {os.path.join(out_dir, 'summary.json')}")
+    summary_path = os.path.join(out_dir, "summary.json")
+    # A pure resume rebuilds the same summary: compare it parsed and skip the dump and write.
+    try:
+        unchanged = load_json(summary_path) == summary
+    except (OSError, ValueError):
+        unchanged = False
+    if not unchanged:
+        _write_json(summary_path, summary)
+    print(f"swept {len(rows)} runs in {time.monotonic() - started:.1f}s")
     for kind, stats in summary["stats"].items():
         print(f"  {kind}: mean auc {stats['mean']:.6f}, std {stats['std']:.6f} over {stats['n']} runs")
+    print(f"left {summary_path} unchanged" if unchanged else f"wrote {summary_path}")
     return 0
 
 

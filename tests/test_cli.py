@@ -349,6 +349,47 @@ class TestSweep:
             with open(os.path.join(sweep_dir["out_dir"], f"{row['run_id']}.json")) as fh:
                 assert row["params"] == json.load(fh)["fingerprint"]["run"]
 
+    def test_unchanged_summary_is_left_as_it_is(self, sweep_dir, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        shutil.copytree(sweep_dir["out_dir"], out_dir)
+        path = out_dir / "summary.json"
+        before = (path.read_bytes(), os.stat(path).st_mtime_ns, os.stat(path).st_ino)
+        capsys.readouterr()
+        code = run_cli("sweep", "--config", sweep_dir["config"], "--train-data", sweep_dir["train"], "--test-data", sweep_dir["test"], "--out-dir", out_dir)
+        assert code == 0
+        assert (path.read_bytes(), os.stat(path).st_mtime_ns, os.stat(path).st_ino) == before
+        assert capsys.readouterr().out.splitlines()[-1] == f"left {path} unchanged"
+
+    @pytest.mark.parametrize("damage", ["auc edited", "truncated", "not json", "missing", "fewer seeds"])
+    def test_stale_or_damaged_summary_is_rewritten(self, sweep_dir, tmp_path, capsys, damage):
+        out_dir = tmp_path / "runs"
+        shutil.copytree(sweep_dir["out_dir"], out_dir)
+        path = out_dir / "summary.json"
+        text = path.read_text()
+        config = load_json(sweep_dir["config"])
+        if damage == "auc edited":
+            summary = json.loads(text)
+            summary["rows"][0]["auc"] = 0.5
+            path.write_text(json.dumps(summary, indent=2) + "\n")
+        elif damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        elif damage == "not json":
+            path.write_text("not json\n")
+        elif damage == "missing":
+            path.unlink()
+        else:
+            config["seeds"] = [0]
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = run_cli("sweep", "--config", config_path, "--train-data", sweep_dir["train"], "--test-data", sweep_dir["test"], "--out-dir", out_dir)
+        assert code == 0
+        runs = grid_runs(config)
+        rows = run_sweep(runs, load_csv(sweep_dir["train"]), load_csv(sweep_dir["test"]), train_config_from_json(config["train"], "config.train"), out_dir=str(out_dir))
+        assert path.read_text() == json.dumps(sweep_summary(runs, rows), indent=2) + "\n"
+        assert (path.read_text() == text) == (damage != "fewer seeds")
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {path}"
+
     def test_config_without_any_grid_exits_1(self, sweep_dir, tmp_path, capsys):
         config = tmp_path / "empty.json"
         config.write_text(json.dumps({"train": {"epochs": 2}, "seeds": [0]}))

@@ -1,10 +1,14 @@
 """Tests for dataset generation, subsampling, and CSV round trips."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from vslct import data
 from vslct.data import Dataset, load_csv, save_csv, subsample_minority, synth_gaussian
 
 # Best achievable AUC for two unit Gaussians `sep` apart is
@@ -169,3 +173,129 @@ class TestCsvRoundTrip:
         path.write_text("f0,f1,label\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path)
+
+
+def outcome(read):
+    """The bytes, shape and dtypes read() returns, or the message of its ValueError."""
+    try:
+        got = read()
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("data", got.x.tobytes(), got.x.shape, got.x.dtype.str, got.x.flags.c_contiguous, got.y.tobytes(), got.y.dtype.str)
+
+
+def scanned(path):
+    """What the line scan alone makes of the file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    return outcome(lambda: data._scan_csv(path, lines, len(lines[0].split(",")) - 1))
+
+
+def write_exact(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+# Bodies after the header f0,f1,label.  None: the scan accepts the body;
+# otherwise a fragment of the scan's error.
+EDGE_BODIES = [
+    ("plain", "1.5,-2.0,0\n0.25,3.0,1\n", None),
+    ("no final newline", "1.5,-2.0,0\n0.25,3.0,1", None),
+    ("blank line", "1.5,-2.0,0\n\n0.25,3.0,1\n", None),
+    ("spaces-only line", "1.5,-2.0,0\n   \n0.25,3.0,1\n", None),
+    ("tab-only line", "1.5,-2.0,0\n\t\n0.25,3.0,1\n", None),
+    ("crlf", "1.5,-2.0,0\r\n0.25,3.0,1\r\n", None),
+    ("spaces around features", " 1.5 ,\t-2.0,1\n", None),
+    ("signed zero and subnormal", "-0.0,5e-324,1\n", None),
+    ("underscore digits", "1_0,2.0,1\n", None),
+    ("label 1.0", "1.0,2.0,1.0\n", "label must be 0 or 1, got '1.0'"),
+    ("label with a leading space", "1.0,2.0, 1\n", "label must be 0 or 1, got ' 1'"),
+    ("label 10", "1.0,2.0,10\n", "label must be 0 or 1, got '10'"),
+    ("label with a trailing space", "1.0,2.0,1 \n", "label must be 0 or 1, got '1 '"),
+    ("label with a trailing NUL", "1.0,2.0,1\x00\n", "label must be 0 or 1, got '1\\x00'"),
+    ("nan", "1.0,2.0,0\nnan,2.0,1\n", "line 3: features must be finite"),
+    ("inf", "1.0,inf,0\n", "line 2: features must be finite"),
+    ("-inf after a blank line", "1.0,2.0,0\n\n1.0,-inf,0\n", "line 4: features must be finite"),
+    ("1e400 overflows", "1e400,2.0,0\n", "line 2: features must be finite"),
+    ("too few fields", "1.0,2.0,0\n1.0,2.0\n", "line 3: expected 3 fields, got 2"),
+    ("too many fields", "1.0,2.0,0,1\n", "line 2: expected 3 fields, got 4"),
+    ("comment line", "# note\n1.0,2.0,0\n", "line 2: expected 3 fields, got 1"),
+    ("commented row", "1.0,2.0,0\n#1.0,2.0,1\n", "line 3: unparseable feature value"),
+    ("unparseable feature", "1.0,oops,1\n", "line 2: unparseable feature value"),
+    ("empty body", "", "no data rows"),
+    ("blank body", "\n\n", "no data rows"),
+    ("whitespace body", " \n\t\n", "no data rows"),
+]
+
+
+class TestCsvReader:
+    """load_csv's C reader and its line scan give the same arrays or the same error."""
+
+    @pytest.mark.parametrize("body, expected", [case[1:] for case in EDGE_BODIES], ids=[case[0] for case in EDGE_BODIES])
+    def test_agrees_with_the_line_scan(self, tmp_path, body, expected):
+        path = tmp_path / "edge.csv"
+        newline = "\r\n" if "\r\n" in body else "\n"
+        write_exact(path, "f0,f1,label" + newline + body)
+        got = outcome(lambda: load_csv(path))
+        assert got == scanned(path)
+        if expected is None:
+            assert got[0] == "data"
+        else:
+            assert got[0] == "error" and got[1].startswith(f"{path}: ") and expected in got[1]
+
+    def test_saved_files_never_reach_the_scan(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        base = synth_gaussian(30, 10, 3, 1.7, np.random.default_rng(59))
+        save_csv(base, path)
+        monkeypatch.setattr(data, "_scan_csv", None)
+        back = load_csv(path)
+        assert back.x.tobytes() == base.x.tobytes() and back.y.tobytes() == base.y.tobytes()
+
+    def test_empty_body_raises_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("f0,f1,label\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(path)
+        assert caught == []
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        values=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, max_value=1e-307, min_value=-1e-307),
+                    st.sampled_from([-0.0, 5e-324, 0.1, 1 / 3, 2.2250738585072009e-308, 1.7976931348623157e308]),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        labels=st.lists(st.integers(0, 1), min_size=8, max_size=8),
+    )
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path, values, labels):
+        base = Dataset(x=np.array(values), y=np.array(labels[: len(values)]))
+        path = tmp_path / "round.csv"
+        save_csv(base, path)
+        back = load_csv(path)
+        assert back.x.tobytes() == base.x.tobytes() and back.x.shape == base.x.shape and back.x.flags.c_contiguous
+        assert back.y.tobytes() == base.y.tobytes()
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.lists(st.text(st.sampled_from("01.5e-+_ \t\x00\x0cnaif#"), max_size=5), min_size=1, max_size=4).map(",".join),
+                st.lists(st.sampled_from(["0", "1", "2.5", "-0.0", "1e400", "nan", "1_0", " 1", "1\x00", "1.0", "", "\t"]), min_size=1, max_size=4).map(",".join),
+            ),
+            max_size=5,
+        ),
+    )
+    def test_any_body_agrees_with_the_line_scan(self, tmp_path, rows):
+        path = tmp_path / "fuzz.csv"
+        write_exact(path, "f0,f1,label\n" + "\n".join(rows))
+        assert outcome(lambda: load_csv(path)) == scanned(path)

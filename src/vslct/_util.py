@@ -1,14 +1,15 @@
-"""Small shared helpers: the bit-exact array codec, the file format version and atomic writes."""
+"""Small shared helpers: the bit-exact array codec, the file format version, atomic writes and integer checks."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import tempfile
 
 import numpy as np
 
-__all__ = ["FORMAT", "check_format", "encode_array", "decode_array", "atomic_write_text"]
+__all__ = ["FORMAT", "check_format", "checked_int", "encode_array", "decode_array", "atomic_write_text"]
 
 # Version of every JSON file the package writes with encoded arrays (sweep
 # rows, checkpoints).  Files without a "format" field are format 1, which
@@ -26,6 +27,13 @@ def check_format(payload) -> None:
     version = payload.get("format", 1)
     if version != FORMAT:
         raise ValueError(f"stored in format {version}, this version reads format {FORMAT} only; recompute it")
+
+
+def checked_int(name: str, value, least: int = 1) -> int:
+    """value as an int, if it is an integer >= least (numpy integers included, bools not); otherwise ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def encode_array(values) -> dict:

@@ -134,9 +134,9 @@ class LossDifferenceGrid:
 
 
 def softplus(x):
-    """log(1 + e^x) without overflow; ufunc-compatible."""
+    """log(1 + e^x) without overflow, as max(x, 0) + log1p(e^-|x|); ufunc-compatible."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     return out if out.ndim else float(out)
 
 

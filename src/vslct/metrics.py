@@ -138,13 +138,9 @@ def roc_curve(data: LabeledScores) -> RocCurve:
 def confusion_at_threshold(data: LabeledScores, threshold: float) -> ConfusionCounts:
     """Confusion table for the strict rule: predict 1 iff score > threshold."""
     pred = data.scores > threshold
-    pos = data.labels == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        tn=int(np.sum(~pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-    )
+    tp = int(np.count_nonzero(pred & (data.labels == 1)))
+    fp = int(np.count_nonzero(pred)) - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=data.n_neg - fp, fn=data.n_pos - tp)
 
 
 def auc_pair_oracle(data: LabeledScores) -> float:

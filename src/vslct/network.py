@@ -23,17 +23,16 @@ its slice, in that order.  Writing through a view writes the buffer, and
 `sgd_step` updates the whole buffer with a few vector operations.
 
 Each trunk layer adds its bias and applies the ReLU in place on its
-matmul output; `x` and the parameters are never written.  `forward` and
-`backward` take every array they write from a `Workspace`: every
-(n, width) product, the logits, the logit gradient and the masked
-gradients go through `out=` into its row buffers (a short batch uses the
-leading rows), and each parameter gradient into its view of one flat
-buffer in `flat`'s layout, which `sgd_step` takes as it is.  The arrays
-returned are views, valid until the workspace's next use; a call given
-no workspace makes one for its own rows, so it returns fresh arrays.
-`scores` runs `forward` on consecutive blocks of SCORE_BLOCK_ROWS rows
-in one workspace, so each block's activations stay in cache and reuse
-the pages of the block before.  Blocked scores can differ from one
+matmul output; `x` and the parameters are never written.  `forward`
+writes into the caller's `Workspace` and records it in its cache, and
+`backward` continues in it: every (n, width) product, the logits, the
+logit gradient and the masked gradients go through `out=` into its row
+buffers (a short batch uses the leading rows), and each parameter
+gradient into its view of one flat buffer in `flat`'s layout, which
+`sgd_step` takes as it is.  The arrays returned are views, valid until
+the workspace's next use.  `scores` runs `forward` on consecutive blocks
+of SCORE_BLOCK_ROWS rows in one workspace, so each block's activations
+stay in cache and reuse the pages of the block before.  Blocked scores can differ from one
 unblocked `forward` in the last few bits (see `scores`).
 
 Forward/backward are written by hand so the package has no autodiff
@@ -51,12 +50,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vslct._util import FORMAT, atomic_write_text, check_format, decode_array, encode_array
+from vslct._util import FORMAT, atomic_write_text, check_format, checked_int, decode_array, encode_array
 from vslct.losses import sigmoid
 
 # Rows per `forward` call in `MlpFilmModel.scores`.  A set of at most this
@@ -75,13 +73,6 @@ __all__ = [
 ]
 
 
-def _size(name: str, value) -> int:
-    """value as an int, if it is an integer >= 1 (numpy integers included, bools not); otherwise ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Static shape/behavior description of an MLP-with-FiLM model."""
@@ -95,8 +86,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("input_dim", "cond_dim", "film_hidden"):
-            object.__setattr__(self, name, _size(name, getattr(self, name)))
-        object.__setattr__(self, "trunk_widths", tuple(_size("trunk_widths entry", w) for w in self.trunk_widths))
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        object.__setattr__(self, "trunk_widths", tuple(checked_int("trunk_widths entry", w) for w in self.trunk_widths))
         if len(self.trunk_widths) != 2:
             raise ValueError(f"trunk_widths must be two sizes >= 1, got {self.trunk_widths}")
 
@@ -222,18 +213,16 @@ class MlpFilmModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray, cond: np.ndarray, workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
+    def forward(self, x: np.ndarray, cond: np.ndarray, workspace: Workspace) -> tuple[np.ndarray, dict]:
         """Logits of shape (n, 2) plus the cache consumed by backward.
 
         x: (n, input_dim); cond: (n, cond_dim) per row, or (1, cond_dim)
         for one conditioning row shared by every row of x.  The logits and
-        the cached activations are views of the workspace's leading n rows;
-        given none, the call makes one of n rows, so they are fresh arrays.
+        the cached activations are views of the workspace's leading n rows,
+        and the cache records the workspace for `backward`.
         """
         p = self.params
         x, cond = self._checked_inputs(x, cond)
-        if workspace is None:
-            workspace = Workspace(self.config, x.shape[0])
         out = workspace.take(x.shape[0])
         h0 = np.matmul(x, p["trunk0_w"], out=out["h0"])
         h0 += p["trunk0_b"]
@@ -254,7 +243,7 @@ class MlpFilmModel:
             hmod = np.add(h1, mu, out=out["hmod"])
         logits = np.matmul(hmod, p["head_w"], out=out["logits"])
         logits += p["head_b"]
-        cache = {"x": x, "cond": cond, "h0": h0, "h1": h1, "g": g, "sigma": sigma, "hmod": hmod}
+        cache = {"x": x, "cond": cond, "h0": h0, "h1": h1, "g": g, "sigma": sigma, "hmod": hmod, "workspace": workspace}
         return logits, cache
 
     def _checked_inputs(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,21 +256,18 @@ class MlpFilmModel:
             raise ValueError(f"cond must have shape ({x.shape[0]}, {self.config.cond_dim}) or (1, {self.config.cond_dim}), got {cond.shape}")
         return x, cond
 
-    def backward(self, cache: dict, dlogits: np.ndarray, workspace: Workspace | None = None) -> dict[str, np.ndarray]:
+    def backward(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients of an objective whose logit gradient is dlogits.
 
         dlogits must already carry any batch averaging; backward is linear.
         With a shared conditioning row, the FiLM output gradient is summed
         over the batch first, so the FiLM backward runs on one row.  Each
-        gradient is written into its view of `workspace.flat_grads` and the
-        returned mapping is `workspace.grads`; given no workspace, the call
-        makes one of dlogits' rows, so every gradient is a fresh array.
+        gradient is written into its view of the forward's
+        `workspace.flat_grads`, and the returned mapping is its `grads`.
         """
         p = self.params
-        x, cond = cache["x"], cache["cond"]
+        x, cond, workspace = cache["x"], cache["cond"], cache["workspace"]
         h0, h1, g, sigma, hmod = cache["h0"], cache["h1"], cache["g"], cache["sigma"], cache["hmod"]
-        if workspace is None:
-            workspace = Workspace(self.config, dlogits.shape[0])
         out, grads = workspace.take(dlogits.shape[0]), workspace.grads
         # np.add.reduce is the kernel behind ndarray.sum, without its Python wrapper
         grads["head_w"] = np.matmul(hmod.T, dlogits, out=grads["head_w"])

@@ -37,10 +37,12 @@ at each of `LR_MILESTONES`, epoch-budget fractions floored to epochs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from vslct._util import checked_int
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams, vs_loss_and_grad_batch
@@ -72,7 +74,10 @@ LR_MILESTONES = (0.8, 0.9)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """What experiments set; the optimizer is fixed (MOMENTUM, CLIP_NORM, LR_DROP_FACTOR, LR_MILESTONES)."""
+    """What experiments set; the optimizer is fixed (MOMENTUM, CLIP_NORM, LR_DROP_FACTOR, LR_MILESTONES).
+
+    Each field is checked here, naming it, and stored as a plain int or float, as sweep rows' JSON needs.
+    """
 
     epochs: int = 500
     batch_size: int = 128
@@ -80,13 +85,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        # written so that NaN fails it
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        object.__setattr__(self, "epochs", checked_int("epochs", self.epochs))
+        object.__setattr__(self, "batch_size", checked_int("batch_size", self.batch_size))
+        object.__setattr__(self, "seed", checked_int("seed", self.seed, least=0))
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real) or not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
+        object.__setattr__(self, "lr", float(self.lr))
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ class LctConfig:
         for name, dist in self.conditioned.items():
             if isinstance(dist, LinearDistribution):
                 lo, hi = dist.a, dist.b
-            elif isinstance(dist, (int, float)):
+            elif isinstance(dist, (int, float)) and not isinstance(dist, bool):
                 lo = hi = float(dist)
             else:
                 raise ValueError(f"{name}: expected a float or LinearDistribution, got {type(dist).__name__}")
@@ -171,8 +175,8 @@ def batch_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean VS loss over the batch and its parameter gradients.
 
-    The gradients are views of `workspace.flat_grads` (see `MlpFilmModel.backward`);
-    given no workspace, the call makes one of the batch's rows.
+    Forward, logit gradient and backward all run in `workspace`, so the gradients
+    are views of its `flat_grads`; a call given none makes one of the batch's rows.
     """
     n = y.shape[0]
     if workspace is None:
@@ -183,7 +187,7 @@ def batch_loss_and_grads(
     np.divide(g0, n, out=dlogits[:, 0])
     np.divide(g1, n, out=dlogits[:, 1])
     # np.add.reduce(losses) / n is np.mean(losses) without its Python wrapper
-    return float(np.add.reduce(losses) / n), model.backward(cache, dlogits, workspace)
+    return float(np.add.reduce(losses) / n), model.backward(cache, dlogits)
 
 
 def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:

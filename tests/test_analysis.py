@@ -371,6 +371,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepRun(run_id="x", kind="lct", seed=0, eval_cond=(1.0, 2.0), lct=lct)
 
+    @pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), ("0", "'0'"), (True, "True"), (-1, "-1")])
+    def test_seed_must_be_an_integer_naming_the_run(self, seed, shown):
+        with pytest.raises(ValueError, match=re.escape(f"x: seed must be an integer >= 0, got {shown}")):
+            SweepRun(run_id="x", kind="baseline", seed=seed, eval_cond=(0.0,), hyper=VsHyperParams())
+
+    def test_numpy_scalars_train_and_save_the_run(self, data, tmp_path):
+        train, test = data
+        run = SweepRun(run_id="base-np", kind="baseline", seed=np.int64(0), eval_cond=(0.0,), hyper=VsHyperParams())
+        assert type(run.seed) is int
+        config = TrainConfig(epochs=np.int64(1), batch_size=np.int64(32), lr=np.float32(0.25), seed=np.int64(0))
+        [row] = run_sweep([run], train, test, config, out_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["base-np.json"]
+        [again] = run_sweep([run], train, test, TrainConfig(epochs=1, batch_size=32, lr=0.25), out_dir=tmp_path)
+        assert again.scores.tobytes() == row.scores.tobytes()
+
 
 def lct_run(eval_cond, **conditioned):
     return SweepRun(run_id="r", kind="lct", seed=0, eval_cond=eval_cond, lct=LctConfig(base=VsHyperParams(0.9, 0.2, 1.0), conditioned=conditioned))

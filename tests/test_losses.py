@@ -275,6 +275,20 @@ class TestFusedKernelProperties:
         assert abs(loss[0] - general) / max(abs(loss[0]), abs(general), 1e-300) < 1e-10
         assert g1.tobytes() == (-g0 / beta**gamma).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.lists(st.tuples(st.floats(-800.0, 800.0), st.floats(-800.0, 800.0)), min_size=1, max_size=20),
+        gamma=st.floats(0.0, 2.0),
+        tau=st.floats(0.0, 3.0),
+        beta=st.floats(1.0, 1e4),
+    )
+    def test_omega_one_positive_loss_is_softplus_of_the_margin(self, z, gamma, tau, beta):
+        # the docstring's claim, bit for bit: at y = 1 the weight is omega = 1
+        z0, z1 = np.array(z).T
+        loss = vs_loss_and_grad_batch(np.ones(z0.size, dtype=np.int64), z0, z1, VsHyperParams(omega=1.0, gamma=gamma, tau=tau), beta)[0]
+        margin = z0 + tau * math.log(beta) - z1 / beta**gamma
+        assert loss.tobytes() == softplus(margin).tobytes()
+
 
 class TestBreakEven:
     """Break-even offset, line, and softmax score."""

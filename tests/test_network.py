@@ -45,9 +45,14 @@ def tiny_config(affine: bool) -> ModelConfig:
     )
 
 
+def fresh_forward(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray):
+    """`forward` into a workspace of x's rows made for this call, so its arrays outlive later calls."""
+    return model.forward(x, cond, Workspace(model.config, len(x)))
+
+
 def quadratic_objective(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray):
     """J = 0.5 * sum(logits^2); its logit gradient is the logits themselves."""
-    logits, cache = model.forward(x, cond)
+    logits, cache = fresh_forward(model, x, cond)
     return 0.5 * float(np.sum(logits * logits)), model.backward(cache, logits)
 
 
@@ -110,7 +115,7 @@ class TestForward:
 
     def test_output_shape(self):
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(60))
-        logits, _ = model.forward(np.zeros((5, 3)), np.zeros((5, 2)))
+        logits, _ = fresh_forward(model, np.zeros((5, 3)), np.zeros((5, 2)))
         assert logits.shape == (5, 2)
 
     def test_zero_init_film_ignores_conditioning(self):
@@ -118,15 +123,15 @@ class TestForward:
             config = ModelConfig(input_dim=4, cond_dim=1, trunk_widths=(16, 16), film_hidden=32, film_affine=affine, film_zero_init=True)
             model = MlpFilmModel.init(config, np.random.default_rng(61))
             x = np.random.default_rng(62).normal(size=(7, 4))
-            a, _ = model.forward(x, np.zeros((7, 1)))
-            b, _ = model.forward(x, np.full((7, 1), 3.0))
+            a, _ = fresh_forward(model, x, np.zeros((7, 1)))
+            b, _ = fresh_forward(model, x, np.full((7, 1), 3.0))
             np.testing.assert_array_equal(a, b)
 
     def test_trained_film_weights_respond_to_conditioning(self):
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(63))
         x = np.random.default_rng(64).normal(size=(6, 3))
-        a, _ = model.forward(x, np.zeros((6, 2)))
-        b, _ = model.forward(x, np.ones((6, 2)))
+        a, _ = fresh_forward(model, x, np.zeros((6, 2)))
+        b, _ = fresh_forward(model, x, np.ones((6, 2)))
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_rows_independent(self):
@@ -134,24 +139,24 @@ class TestForward:
         rng = np.random.default_rng(66)
         x = rng.normal(size=(9, 3))
         cond = rng.normal(size=(9, 2))
-        logits, _ = model.forward(x, cond)
+        logits, _ = fresh_forward(model, x, cond)
         perm = rng.permutation(9)
-        permuted, _ = model.forward(x[perm], cond[perm])
+        permuted, _ = fresh_forward(model, x[perm], cond[perm])
         np.testing.assert_array_equal(permuted, logits[perm])
 
     def test_shape_validation(self):
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(67))
         with pytest.raises(ValueError):
-            model.forward(np.zeros((5, 4)), np.zeros((5, 2)))
+            fresh_forward(model, np.zeros((5, 4)), np.zeros((5, 2)))
         with pytest.raises(ValueError):
-            model.forward(np.zeros((5, 3)), np.zeros((4, 2)))
+            fresh_forward(model, np.zeros((5, 3)), np.zeros((4, 2)))
 
     def test_one_row_shape_validation(self):
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(67))
         with pytest.raises(ValueError):
-            model.forward(np.zeros((5, 3)), np.zeros((2, 2)))
+            fresh_forward(model, np.zeros((5, 3)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            model.forward(np.zeros((5, 3)), np.zeros((1, 3)))
+            fresh_forward(model, np.zeros((5, 3)), np.zeros((1, 3)))
 
     @pytest.mark.parametrize("cond_rows", [1, 9], ids=["one-row", "per-row"])
     @pytest.mark.parametrize("affine", [False, True])
@@ -162,7 +167,7 @@ class TestForward:
         x = rng.normal(size=(9, 3))
         cond = rng.normal(size=(cond_rows, 2))
         x_before = x.copy()
-        logits, cache = model.forward(x, cond)
+        logits, cache = fresh_forward(model, x, cond)
         h0 = np.maximum(x @ p["trunk0_w"] + p["trunk0_b"], 0.0)
         h1 = np.maximum(h0 @ p["trunk1_w"] + p["trunk1_b"], 0.0)
         film_out = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0) @ p["film1_w"] + p["film1_b"]
@@ -202,11 +207,11 @@ class TestBlockedScores:
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
         scores = model.scores(x, cond)
         blocks = [
-            model.forward(x[i : i + SCORE_BLOCK_ROWS], cond if cond_rows == "shared" else cond[i : i + SCORE_BLOCK_ROWS])[0]
+            fresh_forward(model, x[i : i + SCORE_BLOCK_ROWS], cond if cond_rows == "shared" else cond[i : i + SCORE_BLOCK_ROWS])[0]
             for i in range(0, n, SCORE_BLOCK_ROWS)
         ]
         assert scores.tobytes() == minority_score(np.concatenate(blocks)).tobytes()
-        unblocked = minority_score(model.forward(x, cond)[0])
+        unblocked = minority_score(fresh_forward(model, x, cond)[0])
         np.testing.assert_allclose(scores, unblocked, rtol=0.0, atol=1e-14)
         if n <= SCORE_BLOCK_ROWS:
             assert scores.tobytes() == unblocked.tobytes()
@@ -333,9 +338,10 @@ class TestBackward:
         rng = np.random.default_rng(72)
         x = rng.normal(size=(5, 3))
         cond = rng.normal(size=(5, 2))
-        _, cache = model.forward(x, cond)
+        _, cache = fresh_forward(model, x, cond)
         d = rng.normal(size=(5, 2))
-        g1 = model.backward(cache, d)
+        # the gradients are views of the workspace, valid until its next use
+        g1 = {k: g.copy() for k, g in model.backward(cache, d).items()}
         g2 = model.backward(cache, 2.0 * d)
         for k in MlpFilmModel.PARAM_KEYS:
             np.testing.assert_allclose(g2[k], 2.0 * g1[k], rtol=1e-13)
@@ -350,8 +356,8 @@ class TestSharedConditioningRow:
         rng = np.random.default_rng(77)
         x = rng.normal(size=(11, 3))
         row = rng.uniform(0.0, 3.0, size=(1, 2))
-        shared, _ = model.forward(x, row)
-        tiled, _ = model.forward(x, np.tile(row, (11, 1)))
+        shared, _ = fresh_forward(model, x, row)
+        tiled, _ = fresh_forward(model, x, np.tile(row, (11, 1)))
         np.testing.assert_allclose(shared, tiled, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("affine", [False, True])
@@ -390,7 +396,7 @@ class TestFlatParameters:
 
 
 class TestWorkspace:
-    """forward/backward into a reused workspace equal calls that make a fresh one; nothing leaks outside training."""
+    """forward/backward into a reused workspace equal calls into a fresh one; nothing leaks outside training."""
 
     @pytest.mark.parametrize("n", [9, 4], ids=["full", "leading-rows"])
     @pytest.mark.parametrize("cond_rows", ["one-row", "per-row"])
@@ -404,11 +410,11 @@ class TestWorkspace:
         workspace = Workspace(model.config, 9)
         # a short batch follows full ones, so fill every buffer first
         _, full = model.forward(rng.normal(size=(9, 3)), rng.normal(size=(9, 2)), workspace)
-        model.backward(full, rng.normal(size=(9, 2)), workspace)
-        logits, cache = model.forward(x, cond)
+        model.backward(full, rng.normal(size=(9, 2)))
+        logits, cache = fresh_forward(model, x, cond)
         grads = model.backward(cache, dlogits)
         ws_logits, ws_cache = model.forward(x, cond, workspace)
-        ws_grads = model.backward(ws_cache, dlogits, workspace)
+        ws_grads = model.backward(ws_cache, dlogits)
         assert ws_logits.tobytes() == logits.tobytes()
         assert np.shares_memory(ws_logits, workspace.take(n)["logits"])
         flat = np.concatenate([grads[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
@@ -426,7 +432,7 @@ class TestWorkspace:
         computed = ("h0", "h1", "g", "sigma", "hmod")
         calls = []
         for _ in range(2):
-            logits, cache = model.forward(x, cond)
+            logits, cache = fresh_forward(model, x, cond)
             grads = model.backward(cache, dlogits)
             calls.append([logits, *(cache[k] for k in computed), *grads.values()])
         first, second = calls
@@ -441,7 +447,7 @@ class TestWorkspace:
         save_checkpoint(tmp_path / "before.json", model)
         workspace = Workspace(model.config, 5)
         _, cache = model.forward(rng.normal(size=(5, 3)), rng.normal(size=(1, 2)), workspace)
-        model.backward(cache, rng.normal(size=(5, 2)), workspace)
+        model.backward(cache, rng.normal(size=(5, 2)))
         save_checkpoint(tmp_path / "after.json", model)
         assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
         copy = model.copy()
@@ -455,9 +461,6 @@ class TestWorkspace:
         workspace = Workspace(model.config, 8)
         with pytest.raises(ValueError, match="batch of 9 rows does not fit a workspace of 8 rows"):
             model.forward(np.zeros((9, 3)), np.zeros((1, 2)), workspace)
-        _, cache = model.forward(np.zeros((9, 3)), np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="batch of 9 rows does not fit a workspace of 8 rows"):
-            model.backward(cache, np.zeros((9, 2)), workspace)
 
 
 class TestOptimizer:

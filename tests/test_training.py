@@ -1,5 +1,9 @@
 """Tests for training loops: schedules, determinism, conditioning semantics."""
 
+import json
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,7 @@ from vslct.data import Dataset, synth_gaussian
 from vslct.lindist import LinearDistribution, make_linear
 from vslct.losses import VsHyperParams, vs_loss_and_grad_batch, vs_loss_binary_batch
 from vslct.metrics import roc_curve
-from vslct.network import MlpFilmModel, ModelConfig, sgd_step
+from vslct.network import MlpFilmModel, ModelConfig, Workspace, sgd_step
 from vslct.training import (
     CLIP_NORM,
     LR_DROP_FACTOR,
@@ -49,6 +53,31 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=float("nan"))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epochs", 2.5, "epochs must be an integer >= 1, got 2.5"),
+            ("epochs", True, "epochs must be an integer >= 1, got True"),
+            ("batch_size", 64.0, "batch_size must be an integer >= 1, got 64.0"),
+            ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+            ("seed", -1, "seed must be an integer >= 0, got -1"),
+            ("seed", "0", "seed must be an integer >= 0, got '0'"),
+            ("seed", False, "seed must be an integer >= 0, got False"),
+            ("lr", True, "lr must be a finite number > 0, got True"),
+            ("lr", float("inf"), "lr must be a finite number > 0, got inf"),
+            ("lr", "0.1", "lr must be a finite number > 0, got '0.1'"),
+        ],
+    )
+    def test_bad_field_rejected_naming_it(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{field: value})
+
+    def test_numpy_values_stored_as_plain_int_and_float(self):
+        c = TrainConfig(epochs=np.int64(3), batch_size=np.int32(32), lr=np.float32(0.5), seed=np.uint8(7))
+        assert c == TrainConfig(epochs=3, batch_size=32, lr=0.5, seed=7)
+        assert [type(v) for v in (c.epochs, c.batch_size, c.lr, c.seed)] == [int, int, float, int]
+        assert json.loads(json.dumps(asdict(c))) == {"epochs": 3, "batch_size": 32, "lr": 0.5, "seed": 7}
 
 
 class TestLrSchedule:
@@ -116,6 +145,8 @@ class TestLctConfig:
             LctConfig(base=VsHyperParams(), conditioned={"tau": -1.0})
         with pytest.raises(ValueError):
             LctConfig(base=VsHyperParams(), conditioned={"tau": "high"})
+        with pytest.raises(ValueError, match="tau: expected a float or LinearDistribution, got bool"):
+            LctConfig(base=VsHyperParams(), conditioned={"tau": True})
 
 
 class TestDeterminism:
@@ -194,7 +225,7 @@ class TestLambdaAccounting:
 def plain_training(data, model_config, config, batch_settings):
     """The training loop as a plain step, the oracle for `_run_training`.
 
-    forward/backward without a workspace, so each call makes a fresh one,
+    forward/backward in a fresh workspace of the batch's rows per step,
     the gradients concatenated into a fresh flat array, np.stack for the
     logit gradient and np.mean for the loss, on the same three seed streams.
     """
@@ -209,7 +240,7 @@ def plain_training(data, model_config, config, batch_settings):
         for start in range(0, data.n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             cond_row, hyper = batch_settings(lam_rng)
-            logits, cache = model.forward(data.x[idx], cond_row.reshape(1, -1))
+            logits, cache = model.forward(data.x[idx], cond_row.reshape(1, -1), Workspace(model_config, idx.size))
             losses, g0, g1 = vs_loss_and_grad_batch(data.y[idx], logits[:, 0], logits[:, 1], hyper, data.counts.beta)
             grads = model.backward(cache, np.stack([g0, g1], axis=1) / idx.size)
             flat_grads = np.concatenate([grads[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
@@ -268,7 +299,7 @@ class TestBatchLossAndGrads:
         hyper = VsHyperParams(omega=0.8, gamma=0.3, tau=1.0)
         cond = np.full((data.n, 1), 1.0)
         loss, _ = batch_loss_and_grads(model, data.x, data.y, cond, hyper, beta=3.0)
-        logits, _ = model.forward(data.x, cond)
+        logits, _ = model.forward(data.x, cond, Workspace(config, data.n))
         expected = float(np.mean(vs_loss_binary_batch(data.y, logits[:, 0], logits[:, 1], hyper, beta=3.0)))
         np.testing.assert_allclose(loss, expected, rtol=1e-14)
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: the bit-exact array codec, the file format version, atomic writes and integer checks."""
+"""Small shared helpers: the bit-exact array codec, the file format version, atomic writes and number checks."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["FORMAT", "check_format", "checked_int", "encode_array", "decode_array", "atomic_write_text"]
+__all__ = ["FORMAT", "check_format", "checked_int", "checked_real", "encode_array", "decode_array", "atomic_write_text"]
 
 # Version of every JSON file the package writes with encoded arrays (sweep
 # rows, checkpoints).  Files without a "format" field are format 1, which
@@ -34,6 +34,15 @@ def checked_int(name: str, value, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def checked_real(name: str, value) -> float:
+    """value as a float, if it is a real number (numpy scalars included, bools not); otherwise ValueError naming `name`."""
+    if type(value) is float:  # the common case, without the slower numbers.Real check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def encode_array(values) -> dict:

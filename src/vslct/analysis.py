@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from vslct._util import FORMAT, atomic_write_text, check_format, checked_int, decode_array, encode_array
+from vslct._util import FORMAT, atomic_write_text, check_format, checked_int, checked_real, decode_array, encode_array
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
@@ -238,7 +238,8 @@ class SweepRun:
     eval_cond; kind "lct" trains with per-batch draws from `lct` and is
     evaluated at eval_cond, inside each conditioned distribution's support.
     run_id must be unique, filesystem-safe and not start with '.'
-    (load_rows skips dot files); seed is stored as a plain int >= 0.
+    (load_rows skips dot files); seed is stored as a plain int >= 0 and
+    eval_cond as plain floats, each checked as a real number.
     """
 
     run_id: str
@@ -249,7 +250,7 @@ class SweepRun:
     lct: LctConfig | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "eval_cond", tuple(float(v) for v in self.eval_cond))
+        object.__setattr__(self, "eval_cond", tuple(checked_real(f"{self.run_id}: eval_cond entry", v) for v in self.eval_cond))
         if not self.run_id or self.run_id[0] == "." or not all(c.isalnum() or c in "._-" for c in self.run_id):
             raise ValueError(f"run_id must be non-empty, filesystem-safe and not start with '.', got {self.run_id!r}")
         object.__setattr__(self, "seed", checked_int(f"{self.run_id}: seed", self.seed, least=0))

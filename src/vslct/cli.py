@@ -25,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -283,8 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process; `parse_args` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # the one output gate: every --out is resolved and checked before its command runs
         if getattr(args, "out", None):

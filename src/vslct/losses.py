@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from vslct._util import checked_real
+
 __all__ = [
     "VsHyperParams",
     "ClassCounts",
@@ -56,6 +58,7 @@ class VsHyperParams:
         1 - omega.  Must lie in [0, 1].
     gamma: exponent of the multiplicative logit factor, >= 0.
     tau:   scale of the additive logit factor, >= 0.
+    Each is checked as a real number, naming it, and stored as a plain float.
     """
 
     omega: float = 0.5
@@ -63,6 +66,8 @@ class VsHyperParams:
     tau: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega", "gamma", "tau"):
+            object.__setattr__(self, name, checked_real(name, getattr(self, name)))
         # written so that NaN fails every check
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")

@@ -30,10 +30,23 @@ logit gradient and the masked gradients go through `out=` into its row
 buffers (a short batch uses the leading rows), and each parameter
 gradient into its view of one flat buffer in `flat`'s layout, which
 `sgd_step` takes as it is.  The arrays returned are views, valid until
-the workspace's next use.  `scores` runs `forward` on consecutive blocks
-of SCORE_BLOCK_ROWS rows in one workspace, so each block's activations
-stay in cache and reuse the pages of the block before.  Blocked scores can differ from one
-unblocked `forward` in the last few bits (see `scores`).
+the workspace's next use.
+
+`scores` runs `forward` on blocks of rows, and each of its threads keeps
+one workspace for all its blocks, so each block's activations stay in
+cache and reuse the pages of the block before.  A set of at most
+SCORE_BLOCK_ROWS rows is one `forward` on the calling thread.  A larger
+set is split into blocks of SCORE_BLOCK_ROWS // W rows, rounded down to
+a power of two, which W threads (the caller among them) take in turn
+from one shared iterator, so all the workspaces together still hold
+about SCORE_BLOCK_ROWS rows.  numpy releases the GIL inside matmul and
+large ufunc loops, so the threads run in parallel.  W is the usable core
+count divided by OPENBLAS_NUM_THREADS when that variable is a positive
+integer, and 1 otherwise, since OpenBLAS then already uses every core;
+at W = 1 the blocks run one after another on the calling thread.  A
+score does not depend on W or on which thread computed it, but blocked
+scores can differ from one unblocked `forward` in the last few bits
+(see `scores`).
 
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
@@ -50,6 +63,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,8 +72,8 @@ import numpy as np
 from vslct._util import FORMAT, atomic_write_text, check_format, checked_int, decode_array, encode_array
 from vslct.losses import sigmoid
 
-# Rows per `forward` call in `MlpFilmModel.scores`.  A set of at most this
-# many rows, such as every sweep's test set, is scored by one call.
+# Rows `MlpFilmModel.scores` holds in workspaces at once.  A set of at most
+# this many rows, such as every sweep's test set, is scored by one call.
 SCORE_BLOCK_ROWS = 2048
 
 __all__ = [
@@ -300,26 +315,80 @@ class MlpFilmModel:
     def scores(self, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
         """Minority-class softmax probability of each row.
 
-        Takes the inputs of `forward` and runs it on consecutive blocks of
-        SCORE_BLOCK_ROWS rows, slicing per-row conditioning along with x,
-        all in one workspace of at most one block's rows.  Up to one
-        block, that is a single `forward` on the whole input, so the
-        scores are bit for bit those of `forward`.  Above it, a score can
-        differ from an unblocked `forward`'s by a few ulps (at most
-        1.7e-15 measured on 10^5 rows): the trunk products come out the
-        same for any row count, but OpenBLAS picks its kernel for the
-        (rows, width) @ (width, 2) head product by row count.
+        Takes the inputs of `forward`.  Up to SCORE_BLOCK_ROWS rows, that
+        is a single `forward` on the whole input on the calling thread, so
+        the scores are bit for bit those of `forward`.  Above it, W =
+        `_score_workers()` threads, the caller among them, each take
+        blocks from one shared iterator and run `forward` on them in a
+        workspace of their own, slicing per-row conditioning along with x;
+        each block's scores go into its own slice of the output.
+
+        A block has SCORE_BLOCK_ROWS // W rows, rounded down to a power of
+        two, so the W workspaces together hold at most SCORE_BLOCK_ROWS
+        rows (one more each if a lone last row joins the block before it,
+        see below).  The scores do not depend on W.  Measured with OpenBLAS
+        0.3.31, a row gets the same bits in any block of a multiple of four
+        rows, and the last few rows of a set past a multiple of four get
+        the same bits in any last block that holds them all, unless that
+        block is one row, which numpy computes as a matrix-vector product.
+        Power-of-two blocks keep those rows together, and a one-row last
+        block joins the block before it unless SCORE_BLOCK_ROWS-row blocks
+        leave that row alone too.
+
+        Blocked scores can differ from an unblocked `forward`'s by a few
+        ulps (at most 1.7e-15 measured on 10^5 rows), since OpenBLAS picks
+        its kernel for the (rows, width) @ (width, 2) head product by row
+        count.  An exception in any thread is raised here once every
+        thread has been joined.
         """
         x, cond = self._checked_inputs(x, cond)
         n = x.shape[0]
+        if n <= SCORE_BLOCK_ROWS:
+            return minority_score(self.forward(x, cond, Workspace(self.config, n))[0])
+        workers = _score_workers()
+        block = 1 << (SCORE_BLOCK_ROWS // workers).bit_length() - 1
+        bounds = list(range(0, n, block)) + [n]
+        if bounds[-1] - bounds[-2] == 1 and n % SCORE_BLOCK_ROWS != 1:
+            del bounds[-2]
+        rows = max(stop - start for start, stop in zip(bounds, bounds[1:]))
+        blocks = iter(zip(bounds, bounds[1:]))
         per_row = cond.shape[0] == n
         out = np.empty(n)
-        workspace = Workspace(self.config, min(n, SCORE_BLOCK_ROWS))
-        for start in range(0, n, SCORE_BLOCK_ROWS):
-            stop = start + SCORE_BLOCK_ROWS
-            logits = self.forward(x[start:stop], cond[start:stop] if per_row else cond, workspace)[0]
-            out[start:stop] = minority_score(logits)
+        errors = []
+
+        def score_blocks() -> None:
+            try:
+                # made on the thread that uses it, so its pages stay in that thread's
+                # malloc arena between calls instead of being returned and faulted in again
+                workspace = Workspace(self.config, rows)
+                for start, stop in blocks:
+                    logits = self.forward(x[start:stop], cond[start:stop] if per_row else cond, workspace)[0]
+                    out[start:stop] = minority_score(logits)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=score_blocks) for _ in range(workers - 1)]
+        for thread in threads:
+            thread.start()
+        score_blocks()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
         return out
+
+
+def _score_workers() -> int:
+    """Threads `scores` splits a large set over: usable cores // OPENBLAS_NUM_THREADS if that is a positive integer, else 1."""
+    try:
+        blas_threads = int(os.environ.get("OPENBLAS_NUM_THREADS", ""))
+    except ValueError:
+        return 1
+    if blas_threads < 1:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # a block keeps at least one row
+    return max(1, min(cores // blas_threads, SCORE_BLOCK_ROWS))
 
 
 def minority_score(logits: np.ndarray) -> np.ndarray:

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from vslct._util import checked_int
+from vslct._util import checked_int, checked_real
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams, vs_loss_and_grad_batch
@@ -106,6 +106,8 @@ class LctConfig:
 
     base: VsHyperParams
     conditioned: dict[str, float | LinearDistribution]
+    # the conditioned names in COND_ORDER, set once here since every LCT step reads them
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.conditioned:
@@ -116,17 +118,15 @@ class LctConfig:
         for name, dist in self.conditioned.items():
             if isinstance(dist, LinearDistribution):
                 lo, hi = dist.a, dist.b
-            elif isinstance(dist, (int, float)) and not isinstance(dist, bool):
-                lo = hi = float(dist)
             else:
-                raise ValueError(f"{name}: expected a float or LinearDistribution, got {type(dist).__name__}")
+                try:
+                    lo = hi = checked_real(name, dist)
+                except ValueError:
+                    raise ValueError(f"{name}: expected a float or LinearDistribution, got {type(dist).__name__}") from None
             # raises if any support endpoint is out of the legal range
             replace(self.base, **{name: lo})
             replace(self.base, **{name: hi})
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n in COND_ORDER if n in self.conditioned)
+        object.__setattr__(self, "names", tuple(n for n in COND_ORDER if n in self.conditioned))
 
     @property
     def cond_dim(self) -> int:
@@ -145,7 +145,9 @@ class LctConfig:
 
     def hyper_at(self, values: np.ndarray) -> VsHyperParams:
         """Base hyperparameters with the conditioned ones set to `values`."""
-        return replace(self.base, **dict(zip(self.names, (float(v) for v in values))))
+        drawn = dict(zip(self.names, map(float, values)))
+        base = self.base
+        return VsHyperParams(drawn.get("omega", base.omega), drawn.get("gamma", base.gamma), drawn.get("tau", base.tau))
 
 
 @dataclass

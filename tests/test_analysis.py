@@ -371,6 +371,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepRun(run_id="x", kind="lct", seed=0, eval_cond=(1.0, 2.0), lct=lct)
 
+    @pytest.mark.parametrize("entry, shown", [(True, "True"), ("1.0", "'1.0'"), (None, "None")])
+    def test_eval_cond_entries_must_be_real_naming_the_run(self, entry, shown):
+        with pytest.raises(ValueError, match=re.escape(f"x: eval_cond entry must be a real number, got {shown}")):
+            SweepRun(run_id="x", kind="baseline", seed=0, eval_cond=(0.0, entry), hyper=VsHyperParams())
+
+    def test_eval_cond_stored_as_plain_floats(self):
+        run = SweepRun(run_id="x", kind="baseline", seed=0, eval_cond=np.array([1.5, 2.0], dtype=np.float32), hyper=VsHyperParams())
+        assert run.eval_cond == (1.5, 2.0) and all(type(v) is float for v in run.eval_cond)
+
     @pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), ("0", "'0'"), (True, "True"), (-1, "-1")])
     def test_seed_must_be_an_integer_naming_the_run(self, seed, shown):
         with pytest.raises(ValueError, match=re.escape(f"x: seed must be an integer >= 0, got {shown}")):

@@ -13,6 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
+from vslct import cli
 from vslct.analysis import SweepRun, load_rows, run_sweep, sweep_report
 from vslct.cli import build_parser, main
 from vslct.config import grid_runs, load_json, summary_rows_from_json, sweep_summary, train_config_from_json
@@ -712,3 +713,35 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--n0", "10", "--n1", "5"])
         assert exc.value.code == 2
+
+
+class TestParserBuiltOnce:
+    """`main` parses every argv with one parser per process."""
+
+    def test_calls_parse_afresh_with_one_parser(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counted_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+        cli._parser.cache_clear()
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("gen-data", "--out", first, "--n0", 30, "--n1", 10, "--dim", 3, "--seed", 4, "--if-exists", "overwrite") == 0
+        assert run_cli("gen-data", "--out", second, "--n0", 20, "--n1", 10) == 0
+        # neither the first call's options nor its --if-exists carry over
+        assert run_cli("gen-data", "--out", first, "--n0", 30, "--n1", 10) == 1
+        assert "already exists" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["gen-data", "--n0", "10"])
+        assert run_cli("dist-check", "--a", 0, "--b", 3, "--h-b", 0, "--samples", 1000, "--seed", 1) == 0
+        assert len(built) == 1
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for name, argv in [("a.csv", ["--n0", "30", "--n1", "10", "--dim", "3", "--seed", "4"]), ("b.csv", ["--n0", "20", "--n1", "10"])]:
+            args = build_parser().parse_args(["gen-data", "--out", str(fresh / name), *argv])
+            assert args.func(args) == 0
+            assert (fresh / name).read_bytes() == (tmp_path / name).read_bytes()
+        for argv in (["gen-data", "--out", "x", "--n0", "3", "--n1", "1", "--if-exists", "skip"], ["gen-data", "--out", "x", "--n0", "3", "--n1", "1"]):
+            assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))

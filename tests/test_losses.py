@@ -1,6 +1,7 @@
 """Tests for the VS loss family: closed forms, gradients, break-even geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ class TestLossForms:
                 VsHyperParams(**{name: float("nan")})
         with pytest.raises(ValueError):
             ClassCounts(n0=5, n1=10)
+
+    @pytest.mark.parametrize("name", ["omega", "gamma", "tau"])
+    @pytest.mark.parametrize("value, shown", [(True, "True"), ("1", "'1'"), (None, "None"), (1j, "1j")])
+    def test_non_real_params_rejected_naming_the_field(self, name, value, shown):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {shown}")):
+            VsHyperParams(**{name: value})
+
+    def test_params_stored_as_plain_floats(self):
+        p = VsHyperParams(omega=np.float32(0.5), gamma=np.int64(1), tau=1)
+        assert (p.omega, p.gamma, p.tau) == (0.5, 1.0, 1.0)
+        assert all(type(v) is float for v in (p.omega, p.gamma, p.tau))
         with pytest.raises(ValueError):
             LogitPair(float("nan"), 0.0)
 

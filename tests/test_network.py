@@ -1,5 +1,6 @@
 """Tests for the FiLM-conditioned MLP: shapes, gradients, optimizer, checkpoints."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import tracemalloc
 from dataclasses import asdict
 
@@ -194,7 +196,7 @@ def width64_config(affine: bool) -> ModelConfig:
 
 
 class TestBlockedScores:
-    """`scores` runs `forward` over consecutive blocks of SCORE_BLOCK_ROWS rows."""
+    """`scores` runs `forward` over blocks of rows, on one thread or on several."""
 
     @pytest.mark.parametrize("cond_rows", ["shared", "per-row"])
     @pytest.mark.parametrize("affine", [False, True])
@@ -267,7 +269,13 @@ class TestBlockedScores:
         scores = model.scores(np.zeros((0, 2)), np.ones((cond_rows, 2)))
         assert (scores.shape, scores.dtype) == ((0,), np.float64)
 
-    def test_one_workspace_per_call(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "workers, n, rows",
+        [(1, 4097, 2048), (2, 4097, 1024), (3, 4097, 512), (4, 4097, 512), (2, 3073, 1025), (3, 3073, 513)],
+    )
+    def test_one_workspace_per_worker(self, monkeypatch, workers, n, rows):
+        # W workspaces of SCORE_BLOCK_ROWS // W rows rounded down to a power of
+        # two; a lone last row joins the block before it (3073 = 2048 + 1025)
         made = []
 
         class CountedWorkspace(Workspace):
@@ -275,12 +283,92 @@ class TestBlockedScores:
                 made.append(rows)
                 super().__init__(config, rows)
 
+        monkeypatch.setattr(network, "_score_workers", lambda: workers)
         model = MlpFilmModel.init(width64_config(True), np.random.default_rng(96))
-        x = np.random.default_rng(97).normal(size=(2 * SCORE_BLOCK_ROWS + 1, 2))
+        x = np.random.default_rng(97).normal(size=(n, 2))
         expected = model.scores(x, np.ones((1, 2)))
         monkeypatch.setattr(network, "Workspace", CountedWorkspace)
         assert model.scores(x, np.ones((1, 2))).tobytes() == expected.tobytes()
-        assert made == [SCORE_BLOCK_ROWS]
+        assert made == [rows] * workers
+        assert rows * workers <= SCORE_BLOCK_ROWS + workers
+
+    @pytest.mark.parametrize("cond_rows", ["shared", "per-row"])
+    @pytest.mark.parametrize("affine", [False, True])
+    @pytest.mark.parametrize("n", [2048, 2049, 3073, 4097, 100_000])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_never_changes_a_bit(self, monkeypatch, workers, n, affine, cond_rows):
+        model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(98))
+        rng = np.random.default_rng(99)
+        x = rng.normal(size=(n, 2))
+        cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
+        blocks = [
+            fresh_forward(model, x[i : i + SCORE_BLOCK_ROWS], cond if cond_rows == "shared" else cond[i : i + SCORE_BLOCK_ROWS])[0]
+            for i in range(0, n, SCORE_BLOCK_ROWS)
+        ]
+        monkeypatch.setattr(network, "_score_workers", lambda: workers)
+        assert model.scores(x, cond).tobytes() == minority_score(np.concatenate(blocks)).tobytes()
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_block_error_raised_after_every_thread_joined(self, monkeypatch, failing):
+        worker_started = threading.Event()
+        original = MlpFilmModel.forward
+
+        def forward(self, x, cond, workspace):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker:
+                worker_started.set()
+            else:
+                # a worker takes its first block before the caller takes one
+                assert worker_started.wait(10)
+            if on_worker == (failing == "worker"):
+                raise KeyError(f"block of {len(x)} rows failed on the {failing}")
+            return original(self, x, cond, workspace)
+
+        model = MlpFilmModel.init(width64_config(False), np.random.default_rng(100))
+        x = np.random.default_rng(101).normal(size=(4 * SCORE_BLOCK_ROWS, 2))
+        monkeypatch.setattr(network, "_score_workers", lambda: 2)
+        monkeypatch.setattr(MlpFilmModel, "forward", forward)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match=f"block of 1024 rows failed on the {failing}"):
+            model.scores(x, np.ones((1, 2)))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "blas_threads, workers",
+        [(None, 1), ("1", 8), ("2", 4), ("3", 2), ("8", 1), ("16", 1), ("0", 1), ("-1", 1), ("x", 1), ("", 1)],
+    )
+    def test_worker_count_rule(self, monkeypatch, blas_threads, workers):
+        # usable cores // OPENBLAS_NUM_THREADS when that is a positive integer, else 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        assert network._score_workers() == workers
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="counts usable cores with os.sched_getaffinity")
+    def test_one_blas_thread_process_scores_like_the_serial_path(self, monkeypatch):
+        # a fresh process at one BLAS thread scores on every usable core
+        script = textwrap.dedent(
+            """
+            import hashlib, os
+            import numpy as np
+            from vslct import network
+            from vslct.network import MlpFilmModel, ModelConfig
+            model = MlpFilmModel.init(ModelConfig(input_dim=2, cond_dim=2, film_affine=True, film_zero_init=False), np.random.default_rng(102))
+            x = np.random.default_rng(103).normal(size=(100_000, 2))
+            scores = model.scores(x, np.full((1, 2), 1.5))
+            print(network._score_workers(), len(os.sched_getaffinity(0)), hashlib.sha256(scores.tobytes()).hexdigest())
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vslct.__file__)), OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        workers, cores, digest = run.stdout.split()
+        assert workers == cores
+        monkeypatch.setattr(network, "_score_workers", lambda: 1)
+        model = MlpFilmModel.init(ModelConfig(input_dim=2, cond_dim=2, film_affine=True, film_zero_init=False), np.random.default_rng(102))
+        x = np.random.default_rng(103).normal(size=(100_000, 2))
+        assert digest == hashlib.sha256(model.scores(x, np.full((1, 2), 1.5)).tobytes()).hexdigest()
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts pages under glibc's malloc")
     def test_later_calls_fault_no_new_pages_in_a_fresh_process(self):

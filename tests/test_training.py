@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -147,6 +147,30 @@ class TestLctConfig:
             LctConfig(base=VsHyperParams(), conditioned={"tau": "high"})
         with pytest.raises(ValueError, match="tau: expected a float or LinearDistribution, got bool"):
             LctConfig(base=VsHyperParams(), conditioned={"tau": True})
+
+    @pytest.mark.parametrize("mass", [np.int64(1), np.float32(1.0), np.float64(1.0), 1])
+    def test_numpy_point_mass_taken_as_a_float(self, mass):
+        lct = LctConfig(base=VsHyperParams(), conditioned={"tau": mass})
+        values = lct.draw(np.random.default_rng(83))
+        assert values.tolist() == [1.0]
+        hyper = lct.hyper_at(values)
+        assert hyper == VsHyperParams(tau=1.0) and type(hyper.tau) is float
+
+    def test_names_built_once(self):
+        lct = LctConfig(base=VsHyperParams(), conditioned={"tau": make_linear(0.0, 3.0, 0.0), "omega": 0.7})
+        assert lct.names == ("omega", "tau") and lct.names is lct.names
+        assert lct == LctConfig(base=VsHyperParams(), conditioned={"omega": 0.7, "tau": make_linear(0.0, 3.0, 0.0)})
+        assert "names" not in repr(lct)
+
+    def test_hyper_at_equals_replacing_the_base(self):
+        base = VsHyperParams(omega=0.9, gamma=0.2, tau=0.5)
+        lct = LctConfig(base=base, conditioned={"omega": make_linear(0.0, 1.0, 1.5), "tau": make_linear(0.0, 3.0, 0.3)})
+        rng = np.random.default_rng(84)
+        for _ in range(200):
+            values = lct.draw(rng)
+            hyper = lct.hyper_at(values)
+            assert hyper == replace(base, omega=float(values[0]), tau=float(values[1]))
+            assert all(type(v) is float for v in (hyper.omega, hyper.gamma, hyper.tau))
 
 
 class TestDeterminism:

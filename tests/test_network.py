@@ -290,7 +290,6 @@ class TestBlockedScores:
         monkeypatch.setattr(network, "Workspace", CountedWorkspace)
         assert model.scores(x, np.ones((1, 2))).tobytes() == expected.tobytes()
         assert made == [rows] * workers
-        assert rows * workers <= SCORE_BLOCK_ROWS + workers
 
     @pytest.mark.parametrize("cond_rows", ["shared", "per-row"])
     @pytest.mark.parametrize("affine", [False, True])

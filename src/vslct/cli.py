@@ -183,6 +183,9 @@ def cmd_loss_geometry(args) -> int:
 def cmd_dist_check(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    # a NaN bound would never be exceeded
+    if args.max_ks is not None and not args.max_ks >= 0.0:
+        raise ValueError(f"--max-ks must be a number >= 0, got {args.max_ks}")
     dist = make_linear(args.a, args.b, args.h_b)
     rng = np.random.default_rng(args.seed)
     started = time.monotonic()

@@ -90,7 +90,7 @@ def subsample_minority(data: Dataset, beta: float, rng: np.random.Generator) -> 
     The retained minority size is floor(n0 / beta), drawn without
     replacement; all majority samples are kept and rows are reshuffled.
     """
-    if beta < 1.0:
+    if not beta >= 1.0:
         raise ValueError(f"beta must be >= 1, got {beta}")
     idx0 = np.nonzero(data.y == 0)[0]
     idx1 = np.nonzero(data.y == 1)[0]

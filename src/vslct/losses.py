@@ -56,8 +56,8 @@ class VsHyperParams:
 
     omega: weight on the minority class (class 1); the majority class gets
         1 - omega.  Must lie in [0, 1].
-    gamma: exponent of the multiplicative logit factor, >= 0.
-    tau:   scale of the additive logit factor, >= 0.
+    gamma: exponent of the multiplicative logit factor, finite and >= 0.
+    tau:   scale of the additive logit factor, finite and >= 0.
     Each is checked as a real number, naming it, and stored as a plain float.
     """
 
@@ -71,10 +71,10 @@ class VsHyperParams:
         # written so that NaN fails every check
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.tau >= 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,16 @@ def vs_loss_general(y: int, z: LogitPair, p: VsHyperParams, counts: ClassCounts)
     return loss
 
 
+def _check_beta(beta: float) -> None:
+    """Raise unless beta is an imbalance ratio: a finite number >= 1 (NaN fails too)."""
+    if not 1.0 <= beta < math.inf:
+        raise ValueError(f"beta must be >= 1 and finite, got {beta}")
+
+
 def _check_label_and_beta(y: int, beta: float) -> None:
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y}")
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
+    _check_beta(beta)
 
 
 def vs_loss_binary(y: int, z: LogitPair, p: VsHyperParams, beta: float) -> float:
@@ -262,7 +267,8 @@ def vs_loss_partials_hyper(z: LogitPair, p: VsHyperParams, beta: float) -> tuple
     d/d tau   = omega * sigmoid(m) * log(beta).
     d/d gamma = (z1/beta^gamma) * d/d tau.
     """
-    if beta <= 1.0:
+    _check_beta(beta)
+    if beta == 1.0:
         raise ValueError(f"beta must be > 1 for hyperparameter partials, got {beta}")
     m = _margin(z.z0, z.z1, p.gamma, p.tau, beta)
     logb = math.log(beta)
@@ -325,8 +331,7 @@ def break_even_line(p: VsHyperParams, beta: float) -> BreakEvenLine:
     alpha_omega: slope beta^gamma, intercept beta^gamma*(tau*log(beta) +
     alpha_omega).
     """
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
+    _check_beta(beta)
     alpha = break_even_alpha(p.omega)
     slope = beta**p.gamma
     intercept = slope * (p.tau * math.log(beta) + alpha)
@@ -339,10 +344,9 @@ def break_even_softmax_score(beta: float, tau: float) -> float:
     A model calibrated to the shifted margin outputs z = (x, x + tau*log(beta))
     at such a sample, whose softmax is beta^tau/(1 + beta^tau) = sigmoid(tau*log(beta)).
     """
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    _check_beta(beta)
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     return sigmoid(tau * math.log(beta))
 
 
@@ -352,8 +356,9 @@ def loss_difference_grid(p: VsHyperParams, beta: float, lo: float, hi: float, st
     Cells where the value changes sign straddle the break-even line; the
     sign is negative wherever z1 lies above it.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    _check_beta(beta)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     if steps < 2:
         raise ValueError(f"need steps >= 2, got {steps}")
     zs = np.linspace(lo, hi, steps)

@@ -36,17 +36,16 @@ the workspace's next use.
 one workspace for all its blocks, so each block's activations stay in
 cache and reuse the pages of the block before.  A set of at most
 SCORE_BLOCK_ROWS rows is one `forward` on the calling thread.  A larger
-set is split into blocks of SCORE_BLOCK_ROWS // W rows, rounded down to
-a power of two, which W threads (the caller among them) take in turn
-from one shared iterator, so all the workspaces together still hold
-about SCORE_BLOCK_ROWS rows.  numpy releases the GIL inside matmul and
+set is cut into fixed blocks of SCORE_BLOCK_ROWS // 2 rows (the last
+one shorter), which up to W threads (the caller among them) take in turn
+from one shared iterator.  numpy releases the GIL inside matmul and
 large ufunc loops, so the threads run in parallel.  W is the usable core
 count divided by OPENBLAS_NUM_THREADS when that variable is a positive
 integer, and 1 otherwise, since OpenBLAS then already uses every core;
-at W = 1 the blocks run one after another on the calling thread.  A
-score does not depend on W or on which thread computed it, but blocked
-scores can differ from one unblocked `forward` in the last few bits
-(see `scores`).
+at W = 1 the blocks run one after another on the calling thread.  The
+blocks do not depend on W, so neither do the scores, but blocked scores
+can differ from one unblocked `forward` in the last few bits (see
+`scores`).
 
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
@@ -72,8 +71,8 @@ import numpy as np
 from vslct._util import FORMAT, atomic_write_text, check_format, checked_int, decode_array, encode_array
 from vslct.losses import sigmoid
 
-# Rows `MlpFilmModel.scores` holds in workspaces at once.  A set of at most
-# this many rows, such as every sweep's test set, is scored by one call.
+# `MlpFilmModel.scores` runs one `forward` on a set of at most this many
+# rows, such as every sweep's test set, and blocks of half as many above.
 SCORE_BLOCK_ROWS = 2048
 
 __all__ = [
@@ -159,8 +158,8 @@ class Workspace:
     """The arrays `forward` and `backward` write, for one model shape and batches of up to `rows` rows.
 
     The row buffers are (rows, width) views of one allocation.  Training
-    makes one workspace per run and `scores` one per call, and each
-    reuses it for every batch or block (see the module docstring).
+    makes one workspace per run and `scores` one per thread per call, and
+    each reuses it for every batch or block (see the module docstring).
     `flat_grads` has the layout of `MlpFilmModel.flat`, and `grads` maps
     each name of PARAM_KEYS to a view of its slice.  A workspace belongs
     to the caller that made it and is never stored on a model, so
@@ -317,41 +316,30 @@ class MlpFilmModel:
 
         Takes the inputs of `forward`.  Up to SCORE_BLOCK_ROWS rows, that
         is a single `forward` on the whole input on the calling thread, so
-        the scores are bit for bit those of `forward`.  Above it, W =
-        `_score_workers()` threads, the caller among them, each take
+        the scores are bit for bit those of `forward`.  Above it, the rows
+        are cut into blocks of SCORE_BLOCK_ROWS // 2, and min(W, blocks)
+        threads, W = `_score_workers()` and the caller among them, take
         blocks from one shared iterator and run `forward` on them in a
         workspace of their own, slicing per-row conditioning along with x;
-        each block's scores go into its own slice of the output.
-
-        A block has SCORE_BLOCK_ROWS // W rows, rounded down to a power of
-        two, so the W workspaces together hold at most SCORE_BLOCK_ROWS
-        rows (one more each if a lone last row joins the block before it,
-        see below).  The scores do not depend on W.  Measured with OpenBLAS
-        0.3.31, a row gets the same bits in any block of a multiple of four
-        rows, and the last few rows of a set past a multiple of four get
-        the same bits in any last block that holds them all, unless that
-        block is one row, which numpy computes as a matrix-vector product.
-        Power-of-two blocks keep those rows together, and a one-row last
-        block joins the block before it unless SCORE_BLOCK_ROWS-row blocks
-        leave that row alone too.
+        each block's scores go into its own slice of the output.  A block
+        is the same rows whichever thread runs it, so the scores do not
+        depend on W.
 
         Blocked scores can differ from an unblocked `forward`'s by a few
-        ulps (at most 1.7e-15 measured on 10^5 rows), since OpenBLAS picks
-        its kernel for the (rows, width) @ (width, 2) head product by row
-        count.  An exception in any thread is raised here once every
-        thread has been joined.
+        ulps, since OpenBLAS picks its kernel for the (rows, width) @
+        (width, 2) head product by row count, and numpy computes a one-row
+        block, the last block of a set of 1 more than a multiple of
+        SCORE_BLOCK_ROWS // 2, as a matrix-vector product.  An exception
+        in any thread is raised here once every thread has been joined.
         """
         x, cond = self._checked_inputs(x, cond)
         n = x.shape[0]
         if n <= SCORE_BLOCK_ROWS:
             return minority_score(self.forward(x, cond, Workspace(self.config, n))[0])
-        workers = _score_workers()
-        block = 1 << (SCORE_BLOCK_ROWS // workers).bit_length() - 1
-        bounds = list(range(0, n, block)) + [n]
-        if bounds[-1] - bounds[-2] == 1 and n % SCORE_BLOCK_ROWS != 1:
-            del bounds[-2]
-        rows = max(stop - start for start, stop in zip(bounds, bounds[1:]))
-        blocks = iter(zip(bounds, bounds[1:]))
+        rows = SCORE_BLOCK_ROWS // 2
+        starts = range(0, n, rows)
+        workers = min(_score_workers(), len(starts))
+        blocks = iter(starts)
         per_row = cond.shape[0] == n
         out = np.empty(n)
         errors = []
@@ -361,7 +349,8 @@ class MlpFilmModel:
                 # made on the thread that uses it, so its pages stay in that thread's
                 # malloc arena between calls instead of being returned and faulted in again
                 workspace = Workspace(self.config, rows)
-                for start, stop in blocks:
+                for start in blocks:
+                    stop = start + rows
                     logits = self.forward(x[start:stop], cond[start:stop] if per_row else cond, workspace)[0]
                     out[start:stop] = minority_score(logits)
             except BaseException as exc:
@@ -387,8 +376,7 @@ def _score_workers() -> int:
     if blas_threads < 1:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # a block keeps at least one row
-    return max(1, min(cores // blas_threads, SCORE_BLOCK_ROWS))
+    return max(1, cores // blas_threads)
 
 
 def minority_score(logits: np.ndarray) -> np.ndarray:
@@ -416,7 +404,7 @@ def sgd_step(
     A non-finite norm leaves params and velocity untouched; the caller
     decides how to report it.
     """
-    if lr <= 0.0:
+    if not lr > 0.0:
         raise ValueError(f"lr must be > 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")

@@ -578,6 +578,23 @@ class TestLossGeometry:
         assert "beta must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--beta", "nan"], "beta must be >= 1 and finite, got nan"),
+            (["--beta", "inf"], "beta must be >= 1 and finite, got inf"),
+            (["--beta", 10, "--tau", "inf"], "tau must be >= 0 and finite, got inf"),
+            (["--beta", 10, "--gamma", "inf"], "gamma must be >= 0 and finite, got inf"),
+            (["--beta", 10, "--hi", "inf"], "need finite lo < hi, got [-5.0, inf]"),
+        ],
+        ids=["beta-nan", "beta-inf", "tau-inf", "gamma-inf", "hi-inf"],
+    )
+    def test_non_finite_values_exit_1_writing_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "grid.csv"
+        assert run_cli("loss-geometry", *argv, "--steps", 3, "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_off_center_hypers_skip_softmax_score(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         code = run_cli("loss-geometry", "--beta", 10, "--omega", 0.9, "--steps", 3, "--out", out)
@@ -600,6 +617,18 @@ class TestDistCheck:
         code = run_cli("dist-check", "--a", 0, "--b", 3, "--h-b", 0, "--samples", 2000, "--seed", 1, "--max-ks", 1e-9)
         assert code == 1
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_ks", ["nan", -0.5])
+    def test_unusable_max_ks_refused_before_sampling(self, monkeypatch, tmp_path, capsys, max_ks):
+        # a NaN bound is never exceeded, so the gate could not fail
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking --max-ks")
+
+        monkeypatch.setattr(cli, "make_linear", no_sampling)
+        out = tmp_path / "ks.json"
+        assert run_cli("dist-check", "--a", 0, "--b", 3, "--h-b", 0, "--max-ks", max_ks, "--out", out) == 1
+        assert f"error: --max-ks must be a number >= 0, got {float(max_ks)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_samples_exits_1_naming_the_flag(self, capsys):
         code = run_cli("dist-check", "--a", 0, "--b", 3, "--h-b", 0, "--samples", 0)

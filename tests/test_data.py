@@ -126,6 +126,14 @@ class TestSubsampleMinority:
         with pytest.raises(ValueError):
             subsample_minority(base, beta=200.0, rng=np.random.default_rng(0))  # floor -> 0
 
+    @pytest.mark.parametrize(
+        "beta, message", [(float("nan"), "beta must be >= 1, got nan"), (float("inf"), "beta=inf leaves no minority samples")], ids=["nan", "inf"]
+    )
+    def test_non_finite_beta_named(self, beta, message):
+        base = synth_gaussian(100, 10, 2, 1.0, np.random.default_rng(51))
+        with pytest.raises(ValueError, match=message):
+            subsample_minority(base, beta=beta, rng=np.random.default_rng(0))
+
 
 class TestCsvRoundTrip:
     """Full-precision CSV serialization."""

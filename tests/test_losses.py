@@ -160,6 +160,12 @@ class TestLossForms:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {shown}")):
             VsHyperParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["gamma", "tau"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_params_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite, got {value}"):
+            VsHyperParams(**{name: value})
+
     def test_params_stored_as_plain_floats(self):
         p = VsHyperParams(omega=np.float32(0.5), gamma=np.int64(1), tau=1)
         assert (p.omega, p.gamma, p.tau) == (0.5, 1.0, 1.0)
@@ -418,3 +424,36 @@ class TestLossDifferenceGrid:
             loss_difference_grid(VsHyperParams(), beta=5.0, lo=1.0, hi=-1.0, steps=10)
         with pytest.raises(ValueError):
             loss_difference_grid(VsHyperParams(), beta=5.0, lo=-1.0, hi=1.0, steps=1)
+
+
+class TestNonFiniteBeta:
+    """Every public function that takes an imbalance ratio rejects NaN and +-inf, naming beta."""
+
+    CALLS = {
+        "vs_loss_binary": lambda beta: vs_loss_binary(1, LogitPair(0.0, 0.0), VsHyperParams(), beta),
+        "vs_loss_grad_logits": lambda beta: vs_loss_grad_logits(1, LogitPair(0.0, 0.0), VsHyperParams(), beta),
+        "vs_loss_partials_hyper": lambda beta: vs_loss_partials_hyper(LogitPair(0.0, 0.0), VsHyperParams(), beta),
+        "break_even_line": lambda beta: break_even_line(VsHyperParams(), beta),
+        "break_even_softmax_score": lambda beta: break_even_softmax_score(beta, 1.0),
+        "loss_difference_grid": lambda beta: loss_difference_grid(VsHyperParams(), beta, -1.0, 1.0, 3),
+    }
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("function", sorted(CALLS))
+    def test_rejected(self, function, beta):
+        with pytest.raises(ValueError, match=f"beta must be >= 1 and finite, got {beta}"):
+            self.CALLS[function](beta)
+
+    def test_finite_beta_still_accepted(self):
+        for call in self.CALLS.values():
+            call(2.0)
+
+    def test_softmax_score_rejects_non_finite_tau(self):
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"tau must be >= 0 and finite, got {tau}"):
+                break_even_softmax_score(10.0, tau)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)])
+    def test_grid_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            loss_difference_grid(VsHyperParams(), 2.0, lo, hi, 3)

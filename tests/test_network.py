@@ -52,6 +52,15 @@ def fresh_forward(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray):
     return model.forward(x, cond, Workspace(model.config, len(x)))
 
 
+def scores_over_blocks(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """`minority_score` of `forward` on the blocks `scores` uses: all of x up to SCORE_BLOCK_ROWS rows, half that above."""
+    n = len(x)
+    rows = n if n <= SCORE_BLOCK_ROWS else SCORE_BLOCK_ROWS // 2
+    per_row = len(cond) == n
+    blocks = [fresh_forward(model, x[i : i + rows], cond[i : i + rows] if per_row else cond)[0] for i in range(0, n, rows)]
+    return minority_score(np.concatenate(blocks))
+
+
 def quadratic_objective(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray):
     """J = 0.5 * sum(logits^2); its logit gradient is the logits themselves."""
     logits, cache = fresh_forward(model, x, cond)
@@ -208,11 +217,7 @@ class TestBlockedScores:
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
         scores = model.scores(x, cond)
-        blocks = [
-            fresh_forward(model, x[i : i + SCORE_BLOCK_ROWS], cond if cond_rows == "shared" else cond[i : i + SCORE_BLOCK_ROWS])[0]
-            for i in range(0, n, SCORE_BLOCK_ROWS)
-        ]
-        assert scores.tobytes() == minority_score(np.concatenate(blocks)).tobytes()
+        assert scores.tobytes() == scores_over_blocks(model, x, cond).tobytes()
         unblocked = minority_score(fresh_forward(model, x, cond)[0])
         np.testing.assert_allclose(scores, unblocked, rtol=0.0, atol=1e-14)
         if n <= SCORE_BLOCK_ROWS:
@@ -228,18 +233,20 @@ class TestBlockedScores:
         with pytest.raises(ValueError, match=re.escape(f"cond must have shape ({n}, 2) or (1, 2), got ({n}, 1)")):
             model.scores(np.zeros((n, 2)), np.zeros((n, 1)))
 
-    def test_peak_memory_bounded_by_blocks(self):
+    def test_peak_memory_bounded_by_blocks(self, monkeypatch):
         # unblocked, forward's three (n, 64) float64 arrays alone take 154 MB here
         model = MlpFilmModel.init(width64_config(True), np.random.default_rng(93))
         x = np.random.default_rng(94).normal(size=(100_000, 2))
         cond = np.ones((1, 2))
-        tracemalloc.start()
-        try:
-            model.scores(x, cond)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for workers in (1, 2):
+            monkeypatch.setattr(network, "_score_workers", lambda: workers)
+            tracemalloc.start()
+            try:
+                model.scores(x, cond)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, workers
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's mmap and trim thresholds")
     def test_blocks_reuse_pages_in_a_fresh_process(self):
@@ -271,11 +278,13 @@ class TestBlockedScores:
 
     @pytest.mark.parametrize(
         "workers, n, rows",
-        [(1, 4097, 2048), (2, 4097, 1024), (3, 4097, 512), (4, 4097, 512), (2, 3073, 1025), (3, 3073, 513)],
+        [(w, n, SCORE_BLOCK_ROWS // 2) for w in (1, 2, 3) for n in (2049, 3073, 4097, 100_000)]
+        + [(4, 4097, SCORE_BLOCK_ROWS // 2)]
+        + [(w, n, n) for w in (1, 2, 3) for n in (0, 1000, SCORE_BLOCK_ROWS)],
     )
     def test_one_workspace_per_worker(self, monkeypatch, workers, n, rows):
-        # W workspaces of SCORE_BLOCK_ROWS // W rows rounded down to a power of
-        # two; a lone last row joins the block before it (3073 = 2048 + 1025)
+        # a larger set runs in fixed blocks on min(W, blocks) threads, each with
+        # one workspace of a block; a smaller one in one workspace on the caller
         made = []
 
         class CountedWorkspace(Workspace):
@@ -283,13 +292,22 @@ class TestBlockedScores:
                 made.append(rows)
                 super().__init__(config, rows)
 
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
         monkeypatch.setattr(network, "_score_workers", lambda: workers)
         model = MlpFilmModel.init(width64_config(True), np.random.default_rng(96))
         x = np.random.default_rng(97).normal(size=(n, 2))
         expected = model.scores(x, np.ones((1, 2)))
+        started = []
         monkeypatch.setattr(network, "Workspace", CountedWorkspace)
+        monkeypatch.setattr(threading, "Thread", CountedThread)
         assert model.scores(x, np.ones((1, 2))).tobytes() == expected.tobytes()
-        assert made == [rows] * workers
+        threads = min(workers, -(-n // rows)) if n > SCORE_BLOCK_ROWS else 1
+        assert made == [rows] * threads
+        assert len(started) == threads - 1
 
     @pytest.mark.parametrize("cond_rows", ["shared", "per-row"])
     @pytest.mark.parametrize("affine", [False, True])
@@ -300,12 +318,9 @@ class TestBlockedScores:
         rng = np.random.default_rng(99)
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
-        blocks = [
-            fresh_forward(model, x[i : i + SCORE_BLOCK_ROWS], cond if cond_rows == "shared" else cond[i : i + SCORE_BLOCK_ROWS])[0]
-            for i in range(0, n, SCORE_BLOCK_ROWS)
-        ]
+        expected = scores_over_blocks(model, x, cond)
         monkeypatch.setattr(network, "_score_workers", lambda: workers)
-        assert model.scores(x, cond).tobytes() == minority_score(np.concatenate(blocks)).tobytes()
+        assert model.scores(x, cond).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_block_error_raised_after_every_thread_joined(self, monkeypatch, failing):
@@ -607,6 +622,13 @@ class TestOptimizer:
             sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, clip_norm=0.0)
         with pytest.raises(ValueError, match="clip_norm"):
             sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, clip_norm=float("nan"))
+
+    def test_nan_lr_rejected_before_any_update(self):
+        params = np.array([0.5])
+        velocity = np.array([0.25])
+        with pytest.raises(ValueError, match="lr must be > 0, got nan"):
+            sgd_step(params, np.array([1.0]), velocity, lr=math.nan, momentum=0.9, clip_norm=math.inf)
+        assert (params.tolist(), velocity.tolist()) == ([0.5], [0.25])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_norm_leaves_state_untouched(self):

@@ -279,7 +279,7 @@ class TestBlockedScores:
     @pytest.mark.parametrize(
         "workers, n, rows",
         [(w, n, SCORE_BLOCK_ROWS // 2) for w in (1, 2, 3) for n in (2049, 3073, 4097, 100_000)]
-        + [(4, 4097, SCORE_BLOCK_ROWS // 2)]
+        + [(4, 2049, SCORE_BLOCK_ROWS // 2), (4, 4097, SCORE_BLOCK_ROWS // 2)]
         + [(w, n, n) for w in (1, 2, 3) for n in (0, 1000, SCORE_BLOCK_ROWS)],
     )
     def test_one_workspace_per_worker(self, monkeypatch, workers, n, rows):
@@ -305,7 +305,7 @@ class TestBlockedScores:
         monkeypatch.setattr(network, "Workspace", CountedWorkspace)
         monkeypatch.setattr(threading, "Thread", CountedThread)
         assert model.scores(x, np.ones((1, 2))).tobytes() == expected.tobytes()
-        threads = min(workers, -(-n // rows)) if n > SCORE_BLOCK_ROWS else 1
+        threads = min(workers, math.ceil(n / rows)) if n > SCORE_BLOCK_ROWS else 1
         assert made == [rows] * threads
         assert len(started) == threads - 1
 

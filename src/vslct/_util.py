@@ -1,4 +1,4 @@
-"""Small shared helpers: the bit-exact array codec, the file format version, atomic writes and number checks."""
+"""Small shared helpers: the bit-exact array codec, the file format versions, atomic writes and number checks."""
 
 from __future__ import annotations
 
@@ -9,24 +9,27 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["FORMAT", "check_format", "checked_int", "checked_real", "encode_array", "decode_array", "atomic_write_text"]
+__all__ = ["ROW_FORMAT", "CHECKPOINT_FORMAT", "check_format", "checked_int", "checked_real", "encode_array", "decode_array", "atomic_write_text"]
 
-# Version of every JSON file the package writes with encoded arrays (sweep
-# rows, checkpoints).  Files without a "format" field are format 1, which
-# stored each float as its own float.hex() token.
-FORMAT = 2
+# Versions of the JSON files the package writes with encoded arrays.  Files
+# without a "format" field are format 1, which stored each float as its own
+# float.hex() token.  Sweep rows (with their labels files) and checkpoints
+# are versioned apart, so a new layout of one leaves files of the other
+# readable.
+ROW_FORMAT = 3
+CHECKPOINT_FORMAT = 2
 
 # Stored dtype -> the native dtype decoding returns; all are 8 bytes wide.
 _DTYPES = {"<f8": np.float64, "<i8": np.int64}
 
 
-def check_format(payload) -> None:
-    """Raise unless payload is a JSON object written in FORMAT."""
+def check_format(payload, expected: int) -> None:
+    """Raise unless payload is a JSON object written in format `expected`."""
     if not isinstance(payload, dict):
         raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
     version = payload.get("format", 1)
-    if version != FORMAT:
-        raise ValueError(f"stored in format {version}, this version reads format {FORMAT} only; recompute it")
+    if version != expected:
+        raise ValueError(f"stored in format {version}, this version reads format {expected} only; recompute it")
 
 
 def checked_int(name: str, value, least: int = 1) -> int:

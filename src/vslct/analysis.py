@@ -7,15 +7,25 @@ row as JSON and transparently reloads completed rows on a rerun, so an
 interrupted sweep resumes where it stopped; load_rows reads every row of
 such a directory back.
 
-A stored row is file format 2 (`vslct._util.FORMAT`), written atomically:
-the AUC as `float.hex()`, scores and labels in the bit-exact byte-hex
-array codec of `vslct._util`, and a fingerprint of what produced it
-(SweepRun.params, the run's one JSON description, which the sweep summary
-also writes; the TrainConfig epochs, batch_size and lr; and SHA-256
-digests of the train and test data).  Resume reuses a row only when its
-identity and fingerprint equal the requested run's.  It checks every
+A stored row is file format 3 (`vslct._util.ROW_FORMAT`), written
+atomically: the AUC as `float.hex()`, the scores in the bit-exact
+byte-hex array codec of `vslct._util`, and a fingerprint of what produced
+it (SweepRun.params, the run's one JSON description, which the sweep
+summary also writes; the ModelConfig fields the run trains with; the
+TrainConfig epochs, batch_size and lr; SHA-256 digests of the train and
+test data; and the sampler and numerics versions).  The test labels,
+the same for every row, are written once per directory, in the same
+codec, to labels/<test data digest>.json; a subdirectory, so neither
+load_rows nor a run_id can mistake it for a row.
+
+Resume reuses a row only when its identity and fingerprint equal the
+requested run's, and then takes its labels from the test data it was
+given, whose digest the fingerprint has just matched.  It checks every
 stored row before training anything and otherwise fails once, counting
 the stale rows and naming every field that differs in the first.
+load_rows reads one labels file for each test digest its rows name; a
+missing labels file, or one recorded for other test data, fails naming
+its path.
 
 The statistics layer is self-contained numpy/stdlib:
 
@@ -34,11 +44,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+import re
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from vslct._util import FORMAT, atomic_write_text, check_format, checked_int, checked_real, decode_array, encode_array
+from vslct._util import ROW_FORMAT, atomic_write_text, check_format, checked_int, checked_real, decode_array, encode_array
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
@@ -311,8 +322,21 @@ class SweepRow:
         object.__setattr__(self, "labeled_scores", LabeledScores(scores=self.scores, labels=self.labels))
 
 
+# Versions of what makes a row's numbers besides its inputs, stored in its
+# fingerprint: bump "sampler" when LinearDistribution's draws change and
+# "numerics" when trained bits do, and older rows fail to resume naming it.
+_VERSIONS = {"sampler": 1, "numerics": 1}
+
+
 def _row_path(out_dir, run_id: str) -> str:
     return os.path.join(os.fspath(out_dir), f"{run_id}.json")
+
+
+def _labels_path(out_dir, test_digest: str) -> str:
+    """Where a rows directory keeps the labels of the test data with this digest."""
+    if not isinstance(test_digest, str) or not re.fullmatch("[0-9a-f]{64}", test_digest):
+        raise ValueError(f"test data digest must be 64 lowercase hex digits, got {test_digest!r}")
+    return os.path.join(os.fspath(out_dir), "labels", f"{test_digest}.json")
 
 
 def _data_digest(data: Dataset) -> str:
@@ -350,45 +374,61 @@ def _differences(stored: dict, requested: dict) -> list[str]:
 
 
 def _save_row(out_dir, row: SweepRow, fingerprint: dict) -> None:
+    """Write row without its labels, which the directory's labels file holds for every row."""
     payload = {
-        "format": FORMAT,
+        "format": ROW_FORMAT,
         "run_id": row.run_id,
         "kind": row.kind,
         "seed": row.seed,
         "auc": float(row.auc).hex(),
         "scores": encode_array(row.scores),
-        "labels": encode_array(row.labels),
         "fingerprint": fingerprint,
     }
     atomic_write_text(_row_path(out_dir, row.run_id), json.dumps(payload))
 
 
-def _row_from_payload(payload) -> SweepRow:
-    """Decode a stored row; a malformed payload raises KeyError, TypeError or ValueError."""
-    check_format(payload)
-    if not isinstance(payload["fingerprint"], dict):
-        raise TypeError("fingerprint must be a JSON object")
+def _save_labels(path, test_digest: str, labels) -> None:
+    payload = {"format": ROW_FORMAT, "test": test_digest, "labels": encode_array(labels)}
+    atomic_write_text(path, json.dumps(payload))
+
+
+def _load_labels(path, test_digest: str) -> np.ndarray:
+    """The labels stored at path for the test data with this digest; a missing, corrupt or mismatched file raises naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        check_format(payload, ROW_FORMAT)
+        if payload["test"] != test_digest:
+            raise ValueError(f"recorded for test data {payload['test']}, the rows name test data {test_digest}")
+        return decode_array(payload["labels"])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: missing or corrupt test labels ({exc}); delete it if present and resume the sweep to rewrite it") from exc
+
+
+def _row_from_payload(payload: dict, labels: np.ndarray) -> SweepRow:
+    """Decode a stored row whose format is checked; a malformed payload raises KeyError, TypeError or ValueError."""
     return SweepRow(
         run_id=payload["run_id"],
         kind=payload["kind"],
         seed=int(payload["seed"]),
         auc=float.fromhex(payload["auc"]),
         scores=decode_array(payload["scores"]),
-        labels=decode_array(payload["labels"]),
+        labels=labels,
     )
 
 
-def _load_row(out_dir, run: SweepRun, fingerprint: dict) -> SweepRow:
+def _load_row(out_dir, run: SweepRun, fingerprint: dict, labels: np.ndarray) -> SweepRow:
+    """The stored row of `run`, compared with the requested fingerprint before its scores are decoded."""
     path = _row_path(out_dir, run.run_id)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        row = _row_from_payload(payload)
-        stored = {"run_id": row.run_id, "kind": row.kind, "seed": row.seed, **payload["fingerprint"]}
+        check_format(payload, ROW_FORMAT)
+        stored = {"run_id": payload["run_id"], "kind": payload["kind"], "seed": payload["seed"], **payload["fingerprint"]}
         requested = {"run_id": run.run_id, "kind": run.kind, "seed": run.seed, **fingerprint}
         if stored != requested:
             raise ValueError("; ".join(_differences(stored, requested)))
-        return row
+        return _row_from_payload(payload, labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: stale or corrupt sweep row ({exc}); delete it to recompute") from exc
 
@@ -397,9 +437,12 @@ def load_rows(rows_dir) -> list[SweepRow]:
     """Every sweep row stored in rows_dir, in file-name order; invalid JSON and partial rows raise.
 
     Dot files (a killed atomic write's temp file) and JSON objects holding
-    no SweepRow field (summary.json, an analyze report) are skipped.
+    no SweepRow field (summary.json, an analyze report) are skipped.  Each
+    row's labels come from the labels file of the test digest in its
+    fingerprint, read once per digest.
     """
     rows = []
+    labels: dict[str, np.ndarray] = {}
     for name in sorted(os.listdir(rows_dir)):
         if not name.endswith(".json") or name.startswith("."):
             continue
@@ -409,7 +452,15 @@ def load_rows(rows_dir) -> list[SweepRow]:
                 payload = json.load(fh)
             if isinstance(payload, dict) and payload.keys().isdisjoint(f.name for f in fields(SweepRow) if f.init):
                 continue
-            rows.append(_row_from_payload(payload))
+            check_format(payload, ROW_FORMAT)
+            digest = payload["fingerprint"]["data"]["test"]
+            labels_path = _labels_path(rows_dir, digest)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a sweep row: {exc}") from exc
+        if digest not in labels:
+            labels[digest] = _load_labels(labels_path, digest)
+        try:
+            rows.append(_row_from_payload(payload, labels[digest]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a sweep row: {exc}") from exc
     return rows
@@ -424,6 +475,21 @@ def train_run(run: SweepRun, train_data: Dataset, train_config: TrainConfig, **m
     return train_lct(train_data, run.lct, config, model_config=model_config)
 
 
+def _fingerprints(runs: list[SweepRun], train_data: Dataset, test_digest: str, train_config: TrainConfig) -> dict[str, dict]:
+    """Each run's fingerprint by run_id: what its stored row must hold to be reused."""
+    # the seed is part of a row's identity, so train holds the other TrainConfig fields
+    train = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
+    data = {"train": _data_digest(train_data), "test": test_digest}
+    models = {}
+    for cond_dim in {len(run.eval_cond) for run in runs}:  # the ModelConfig train_run builds
+        config = ModelConfig(input_dim=train_data.dim, cond_dim=cond_dim)
+        models[cond_dim] = {**asdict(config), "trunk_widths": list(config.trunk_widths)}
+    return {
+        run.run_id: {"run": run.params, "model": models[len(run.eval_cond)], "train": train, "data": data, "versions": _VERSIONS}
+        for run in runs
+    }
+
+
 def run_sweep(
     runs: list[SweepRun],
     train_data: Dataset,
@@ -436,10 +502,12 @@ def run_sweep(
 
     With out_dir set, each finished run is written to out_dir/run_id.json
     and found again on the next invocation; delete a file to force that
-    run to recompute.  Every found row is checked before any run trains;
-    if any is stale or corrupt (its fingerprint differs from the
-    requested run's, or it does not decode), one error counts them and
-    gives the first one's message, naming each differing field.
+    run to recompute.  The test labels are written to
+    out_dir/labels/<test data digest>.json whenever that file is missing.
+    Every found row is checked before any run trains; if any is stale or
+    corrupt (its fingerprint differs from the requested run's, or it does
+    not decode), one error counts them and gives the first one's message,
+    naming each differing field.
     `progress`, if given, is called as progress(index, total, row) after
     each run.
     """
@@ -449,19 +517,20 @@ def run_sweep(
     found: dict[str, SweepRow] = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        # the seed is part of a row's identity, so train holds the other TrainConfig fields
-        train = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
-        data_digests = {"train": _data_digest(train_data), "test": _data_digest(test_data)}
-        fingerprints = {run.run_id: {"run": run.params, "train": train, "data": data_digests} for run in runs}
+        test_digest = _data_digest(test_data)
+        fingerprints = _fingerprints(runs, train_data, test_digest, train_config)
         stored = [run for run in runs if os.path.exists(_row_path(out_dir, run.run_id))]
         errors = []
         for run in stored:
             try:
-                found[run.run_id] = _load_row(out_dir, run, fingerprints[run.run_id])
+                found[run.run_id] = _load_row(out_dir, run, fingerprints[run.run_id], test_data.y)
             except ValueError as exc:
                 errors.append(exc)
         if errors:
             raise ValueError(f"{out_dir}: {len(errors)} of {len(stored)} stored rows are stale or corrupt; the first: {errors[0]}") from errors[0]
+        labels_path = _labels_path(out_dir, test_digest)
+        if not os.path.exists(labels_path):
+            _save_labels(labels_path, test_digest, test_data.y)
     rows: list[SweepRow] = []
     for i, run in enumerate(runs):
         row = found.get(run.run_id)

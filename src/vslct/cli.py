@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config: train, seeds, eval_lambda, baseline_grid, lct_grid")
     p.add_argument("--train-data", required=True, help="training CSV")
     p.add_argument("--test-data", required=True, help="evaluation CSV")
-    p.add_argument("--out-dir", required=True, help="directory for per-run rows and summary.json")
+    p.add_argument("--out-dir", required=True, help="directory for per-run rows, their test labels and summary.json")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("roc", help="aggregate ROC envelopes across sweep rows")

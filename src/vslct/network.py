@@ -50,7 +50,7 @@ can differ from one unblocked `forward` in the last few bits (see
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
 
-Checkpoints are JSON in file format 2 (`vslct._util.FORMAT`): each
+Checkpoints are JSON in file format 2 (`vslct._util.CHECKPOINT_FORMAT`): each
 parameter array is stored as the hex of its little-endian float64 bytes
 (`vslct._util.encode_array`, the codec sweep rows use too), making
 save/load round trips bit-exact.  A format-1 checkpoint, which stored
@@ -68,7 +68,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vslct._util import FORMAT, atomic_write_text, check_format, checked_int, decode_array, encode_array
+from vslct._util import CHECKPOINT_FORMAT, atomic_write_text, check_format, checked_int, decode_array, encode_array
 from vslct.losses import sigmoid
 
 # `MlpFilmModel.scores` runs one `forward` on a set of at most this many
@@ -404,8 +404,8 @@ def sgd_step(
     A non-finite norm leaves params and velocity untouched; the caller
     decides how to report it.
     """
-    if not lr > 0.0:
-        raise ValueError(f"lr must be > 0, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"lr must be a finite number > 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
     if not clip_norm > 0.0:
@@ -428,7 +428,7 @@ def sgd_step(
 def save_checkpoint(path, model: MlpFilmModel, meta: dict | None = None) -> None:
     """Serialize config + parameters as JSON, atomically; arrays in the bit-exact byte-hex codec."""
     payload = {
-        "format": FORMAT,
+        "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "params": {k: encode_array(v) for k, v in model.params.items()},
         "meta": meta or {},
@@ -441,7 +441,7 @@ def load_checkpoint(path) -> tuple[MlpFilmModel, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        check_format(payload)
+        check_format(payload, CHECKPOINT_FORMAT)
         cfg_dict = dict(payload["config"])
         cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
         config = ModelConfig(**cfg_dict)

@@ -17,6 +17,8 @@ from vslct._util import decode_array, encode_array
 from vslct.analysis import (
     AucStats,
     _data_digest,
+    _labels_path,
+    _save_labels,
     _save_row,
     aggregate_roc,
     auc_stats,
@@ -258,6 +260,11 @@ def data():
     return train, test
 
 
+def stored_files(directory) -> dict:
+    """Every file under directory, by relative path, with its bytes."""
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
 class TestSweep:
     """Run execution, persistence, and resume semantics."""
 
@@ -280,7 +287,10 @@ class TestSweep:
         train, test = data
         runs = tiny_sweep_runs()
         first = run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{r.run_id}.json" for r in runs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{r.run_id}.json" for r in runs] + ["labels"])
+        # the rows hold no labels; one file holds them for every row
+        assert [p.name for p in (tmp_path / "labels").iterdir()] == [f"{_data_digest(test)}.json"]
+        assert not any("labels" in json.loads((tmp_path / f"{r.run_id}.json").read_text()) for r in runs)
         again = run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
         for a, b in zip(first, again):
             assert a.auc == b.auc
@@ -320,7 +330,7 @@ class TestSweep:
         train, test = data
         runs = tiny_sweep_runs()
         run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
-        stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        stored = stored_files(tmp_path)
         other_train = synth_gaussian(60, 20, 2, 2.0, np.random.default_rng(112))
         longer_range = LctConfig(base=VsHyperParams(), conditioned={"tau": make_linear(0.0, 4.0, 0.15)})
         cases = [
@@ -335,13 +345,13 @@ class TestSweep:
                 run_sweep(requested, train_data, test, train_config, out_dir=tmp_path)
             for field_message in named:
                 assert field_message in str(exc.value)
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+        assert stored_files(tmp_path) == stored
 
     def test_every_stale_row_counted_before_any_run_trains(self, data, tmp_path, monkeypatch):
         train, test = data
         runs = tiny_sweep_runs()
         run_sweep(runs[:3], train, test, replace(TINY_TRAIN, epochs=3), out_dir=tmp_path)
-        stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        stored = stored_files(tmp_path)
 
         def no_training(run, *args, **kwargs):
             raise AssertionError(f"{run.run_id} trained")
@@ -354,7 +364,7 @@ class TestSweep:
             f"{tmp_path}: 3 of 3 stored rows are stale or corrupt; the first: {tmp_path / 'base-s0.json'}: "
             "stale or corrupt sweep row (train.epochs: stored 3, requested 4); delete it to recompute"
         )
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+        assert stored_files(tmp_path) == stored
 
     def test_run_validation(self):
         with pytest.raises(ValueError):
@@ -391,7 +401,7 @@ class TestSweep:
         assert type(run.seed) is int
         config = TrainConfig(epochs=np.int64(1), batch_size=np.int64(32), lr=np.float32(0.25), seed=np.int64(0))
         [row] = run_sweep([run], train, test, config, out_dir=tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["base-np.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-np.json", "labels"]
         [again] = run_sweep([run], train, test, TrainConfig(epochs=1, batch_size=32, lr=0.25), out_dir=tmp_path)
         assert again.scores.tobytes() == row.scores.tobytes()
 
@@ -451,45 +461,67 @@ FINITE_SPECIAL_FLOATS = [v for v in SPECIAL_FLOATS if math.isfinite(v)]
 
 def fingerprint_for(run, train, test, train_config=TINY_TRAIN):
     """The fingerprint run_sweep stores for `run` on these datasets."""
+    model = {"input_dim": train.dim, "cond_dim": len(run.eval_cond), "trunk_widths": [64, 64], "film_hidden": 128, "film_affine": False, "film_zero_init": True}
     train_block = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
-    return {"run": run.params, "train": train_block, "data": {"train": _data_digest(train), "test": _data_digest(test)}}
+    data = {"train": _data_digest(train), "test": _data_digest(test)}
+    return {"run": run.params, "model": model, "train": train_block, "data": data, "versions": {"sampler": 1, "numerics": 1}}
 
 
-# A fingerprint for rows that no resume reads.
-NO_FINGERPRINT: dict = {}
+def store(out_dir, row, fingerprint):
+    """Store row as run_sweep does: its file, and its labels under the fingerprint's test digest."""
+    _save_row(out_dir, row, fingerprint)
+    digest = fingerprint["data"]["test"]
+    _save_labels(_labels_path(out_dir, digest), digest, row.labels)
+
+
+# A fingerprint for rows that no resume reads: load_rows needs only its test digest.
+UNREAD_FINGERPRINT = {"data": {"test": "0" * 64}}
+
 
 def golden_row_inputs():
     """The run, datasets and TrainConfig of the golden row below."""
     train = Dataset(x=np.array([[0.0, 1.0], [1.0, 0.0]]), y=np.array([0, 1]))
-    test = Dataset(x=np.array([[0.5, 0.5]]), y=np.array([1]))
+    test = Dataset(x=np.array([[0.5, 0.5], [0.25, 0.75]]), y=np.array([0, 1]))
     lct = LctConfig(base=VsHyperParams(), conditioned={"tau": make_linear(0.0, 3.0, 0.5)})
     run = SweepRun(run_id="lct-s3", kind="lct", seed=3, eval_cond=(1.5,), lct=lct)
     return run, train, test, TrainConfig(epochs=3, batch_size=128, lr=0.1)
 
 
-# The text _save_row writes for the golden row, pinned so any change to the
-# row format, the array codec or the fingerprint shows up here.
+# The texts _save_row and run_sweep write for the golden row and its test
+# labels, pinned so any change to the row format, the array codec or the
+# fingerprint shows up here.
 GOLDEN_ROW_TEXT = (
+    '{"format": 3, "run_id": "lct-s3", "kind": "lct", "seed": 3, "auc": "0x1.8000000000000p-1", '
+    '"scores": {"dtype": "<f8", "shape": [2], "hex": "000000000000d03f000000000000e03f"}, '
+    '"fingerprint": {"run": {"eval_cond": [1.5], "omega": 0.5, "gamma": 0.0, '
+    '"conditioned": {"tau": {"a": 0.0, "b": 3.0, "h_b": 0.5}}}, '
+    '"model": {"input_dim": 2, "cond_dim": 1, "trunk_widths": [64, 64], "film_hidden": 128, "film_affine": false, "film_zero_init": true}, '
+    '"train": {"epochs": 3, "batch_size": 128, "lr": 0.1}, '
+    '"data": {"train": "acc73a3280c41f19a5d53bb8b3fa367daa5c8d1c062d0b6e7f3fa071b1ba9dac", '
+    '"test": "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52"}, '
+    '"versions": {"sampler": 1, "numerics": 1}}}'
+)
+GOLDEN_LABELS_NAME = "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52.json"
+GOLDEN_LABELS_TEXT = (
+    '{"format": 3, "test": "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52", '
+    '"labels": {"dtype": "<i8", "shape": [2], "hex": "00000000000000000100000000000000"}}'
+)
+
+# The golden row as format 2 wrote it: its labels inside, and a fingerprint
+# of the run, train and data blocks only.
+FORMAT_2_ROW_TEXT = (
     '{"format": 2, "run_id": "lct-s3", "kind": "lct", "seed": 3, "auc": "0x1.8000000000000p-1", '
     '"scores": {"dtype": "<f8", "shape": [2], "hex": "000000000000d03f000000000000e03f"}, '
     '"labels": {"dtype": "<i8", "shape": [2], "hex": "00000000000000000100000000000000"}, '
     '"fingerprint": {"run": {"eval_cond": [1.5], "omega": 0.5, "gamma": 0.0, '
     '"conditioned": {"tau": {"a": 0.0, "b": 3.0, "h_b": 0.5}}}, "train": {"epochs": 3, "batch_size": 128, "lr": 0.1}, '
     '"data": {"train": "acc73a3280c41f19a5d53bb8b3fa367daa5c8d1c062d0b6e7f3fa071b1ba9dac", '
-    '"test": "10f9d09c5e725b554b3ab1134bf3174ab5a0cb0fe445221b0c02345e0126ac8f"}}}'
+    '"test": "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52"}}}'
 )
 
-# The same row as written before the fingerprint's run block became
+# The golden row with the run block as written before it became
 # SweepRun.params: the lct base nested under "base", the tau it replaces included.
-BASE_LAYOUT_ROW_TEXT = (
-    '{"format": 2, "run_id": "lct-s3", "kind": "lct", "seed": 3, "auc": "0x1.8000000000000p-1", '
-    '"scores": {"dtype": "<f8", "shape": [2], "hex": "000000000000d03f000000000000e03f"}, '
-    '"labels": {"dtype": "<i8", "shape": [2], "hex": "00000000000000000100000000000000"}, '
-    '"fingerprint": {"run": {"eval_cond": [1.5], "base": {"omega": 0.5, "gamma": 0.0, "tau": 0.0}, '
-    '"conditioned": {"tau": {"a": 0.0, "b": 3.0, "h_b": 0.5}}}, "train": {"epochs": 3, "batch_size": 128, "lr": 0.1}, '
-    '"data": {"train": "acc73a3280c41f19a5d53bb8b3fa367daa5c8d1c062d0b6e7f3fa071b1ba9dac", '
-    '"test": "10f9d09c5e725b554b3ab1134bf3174ab5a0cb0fe445221b0c02345e0126ac8f"}}}'
-)
+BASE_LAYOUT_ROW_TEXT = GOLDEN_ROW_TEXT.replace('"omega": 0.5, "gamma": 0.0, ', '"base": {"omega": 0.5, "gamma": 0.0, "tau": 0.0}, ')
 
 
 class TestRowCodec:
@@ -536,7 +568,7 @@ class TestRowCodec:
         labels = np.array([i % 2 for i in range(len(FINITE_SPECIAL_FLOATS))] + [y for _, y in pairs], dtype=np.int64)
         row = SweepRow(run_id=run_id, kind=kind, seed=seed, auc=auc, scores=scores, labels=labels)
         with tempfile.TemporaryDirectory() as out_dir:
-            _save_row(out_dir, row, NO_FINGERPRINT)
+            store(out_dir, row, UNREAD_FINGERPRINT)
             (loaded,) = load_rows(out_dir)
         assert (loaded.run_id, loaded.kind, loaded.seed) == (run_id, kind, seed)
         assert np.float64(loaded.auc).tobytes() == np.float64(auc).tobytes()
@@ -548,9 +580,63 @@ class TestRowCodec:
         row = SweepRow("lct-s3", "lct", 3, 0.75, np.array([0.25, 0.5]), np.array([0, 1]))
         _save_row(tmp_path, row, fingerprint_for(run, train, test, train_config))
         assert (tmp_path / "lct-s3.json").read_text() == GOLDEN_ROW_TEXT
-        # run_sweep requests the same fingerprint, so it reuses the row instead of training
+        # run_sweep requests the same fingerprint, so it reuses the row instead of training,
+        # and writes the labels file that was missing
         (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
-        assert (resumed.auc, resumed.scores.tobytes()) == (row.auc, row.scores.tobytes())
+        assert (resumed.auc, resumed.scores.tobytes(), resumed.labels.tobytes()) == (row.auc, row.scores.tobytes(), row.labels.tobytes())
+        assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW_TEXT.encode(), f"labels/{GOLDEN_LABELS_NAME}": GOLDEN_LABELS_TEXT.encode()}
+        (loaded,) = load_rows(tmp_path)
+        assert (loaded.auc, loaded.scores.tobytes(), loaded.labels.tobytes()) == (row.auc, row.scores.tobytes(), row.labels.tobytes())
+
+    def test_missing_labels_file_fails_and_a_pure_resume_rewrites_it_training_nothing(self, data, tmp_path, monkeypatch):
+        train, test = data
+        runs = tiny_sweep_runs()
+        run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
+        stored = stored_files(tmp_path)
+        labels = tmp_path / "labels" / f"{_data_digest(test)}.json"
+        labels.unlink()
+        with pytest.raises(ValueError, match=re.escape(f"{labels}: missing or corrupt test labels ([Errno 2] No such file or directory")):
+            load_rows(tmp_path)
+
+        def no_training(run, *args, **kwargs):
+            raise AssertionError(f"{run.run_id} trained")
+
+        monkeypatch.setattr("vslct.analysis.train_run", no_training)
+        run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
+        assert stored_files(tmp_path) == stored
+
+    def test_labels_file_of_other_test_data_fails_naming_both_digests(self, data, tmp_path):
+        train, test = data
+        run_sweep(tiny_sweep_runs()[:1], train, test, TINY_TRAIN, out_dir=tmp_path)
+        digest, other = _data_digest(test), _data_digest(train)
+        path = tmp_path / "labels" / f"{digest}.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "test": other}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing or corrupt test labels (recorded for test data {other}, the rows name test data {digest})")):
+            load_rows(tmp_path)
+
+    @pytest.mark.parametrize("digest", ["../" + "0" * 61, "0" * 63, "A" * 64, 7])
+    def test_row_naming_no_digest_is_not_a_sweep_row(self, tmp_path, digest):
+        _save_row(tmp_path, SweepRow("r0", "lct", 0, 0.75, np.array([0.25, 0.5]), np.array([0, 1])), {"data": {"test": digest}})
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'r0.json'}: not a sweep row: test data digest must be 64 lowercase hex digits, got {digest!r}")):
+            load_rows(tmp_path)
+
+    def test_format_2_row_fails_saying_recompute(self, tmp_path):
+        run, train, test, train_config = golden_row_inputs()
+        path = tmp_path / "lct-s3.json"
+        path.write_text(FORMAT_2_ROW_TEXT)
+        message = "stored in format 2, this version reads format 3 only; recompute it"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
+            load_rows(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message}); delete it to recompute")):
+            run_sweep([run], train, test, train_config, out_dir=tmp_path)
+        assert stored_files(tmp_path) == {"lct-s3.json": FORMAT_2_ROW_TEXT.encode()}
+
+    def test_row_of_another_sampler_version_fails_naming_it(self, tmp_path):
+        run, train, test, train_config = golden_row_inputs()
+        path = tmp_path / "lct-s3.json"
+        path.write_text(GOLDEN_ROW_TEXT.replace('"sampler": 1', '"sampler": 0'))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row (versions.sampler: stored 0, requested 1)")):
+            run_sweep([run], train, test, train_config, out_dir=tmp_path)
 
     def test_base_layout_row_fails_to_resume_and_stays_untouched(self, tmp_path):
         run, train, test, train_config = golden_row_inputs()
@@ -568,7 +654,7 @@ class TestRowCodec:
 
     def test_load_rows_skips_dot_files_and_other_json(self, tmp_path):
         for seed in (0, 1):
-            _save_row(tmp_path, SweepRow(f"r{seed}", "lct", seed, 0.75, np.array([0.25, 0.5]), np.array([0, 1])), NO_FINGERPRINT)
+            store(tmp_path, SweepRow(f"r{seed}", "lct", seed, 0.75, np.array([0.25, 0.5]), np.array([0, 1])), UNREAD_FINGERPRINT)
         before = load_rows(tmp_path)
         (tmp_path / "summary.json").write_text(json.dumps({"rows": [], "stats": {}}))
         (tmp_path / "report.json").write_text(json.dumps({"groups": {}, "paired_by_seed": None, "baseline_surface_fit": None}))
@@ -593,20 +679,29 @@ class TestRowCodec:
         ],
     )
     def test_bad_stored_row_raises_naming_the_file(self, data, tmp_path, key, value, message):
+        train, _ = data
+        test = Dataset(x=np.zeros((3, 2)), y=np.array([0, 1, 0]))
         run = SweepRun(run_id="r0", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams())
-        _save_row(tmp_path, SweepRow("r0", "baseline", 0, 0.5, np.array([0.5, 0.25, 0.0]), np.array([0, 1, 0])), fingerprint_for(run, *data))
+        store(tmp_path, SweepRow("r0", "baseline", 0, 0.5, np.array([0.5, 0.25, 0.0]), test.y), fingerprint_for(run, train, test))
         path = tmp_path / "r0.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        # the stored labels live in the labels file, which load_rows joins to each row
+        damaged = tmp_path / "labels" / f"{_data_digest(test)}.json" if key == "labels" else path
+        damaged.write_text(json.dumps({**json.loads(damaged.read_text()), key: value}))
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
             load_rows(tmp_path)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message})")):
-            run_sweep([run], *data, TINY_TRAIN, out_dir=tmp_path)
+        if key == "labels":
+            # resume takes the labels of the test data whose digest the row matched, not the file's
+            (resumed,) = run_sweep([run], train, test, TINY_TRAIN, out_dir=tmp_path)
+            assert resumed.labels.tobytes() == test.y.tobytes()
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message})")):
+                run_sweep([run], train, test, TINY_TRAIN, out_dir=tmp_path)
 
     def test_format_1_row_fails_saying_recompute(self, data, tmp_path):
         run = SweepRun(run_id="r0", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams())
         path = tmp_path / "r0.json"
         path.write_text(json.dumps({"run_id": "r0", "kind": "baseline", "seed": 0, "auc": "0x1.0p-1", "scores": ["0x1.0p-1", "0x1.0p-2"], "labels": [0, 1]}))
-        message = "stored in format 1, this version reads format 2 only; recompute it"
+        message = "stored in format 1, this version reads format 3 only; recompute it"
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
             load_rows(tmp_path)
         with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message}); delete it to recompute")):

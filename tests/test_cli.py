@@ -500,6 +500,15 @@ class TestRoc:
         assert code == 1
         assert "no sweep rows" in capsys.readouterr().err
 
+    def test_missing_labels_file_exits_1_naming_it(self, sweep_dir, tmp_path, capsys):
+        rows = tmp_path / "runs"
+        shutil.copytree(sweep_dir["out_dir"], rows)
+        [labels] = (rows / "labels").iterdir()
+        labels.unlink()
+        assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "roc.csv") == 1
+        assert capsys.readouterr().err.startswith(f"error: {labels}: missing or corrupt test labels (")
+        assert not (tmp_path / "roc.csv").exists()
+
 
 class TestAnalyze:
     """Statistical report over a sweep summary."""

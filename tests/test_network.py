@@ -626,9 +626,10 @@ class TestOptimizer:
     def test_nan_lr_rejected_before_any_update(self):
         params = np.array([0.5])
         velocity = np.array([0.25])
-        with pytest.raises(ValueError, match="lr must be > 0, got nan"):
-            sgd_step(params, np.array([1.0]), velocity, lr=math.nan, momentum=0.9, clip_norm=math.inf)
-        assert (params.tolist(), velocity.tolist()) == ([0.5], [0.25])
+        for lr in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"lr must be a finite number > 0, got {lr}"):
+                sgd_step(params, np.array([1.0]), velocity, lr=lr, momentum=0.9, clip_norm=math.inf)
+            assert (params.tolist(), velocity.tolist()) == ([0.5], [0.25])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_norm_leaves_state_untouched(self):
@@ -688,6 +689,16 @@ class TestCheckpoint:
             stored = payload["params"][key]
             assert (stored["dtype"], stored["shape"]) == ("<f8", list(model.params[key].shape))
             assert stored["hex"] == model.params[key].astype("<f8").tobytes().hex()
+
+    def test_format_2_checkpoint_still_loads_bit_exact(self, tmp_path):
+        # checkpoints are versioned apart from sweep rows, whose format moved on
+        model = MlpFilmModel.init(tiny_config(True), np.random.default_rng(76))
+        path = tmp_path / "model.json"
+        params = {k: {"dtype": "<f8", "shape": list(v.shape), "hex": v.astype("<f8").tobytes().hex()} for k, v in model.params.items()}
+        path.write_text(json.dumps({"format": 2, "config": asdict(model.config), "params": params, "meta": {"epoch": 3}}))
+        loaded, meta = load_checkpoint(path)
+        assert (loaded.config, meta) == (model.config, {"epoch": 3})
+        assert loaded.flat.tobytes() == model.flat.tobytes()
 
     def test_format_1_checkpoint_fails_saying_recompute(self, tmp_path):
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(75))

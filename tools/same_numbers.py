@@ -12,8 +12,11 @@ temporary directory, which is removed afterwards:
 
 * `gen-data` at seeds 101/202 (the README's train and test sets), a
   3-epoch `sweep` of configs/directional.json, then `roc` and `analyze`:
-  one line per file written (72 rows, summary.json, roc.csv,
-  report.json) and one digest over those lines;
+  one line per sweep row, a digest of its run_id, kind, seed, AUC hex,
+  score bytes and label bytes as `load_rows` decodes them (so a change of
+  the row file format can still show that no number moved); one line per
+  file summary.json, roc.csv and report.json, of its bytes; and one
+  digest over those lines;
 * `train` of a baseline and of an affine conditioned model (3 epochs):
   one line per checkpoint;
 * the conditioned model's `scores` on a fixed set of 10^5 rows.
@@ -32,6 +35,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from vslct.analysis import load_rows  # noqa: E402
 from vslct.cli import main as vslct_main  # noqa: E402
 from vslct.data import load_csv  # noqa: E402
 from vslct.network import load_checkpoint  # noqa: E402
@@ -68,6 +72,14 @@ def sha256_file(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def sha256_row(row) -> str:
+    """Digest of a decoded sweep row's numbers; scores and labels have equal lengths, so their bytes cannot run together."""
+    digest = hashlib.sha256(f"{row.run_id}\0{row.kind}\0{row.seed}\0{float(row.auc).hex()}\0".encode())
+    digest.update(row.scores.tobytes())
+    digest.update(row.labels.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="same-numbers-") as tmp:
 
@@ -84,14 +96,11 @@ def main() -> None:
         run("sweep", "--config", at("sweep.json"), "--train-data", at("train.csv"), "--test-data", at("test.csv"), "--out-dir", at("out", "runs"))
         run("roc", "--rows-dir", at("out", "runs"), "--out", at("out", "roc.csv"))
         run("analyze", "--summary", at("out", "runs", "summary.json"), "--out", at("out", "report.json"))
-        lines = []
-        for directory, _, files in sorted(os.walk(at("out"))):
-            for name in sorted(files):
-                path = os.path.join(directory, name)
-                lines.append(f"{sha256_file(path)}  {os.path.relpath(path, at('out'))}")
+        lines = [f"{sha256_row(row)}  row {row.run_id}" for row in load_rows(at("out", "runs"))]
+        lines += [f"{sha256_file(at('out', name))}  {name}" for name in (os.path.join("runs", "summary.json"), "roc.csv", "report.json")]
         listing = "".join(f"{line}\n" for line in lines)
         print(listing, end="")
-        print(f"{hashlib.sha256(listing.encode()).hexdigest()}  ({len(lines)} files above)")
+        print(f"{hashlib.sha256(listing.encode()).hexdigest()}  ({len(lines)} lines above)")
 
         for name, config in CHECKPOINTS.items():
             with open(at(name), "w", encoding="utf-8") as fh:

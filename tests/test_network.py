@@ -691,7 +691,7 @@ class TestCheckpoint:
             assert stored["hex"] == model.params[key].astype("<f8").tobytes().hex()
 
     def test_format_2_checkpoint_still_loads_bit_exact(self, tmp_path):
-        # checkpoints are versioned apart from sweep rows, whose format moved on
+        # checkpoints keep format 2 whatever format sweep rows are in
         model = MlpFilmModel.init(tiny_config(True), np.random.default_rng(76))
         path = tmp_path / "model.json"
         params = {k: {"dtype": "<f8", "shape": list(v.shape), "hex": v.astype("<f8").tobytes().hex()} for k, v in model.params.items()}

@@ -7,8 +7,9 @@ the parent commit and on the change and comparing the output:
     OPENBLAS_NUM_THREADS=1 python3 tools/same_numbers.py
 
 Trained bits depend on the BLAS thread count, so compare runs made at
-the same setting.  Everything runs through `vslct.cli.main` in a
-temporary directory, which is removed afterwards:
+the same setting.  Everything runs through `vslct.cli.main` (the rows
+are read back with `load_rows`) in a temporary directory, which is
+removed afterwards:
 
 * `gen-data` at seeds 101/202 (the README's train and test sets), a
   3-epoch `sweep` of configs/directional.json, then `roc` and `analyze`:

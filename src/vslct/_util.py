@@ -1,7 +1,8 @@
-"""Small shared helpers: the bit-exact array codec, the file format versions, atomic writes and number checks."""
+"""Small shared helpers: the bit-exact array codec, the file format versions, versioned reads, atomic writes and number checks."""
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import os
@@ -9,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["ROW_FORMAT", "CHECKPOINT_FORMAT", "check_format", "checked_int", "checked_real", "encode_array", "decode_array", "atomic_write_text"]
+__all__ = ["ROW_FORMAT", "CHECKPOINT_FORMAT", "read_versioned_json", "checked_int", "checked_real", "encode_array", "decode_array", "atomic_write_text"]
 
 # Versions of the JSON files the package writes with encoded arrays.  Files
 # without a "format" field are format 1, which stored each float as its own
@@ -23,13 +24,16 @@ CHECKPOINT_FORMAT = 2
 _DTYPES = {"<f8": np.float64, "<i8": np.int64}
 
 
-def check_format(payload, expected: int) -> None:
-    """Raise unless payload is a JSON object written in format `expected`."""
+def read_versioned_json(path, expected: int) -> dict:
+    """The JSON object stored at path in format `expected`; raises OSError, ValueError (invalid JSON included) or TypeError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
     if not isinstance(payload, dict):
         raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
     version = payload.get("format", 1)
     if version != expected:
         raise ValueError(f"stored in format {version}, this version reads format {expected} only; recompute it")
+    return payload
 
 
 def checked_int(name: str, value, least: int = 1) -> int:

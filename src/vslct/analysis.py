@@ -4,8 +4,8 @@ run_sweep trains a list of configured runs through train_run (the executor
 `vslct train` uses too), scores each trained model on a held-out test set,
 and returns one row per run.  Given an output directory it persists each
 row as JSON and transparently reloads completed rows on a rerun, so an
-interrupted sweep resumes where it stopped; load_rows reads every row of
-such a directory back.
+interrupted sweep resumes where it stopped; load_rows reads back the rows
+of given run_ids, which `vslct roc` takes from the sweep's summary.json.
 
 A stored row is file format 3 (`vslct._util.ROW_FORMAT`), written
 atomically: the AUC as `float.hex()`, the scores in the bit-exact
@@ -15,8 +15,8 @@ summary also writes; the ModelConfig fields the run trains with; the
 TrainConfig epochs, batch_size and lr; SHA-256 digests of the train and
 test data; and the sampler and numerics versions).  The test labels,
 the same for every row, are written once per directory, in the same
-codec, to labels/<test data digest>.json; a subdirectory, so neither
-load_rows nor a run_id can mistake it for a row.
+codec, to labels/<test data digest>.json; a subdirectory, so no run_id's
+row file can take its name.
 
 Resume reuses a row only when its identity and fingerprint equal the
 requested run's, and then takes its labels from the test data it was
@@ -45,11 +45,11 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from vslct._util import ROW_FORMAT, atomic_write_text, check_format, checked_int, checked_real, decode_array, encode_array
+from vslct._util import ROW_FORMAT, atomic_write_text, checked_int, checked_real, decode_array, encode_array, read_versioned_json
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
@@ -241,6 +241,15 @@ def polyfit_r2(x, y, degree: int = 2) -> PolyfitResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_run_ids(run_ids: list[str]) -> None:
+    """Raise unless each run_id, which names its row file, is non-empty, filesystem-safe and not dot-leading, and none repeats."""
+    for run_id in run_ids:
+        if not run_id or run_id[0] == "." or not all(c.isalnum() or c in "._-" for c in run_id):
+            raise ValueError(f"run_id must be non-empty, filesystem-safe and not start with '.', got {run_id!r}")
+    if len(set(run_ids)) != len(run_ids):
+        raise ValueError(f"run_ids must be unique within a sweep; repeated: {sorted({i for i in run_ids if run_ids.count(i) > 1})}")
+
+
 @dataclass(frozen=True)
 class SweepRun:
     """One training run inside a sweep.
@@ -248,9 +257,9 @@ class SweepRun:
     kind "baseline" trains at `hyper` with the conditioning input held at
     eval_cond; kind "lct" trains with per-batch draws from `lct` and is
     evaluated at eval_cond, inside each conditioned distribution's support.
-    run_id must be unique, filesystem-safe and not start with '.'
-    (load_rows skips dot files); seed is stored as a plain int >= 0 and
-    eval_cond as plain floats, each checked as a real number.
+    run_id names the run's row file, so it must be a non-empty, safe file
+    name not starting with '.', unique within a sweep; seed is stored as a
+    plain int >= 0 and eval_cond as plain floats, each checked as a real number.
     """
 
     run_id: str
@@ -262,8 +271,7 @@ class SweepRun:
 
     def __post_init__(self):
         object.__setattr__(self, "eval_cond", tuple(checked_real(f"{self.run_id}: eval_cond entry", v) for v in self.eval_cond))
-        if not self.run_id or self.run_id[0] == "." or not all(c.isalnum() or c in "._-" for c in self.run_id):
-            raise ValueError(f"run_id must be non-empty, filesystem-safe and not start with '.', got {self.run_id!r}")
+        _check_run_ids([self.run_id])
         object.__setattr__(self, "seed", checked_int(f"{self.run_id}: seed", self.seed, least=0))
         if not self.eval_cond:
             raise ValueError(f"{self.run_id}: eval_cond must not be empty")
@@ -395,9 +403,7 @@ def _save_labels(path, test_digest: str, labels) -> None:
 def _load_labels(path, test_digest: str) -> np.ndarray:
     """The labels stored at path for the test data with this digest; a missing, corrupt or mismatched file raises naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        check_format(payload, ROW_FORMAT)
+        payload = read_versioned_json(path, ROW_FORMAT)
         if payload["test"] != test_digest:
             raise ValueError(f"recorded for test data {payload['test']}, the rows name test data {test_digest}")
         return decode_array(payload["labels"])
@@ -407,23 +413,15 @@ def _load_labels(path, test_digest: str) -> np.ndarray:
 
 def _row_from_payload(payload: dict, labels: np.ndarray) -> SweepRow:
     """Decode a stored row whose format is checked; a malformed payload raises KeyError, TypeError or ValueError."""
-    return SweepRow(
-        run_id=payload["run_id"],
-        kind=payload["kind"],
-        seed=int(payload["seed"]),
-        auc=float.fromhex(payload["auc"]),
-        scores=decode_array(payload["scores"]),
-        labels=labels,
-    )
+    scores = decode_array(payload["scores"])
+    return SweepRow(payload["run_id"], payload["kind"], int(payload["seed"]), float.fromhex(payload["auc"]), scores, labels)
 
 
 def _load_row(out_dir, run: SweepRun, fingerprint: dict, labels: np.ndarray) -> SweepRow:
     """The stored row of `run`, compared with the requested fingerprint before its scores are decoded."""
     path = _row_path(out_dir, run.run_id)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        check_format(payload, ROW_FORMAT)
+        payload = read_versioned_json(path, ROW_FORMAT)
         stored = {"run_id": payload["run_id"], "kind": payload["kind"], "seed": payload["seed"], **payload["fingerprint"]}
         requested = {"run_id": run.run_id, "kind": run.kind, "seed": run.seed, **fingerprint}
         if stored != requested:
@@ -433,29 +431,25 @@ def _load_row(out_dir, run: SweepRun, fingerprint: dict, labels: np.ndarray) -> 
         raise ValueError(f"{path}: stale or corrupt sweep row ({exc}); delete it to recompute") from exc
 
 
-def load_rows(rows_dir) -> list[SweepRow]:
-    """Every sweep row stored in rows_dir, in file-name order; invalid JSON and partial rows raise.
+def load_rows(rows_dir, run_ids: list[str]) -> list[SweepRow]:
+    """The rows of run_ids stored in rows_dir, in that order.
 
-    Dot files (a killed atomic write's temp file) and JSON objects holding
-    no SweepRow field (summary.json, an analyze report) are skipped.  Each
-    row's labels come from the labels file of the test digest in its
-    fingerprint, read once per digest.
+    The ids must follow SweepRun's run_id rule, checked before any file is
+    opened.  A listed row that is missing, invalid or stored under another
+    run_id raises naming its file.
     """
+    _check_run_ids(run_ids)
     rows = []
     labels: dict[str, np.ndarray] = {}
-    for name in sorted(os.listdir(rows_dir)):
-        if not name.endswith(".json") or name.startswith("."):
-            continue
-        path = os.path.join(os.fspath(rows_dir), name)
+    for run_id in run_ids:
+        path = _row_path(rows_dir, run_id)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if isinstance(payload, dict) and payload.keys().isdisjoint(f.name for f in fields(SweepRow) if f.init):
-                continue
-            check_format(payload, ROW_FORMAT)
+            payload = read_versioned_json(path, ROW_FORMAT)
+            if payload["run_id"] != run_id:
+                raise ValueError(f"stored as run_id {payload['run_id']!r}, listed as {run_id!r}")
             digest = payload["fingerprint"]["data"]["test"]
             labels_path = _labels_path(rows_dir, digest)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a sweep row: {exc}") from exc
         if digest not in labels:
             labels[digest] = _load_labels(labels_path, digest)
@@ -511,9 +505,7 @@ def run_sweep(
     `progress`, if given, is called as progress(index, total, row) after
     each run.
     """
-    ids = [r.run_id for r in runs]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"run_ids must be unique within a sweep; repeated: {sorted({i for i in ids if ids.count(i) > 1})}")
+    _check_run_ids([r.run_id for r in runs])
     found: dict[str, SweepRow] = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -142,7 +142,9 @@ def cmd_sweep(args) -> int:
 def cmd_roc(args) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    rows = [row for row in load_rows(args.rows_dir) if args.select in ("all", row.kind)]
+    summary = os.path.join(args.rows_dir, "summary.json")
+    run_ids = [row["run_id"] for row in summary_rows_from_json(load_json(summary), summary)]
+    rows = [row for row in load_rows(args.rows_dir, run_ids) if args.select in ("all", row.kind)]
     if not rows:
         raise ValueError(f"{args.rows_dir}: no sweep rows matching --select {args.select}")
     grid = np.linspace(0.0, 1.0, args.points)
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("roc", help="aggregate ROC envelopes across sweep rows")
-    p.add_argument("--rows-dir", required=True, help="sweep output directory")
+    p.add_argument("--rows-dir", required=True, help="sweep output directory; the rows its summary.json lists are aggregated")
     p.add_argument("--select", choices=("all", "baseline", "lct"), default="all", help="which rows to include (default all)")
     p.add_argument("--points", type=int, default=101, help="FPR grid resolution (default 101)")
     p.add_argument("--out", required=True, help="output CSV path")

@@ -6,7 +6,7 @@ shell (the acceptance suite expands configs/directional.json here):
 grid_runs expands a sweep config into a list of SweepRuns.  It also owns
 the sweep summary: sweep_summary builds it for `vslct sweep`, each row's
 params being its run's SweepRun.params, and summary_rows_from_json checks
-it for `vslct analyze`.
+it for `vslct analyze` and `vslct roc`, which loads the rows it lists.
 
 Parsing is strict: unknown keys are errors, so a typo cannot silently
 fall back to a default, and a value of the wrong type raises a
@@ -68,7 +68,7 @@ _MODEL_FIELDS = {
 _HYPER_FIELDS = dict.fromkeys(COND_ORDER, _NUMBER)
 _DIST_FIELDS = dict.fromkeys(("a", "b", "h_b"), _NUMBER)
 _BASELINE_GRID_FIELDS = dict.fromkeys(COND_ORDER, _NUMBER_LIST)
-_SUMMARY_ROW_FIELDS = {"kind": _STRING, "seed": _INTEGER, "auc": _NUMBER, "params": _OBJECT}
+_SUMMARY_ROW_FIELDS = {"run_id": _STRING, "kind": _STRING, "seed": _INTEGER, "auc": _NUMBER, "params": _OBJECT}
 _LCT_GRID_FIELDS = {
     "h_b": _NUMBER_LIST,
     "omega": _NUMBER_LIST,
@@ -244,11 +244,11 @@ def sweep_summary(runs: list[SweepRun], rows: list[SweepRow]) -> dict:
 
 
 def summary_rows_from_json(summary, context: str) -> list[dict]:
-    """The rows of a `vslct sweep` summary, each checked for what `vslct analyze` reads.
+    """The rows of a `vslct sweep` summary, each checked for what `vslct analyze` and `vslct roc` read.
 
-    Every row needs a string kind, an integer seed, a numeric auc and a
-    params object; a baseline row's params also need numeric omega, gamma
-    and tau, the features of the AUC surface fit.
+    Every row needs a string run_id and kind, an integer seed, a numeric
+    auc and a params object; a baseline row's params also need numeric
+    omega, gamma and tau, the features of the AUC surface fit.
     """
     rows = summary.get("rows") if isinstance(summary, dict) else None
     if not isinstance(rows, list) or not rows:

@@ -68,7 +68,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vslct._util import CHECKPOINT_FORMAT, atomic_write_text, check_format, checked_int, decode_array, encode_array
+from vslct._util import CHECKPOINT_FORMAT, atomic_write_text, checked_int, decode_array, encode_array, read_versioned_json
 from vslct.losses import sigmoid
 
 # `MlpFilmModel.scores` runs one `forward` on a set of at most this many
@@ -439,9 +439,7 @@ def save_checkpoint(path, model: MlpFilmModel, meta: dict | None = None) -> None
 def load_checkpoint(path) -> tuple[MlpFilmModel, dict]:
     """Inverse of :func:`save_checkpoint`; returns (model, meta)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        check_format(payload, CHECKPOINT_FORMAT)
+        payload = read_versioned_json(path, CHECKPOINT_FORMAT)
         cfg_dict = dict(payload["config"])
         cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
         config = ModelConfig(**cfg_dict)

@@ -555,7 +555,7 @@ class TestRowCodec:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        # SweepRun rejects a leading '.', and load_rows skips such files
+        # check_run_ids, which load_rows applies, rejects a leading '.'
         run_id=st.text(alphabet="abcXYZ019._-", min_size=1, max_size=20).filter(lambda s: s[0] != "."),
         kind=st.sampled_from(["baseline", "lct"]),
         seed=st.integers(0, 2**63 - 1),
@@ -569,7 +569,7 @@ class TestRowCodec:
         row = SweepRow(run_id=run_id, kind=kind, seed=seed, auc=auc, scores=scores, labels=labels)
         with tempfile.TemporaryDirectory() as out_dir:
             store(out_dir, row, UNREAD_FINGERPRINT)
-            (loaded,) = load_rows(out_dir)
+            (loaded,) = load_rows(out_dir, [run_id])
         assert (loaded.run_id, loaded.kind, loaded.seed) == (run_id, kind, seed)
         assert np.float64(loaded.auc).tobytes() == np.float64(auc).tobytes()
         assert loaded.scores.tobytes() == scores.tobytes()
@@ -585,7 +585,7 @@ class TestRowCodec:
         (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
         assert (resumed.auc, resumed.scores.tobytes(), resumed.labels.tobytes()) == (row.auc, row.scores.tobytes(), row.labels.tobytes())
         assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW_TEXT.encode(), f"labels/{GOLDEN_LABELS_NAME}": GOLDEN_LABELS_TEXT.encode()}
-        (loaded,) = load_rows(tmp_path)
+        (loaded,) = load_rows(tmp_path, ["lct-s3"])
         assert (loaded.auc, loaded.scores.tobytes(), loaded.labels.tobytes()) == (row.auc, row.scores.tobytes(), row.labels.tobytes())
 
     def test_missing_labels_file_fails_and_a_pure_resume_rewrites_it_training_nothing(self, data, tmp_path, monkeypatch):
@@ -596,7 +596,7 @@ class TestRowCodec:
         labels = tmp_path / "labels" / f"{_data_digest(test)}.json"
         labels.unlink()
         with pytest.raises(ValueError, match=re.escape(f"{labels}: missing or corrupt test labels ([Errno 2] No such file or directory")):
-            load_rows(tmp_path)
+            load_rows(tmp_path, [run.run_id for run in runs])
 
         def no_training(run, *args, **kwargs):
             raise AssertionError(f"{run.run_id} trained")
@@ -607,18 +607,19 @@ class TestRowCodec:
 
     def test_labels_file_of_other_test_data_fails_naming_both_digests(self, data, tmp_path):
         train, test = data
-        run_sweep(tiny_sweep_runs()[:1], train, test, TINY_TRAIN, out_dir=tmp_path)
+        runs = tiny_sweep_runs()[:1]
+        run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
         digest, other = _data_digest(test), _data_digest(train)
         path = tmp_path / "labels" / f"{digest}.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "test": other}))
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing or corrupt test labels (recorded for test data {other}, the rows name test data {digest})")):
-            load_rows(tmp_path)
+            load_rows(tmp_path, [runs[0].run_id])
 
     @pytest.mark.parametrize("digest", ["../" + "0" * 61, "0" * 63, "A" * 64, 7])
     def test_row_naming_no_digest_is_not_a_sweep_row(self, tmp_path, digest):
         _save_row(tmp_path, SweepRow("r0", "lct", 0, 0.75, np.array([0.25, 0.5]), np.array([0, 1])), {"data": {"test": digest}})
         with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'r0.json'}: not a sweep row: test data digest must be 64 lowercase hex digits, got {digest!r}")):
-            load_rows(tmp_path)
+            load_rows(tmp_path, ["r0"])
 
     def test_format_2_row_fails_saying_recompute(self, tmp_path):
         run, train, test, train_config = golden_row_inputs()
@@ -626,7 +627,7 @@ class TestRowCodec:
         path.write_text(FORMAT_2_ROW_TEXT)
         message = "stored in format 2, this version reads format 3 only; recompute it"
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
-            load_rows(tmp_path)
+            load_rows(tmp_path, ["lct-s3"])
         with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message}); delete it to recompute")):
             run_sweep([run], train, test, train_config, out_dir=tmp_path)
         assert stored_files(tmp_path) == {"lct-s3.json": FORMAT_2_ROW_TEXT.encode()}
@@ -652,24 +653,6 @@ class TestRowCodec:
         assert path.read_bytes() == BASE_LAYOUT_ROW_TEXT.encode()
         assert [p.name for p in tmp_path.iterdir()] == ["lct-s3.json"]
 
-    def test_load_rows_skips_dot_files_and_other_json(self, tmp_path):
-        for seed in (0, 1):
-            store(tmp_path, SweepRow(f"r{seed}", "lct", seed, 0.75, np.array([0.25, 0.5]), np.array([0, 1])), UNREAD_FINGERPRINT)
-        before = load_rows(tmp_path)
-        (tmp_path / "summary.json").write_text(json.dumps({"rows": [], "stats": {}}))
-        (tmp_path / "report.json").write_text(json.dumps({"groups": {}, "paired_by_seed": None, "baseline_surface_fit": None}))
-        (tmp_path / ".tmp-x1y2r0.json").write_text('{"format": 2, "run_id": "r0", "kind": "lct", "scores": {"dtype": "<f8", "hex": "00')
-        after = load_rows(tmp_path)
-        assert [(r.run_id, r.auc, r.scores.tobytes(), r.labels.tobytes()) for r in after] == [
-            (r.run_id, r.auc, r.scores.tobytes(), r.labels.tobytes()) for r in before
-        ]
-        stored = json.loads((tmp_path / "r0.json").read_text())
-        for key in stored:
-            partial = {k: v for k, v in stored.items() if k != key}
-            (tmp_path / "partial.json").write_text(json.dumps(partial))
-            with pytest.raises(ValueError, match="partial.json: not a sweep row"):
-                load_rows(tmp_path)
-
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -688,7 +671,7 @@ class TestRowCodec:
         damaged = tmp_path / "labels" / f"{_data_digest(test)}.json" if key == "labels" else path
         damaged.write_text(json.dumps({**json.loads(damaged.read_text()), key: value}))
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
-            load_rows(tmp_path)
+            load_rows(tmp_path, ["r0"])
         if key == "labels":
             # resume takes the labels of the test data whose digest the row matched, not the file's
             (resumed,) = run_sweep([run], train, test, TINY_TRAIN, out_dir=tmp_path)
@@ -703,9 +686,61 @@ class TestRowCodec:
         path.write_text(json.dumps({"run_id": "r0", "kind": "baseline", "seed": 0, "auc": "0x1.0p-1", "scores": ["0x1.0p-1", "0x1.0p-2"], "labels": [0, 1]}))
         message = "stored in format 1, this version reads format 3 only; recompute it"
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
-            load_rows(tmp_path)
+            load_rows(tmp_path, ["r0"])
         with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message}); delete it to recompute")):
             run_sweep([run], *data, TINY_TRAIN, out_dir=tmp_path)
+
+
+def store_rows(out_dir, run_ids):
+    """Store one small lct row per run_id, as run_sweep would, under UNREAD_FINGERPRINT."""
+    for seed, run_id in enumerate(run_ids):
+        store(out_dir, SweepRow(run_id, "lct", seed, 0.75, np.array([0.25, 0.5 + seed]), np.array([0, 1])), UNREAD_FINGERPRINT)
+
+
+class TestLoadRows:
+    """load_rows reads exactly the rows it is given, by run_id, and no others."""
+
+    def test_listed_rows_in_the_given_order(self, tmp_path):
+        store_rows(tmp_path, ["r0", "r1", "r2"])
+        rows = load_rows(tmp_path, ["r2", "r0"])
+        assert [(r.run_id, r.seed, r.scores.tolist()) for r in rows] == [("r2", 2, [0.25, 2.5]), ("r0", 0, [0.25, 0.5])]
+
+    def test_listed_row_that_is_missing_fails_naming_its_path(self, tmp_path):
+        store_rows(tmp_path, ["r0"])
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'r1.json'}: not a sweep row: [Errno 2] No such file or directory")):
+            load_rows(tmp_path, ["r0", "r1"])
+
+    def test_row_stored_under_another_run_id_fails_naming_its_path(self, tmp_path):
+        store_rows(tmp_path, ["r0"])
+        (tmp_path / "r1.json").write_bytes((tmp_path / "r0.json").read_bytes())
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'r1.json'}: not a sweep row: stored as run_id 'r0', listed as 'r1'")):
+            load_rows(tmp_path, ["r1"])
+
+    @pytest.mark.parametrize(
+        "run_ids, message",
+        [
+            (["r0", "r0"], "run_ids must be unique within a sweep; repeated: ['r0']"),
+            (["../r0"], "run_id must be non-empty, filesystem-safe and not start with '.', got '../r0'"),
+            ([".r0"], "got '.r0'"),
+            ([""], "got ''"),
+        ],
+    )
+    def test_bad_run_ids_fail_before_any_file_is_opened(self, tmp_path, monkeypatch, run_ids, message):
+        def opened(path, expected):
+            raise AssertionError(f"{path} opened")
+
+        monkeypatch.setattr("vslct.analysis.read_versioned_json", opened)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_rows(tmp_path, run_ids)
+
+    def test_listed_partial_row_is_not_a_sweep_row(self, tmp_path):
+        store_rows(tmp_path, ["r0"])
+        stored = {**json.loads((tmp_path / "r0.json").read_text()), "run_id": "partial"}
+        for key in stored:
+            partial = {k: v for k, v in stored.items() if k != key}
+            (tmp_path / "partial.json").write_text(json.dumps(partial))
+            with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'partial.json'}: not a sweep row: ")):
+                load_rows(tmp_path, ["r0", "partial"])
 
 
 class TestAggregation:

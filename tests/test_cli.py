@@ -313,11 +313,11 @@ class TestSweep:
         train_config = train_config_from_json(config["train"], "config.train")
         expected = run_sweep(runs, load_csv(sweep_dir["train"]), load_csv(sweep_dir["test"]), train_config)
         with open(os.path.join(sweep_dir["out_dir"], "summary.json")) as fh:
-            assert fh.read() == json.dumps(sweep_summary(runs, expected), indent=2) + "\n"
-        stored = {row.run_id: row for row in load_rows(sweep_dir["out_dir"])}
-        assert sorted(stored) == sorted(row.run_id for row in expected)
-        for row in expected:
-            got = stored[row.run_id]
+            text = fh.read()
+        assert text == json.dumps(sweep_summary(runs, expected), indent=2) + "\n"
+        stored = load_rows(sweep_dir["out_dir"], [row["run_id"] for row in json.loads(text)["rows"]])
+        assert [row.run_id for row in stored] == [row.run_id for row in expected]
+        for row, got in zip(expected, stored):
             assert (got.kind, got.seed) == (row.kind, row.seed)
             assert got.auc.hex() == row.auc.hex()
             assert got.scores.tobytes() == row.scores.tobytes()
@@ -494,11 +494,86 @@ class TestRoc:
         assert capsys.readouterr().err.startswith(f"error: --points must be >= 2, got {points}")
         assert not out.exists()
 
-    def test_empty_selection_exits_1(self, tmp_path, capsys):
-        os.makedirs(tmp_path / "rows")
-        code = run_cli("roc", "--rows-dir", tmp_path / "rows", "--out", tmp_path / "roc.csv")
+    def copy_rows(self, sweep_dir, tmp_path, edit_summary=None):
+        """A copy of the shared sweep's rows directory, its summary rows passed through edit_summary if given."""
+        rows = tmp_path / "runs"
+        shutil.copytree(sweep_dir["out_dir"], rows)
+        if edit_summary is not None:
+            summary = json.loads((rows / "summary.json").read_text())
+            summary["rows"] = edit_summary(summary["rows"])
+            (rows / "summary.json").write_text(json.dumps(summary))
+        return rows
+
+    def test_empty_selection_exits_1(self, sweep_dir, tmp_path, capsys):
+        rows = self.copy_rows(sweep_dir, tmp_path, lambda listed: [row for row in listed if row["kind"] == "baseline"])
+        code = run_cli("roc", "--rows-dir", rows, "--select", "lct", "--out", tmp_path / "roc.csv")
         assert code == 1
-        assert "no sweep rows" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {rows}: no sweep rows matching --select lct\n"
+
+    def test_missing_summary_exits_1_naming_it(self, sweep_dir, tmp_path, capsys):
+        rows = self.copy_rows(sweep_dir, tmp_path)
+        (rows / "summary.json").unlink()
+        assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "roc.csv") == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{rows / 'summary.json'}'\n"
+        assert not (tmp_path / "roc.csv").exists()
+
+    def test_aggregates_the_rows_of_the_latest_sweep_only(self, sweep_dir, tmp_path, capsys):
+        rows = self.copy_rows(sweep_dir, tmp_path)
+        config = load_json(sweep_dir["config"])
+        wider = tmp_path / "wider.json"
+        wider.write_text(json.dumps({**config, "baseline_grid": {**config["baseline_grid"], "omega": [0.5, 0.9]}}))
+        for path in (wider, sweep_dir["config"]):  # 6 runs, then the 4 of the shared sweep
+            assert run_cli("sweep", "--config", path, "--train-data", sweep_dir["train"], "--test-data", sweep_dir["test"], "--out-dir", rows) == 0
+        assert (rows / "base-w0.9-g0.0-t0.0-s0.json").exists()
+        assert run_cli("analyze", "--summary", rows / "summary.json", "--out", tmp_path / "report.json") == 0
+        assert sum(group["n"] for group in json.loads((tmp_path / "report.json").read_text())["groups"].values()) == 4
+        capsys.readouterr()
+        assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "roc.csv") == 0
+        assert "aggregated 4 curves" in capsys.readouterr().out
+
+    def test_listed_row_that_is_missing_exits_1_naming_it(self, sweep_dir, tmp_path, capsys):
+        rows = self.copy_rows(sweep_dir, tmp_path)
+        missing = rows / "lct-hb0.0-w0.5-s1.json"
+        missing.unlink()
+        assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "roc.csv") == 1
+        assert capsys.readouterr().err.startswith(f"error: {missing}: not a sweep row: [Errno 2] No such file or directory")
+        assert not (tmp_path / "roc.csv").exists()
+
+    def test_row_stored_under_another_run_id_exits_1_naming_it(self, sweep_dir, tmp_path, capsys):
+        rows = self.copy_rows(sweep_dir, tmp_path)
+        other = rows / "lct-hb0.0-w0.5-s1.json"
+        other.write_bytes((rows / "lct-hb0.0-w0.5-s0.json").read_bytes())
+        assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "roc.csv") == 1
+        expected = f"error: {other}: not a sweep row: stored as run_id 'lct-hb0.0-w0.5-s0', listed as 'lct-hb0.0-w0.5-s1'\n"
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize(
+        "run_id, message",
+        [
+            ("lct-hb0.0-w0.5-s0", "run_ids must be unique within a sweep; repeated: ['lct-hb0.0-w0.5-s0']"),
+            ("../runs/lct-hb0.0-w0.5-s0", "run_id must be non-empty, filesystem-safe and not start with '.', got '../runs/lct-hb0.0-w0.5-s0'"),
+            (".lct-hb0.0-w0.5-s0", "got '.lct-hb0.0-w0.5-s0'"),
+        ],
+    )
+    def test_bad_summary_run_id_exits_1_naming_it(self, sweep_dir, tmp_path, capsys, run_id, message):
+        # each listed name would load a stored row: the repeated one, the same file through '..', and a dot-named copy
+        rows = self.copy_rows(sweep_dir, tmp_path, lambda listed: listed[:-1] + [{**listed[-1], "run_id": run_id}])
+        shutil.copy(rows / "lct-hb0.0-w0.5-s0.json", rows / ".lct-hb0.0-w0.5-s0.json")
+        assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "roc.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "roc.csv").exists()
+
+    def test_unlisted_files_leave_the_output_unchanged(self, sweep_dir, tmp_path, capsys):
+        rows = self.copy_rows(sweep_dir, tmp_path)
+        assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "before.csv") == 0
+        assert run_cli("analyze", "--summary", rows / "summary.json", "--out", rows / "report.json") == 0
+        (rows / "stray.json").write_text(json.dumps({"run_id": 3}))
+        (rows / ".tmp-x1y2r0.json").write_text('{"format": 3, "run_id": "r0", "kind": "lct", "scores": {"dtype": "<f8", "hex": "00')
+        capsys.readouterr()
+        assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "after.csv") == 0
+        assert "aggregated 4 curves" in capsys.readouterr().out
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
     def test_missing_labels_file_exits_1_naming_it(self, sweep_dir, tmp_path, capsys):
         rows = tmp_path / "runs"

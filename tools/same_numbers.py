@@ -8,8 +8,9 @@ the parent commit and on the change and comparing the output:
 
 Trained bits depend on the BLAS thread count, so compare runs made at
 the same setting.  Everything runs through `vslct.cli.main` (the rows
-are read back with `load_rows`) in a temporary directory, which is
-removed afterwards:
+are read back with `load_rows`, in the order of the run_ids that
+summary.json lists, as `vslct roc` reads them) in a temporary directory,
+which is removed afterwards:
 
 * `gen-data` at seeds 101/202 (the README's train and test sets), a
   3-epoch `sweep` of configs/directional.json, then `roc` and `analyze`:
@@ -38,6 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from vslct.analysis import load_rows  # noqa: E402
 from vslct.cli import main as vslct_main  # noqa: E402
+from vslct.config import load_json, summary_rows_from_json  # noqa: E402
 from vslct.data import load_csv  # noqa: E402
 from vslct.network import load_checkpoint  # noqa: E402
 from vslct.training import evaluate  # noqa: E402
@@ -97,7 +99,9 @@ def main() -> None:
         run("sweep", "--config", at("sweep.json"), "--train-data", at("train.csv"), "--test-data", at("test.csv"), "--out-dir", at("out", "runs"))
         run("roc", "--rows-dir", at("out", "runs"), "--out", at("out", "roc.csv"))
         run("analyze", "--summary", at("out", "runs", "summary.json"), "--out", at("out", "report.json"))
-        lines = [f"{sha256_row(row)}  row {row.run_id}" for row in load_rows(at("out", "runs"))]
+        summary = at("out", "runs", "summary.json")
+        run_ids = [row["run_id"] for row in summary_rows_from_json(load_json(summary), summary)]
+        lines = [f"{sha256_row(row)}  row {row.run_id}" for row in load_rows(at("out", "runs"), run_ids)]
         lines += [f"{sha256_file(at('out', name))}  {name}" for name in (os.path.join("runs", "summary.json"), "roc.csv", "report.json")]
         listing = "".join(f"{line}\n" for line in lines)
         print(listing, end="")

@@ -3,26 +3,28 @@
 run_sweep trains a list of configured runs through train_run (the executor
 `vslct train` uses too), scores each trained model on a held-out test set,
 and returns one row per run.  Given an output directory it persists each
-row as JSON and transparently reloads completed rows on a rerun, so an
+row to a file and transparently reloads completed rows on a rerun, so an
 interrupted sweep resumes where it stopped; load_rows reads back the rows
 of given run_ids, which `vslct roc` takes from the sweep's summary.json.
 
-A stored row is file format 3 (`vslct._util.ROW_FORMAT`), written
-atomically: the AUC as `float.hex()`, the scores in the bit-exact
-byte-hex array codec of `vslct._util`, and a fingerprint of what produced
-it (SweepRun.params, the run's one JSON description, which the sweep
-summary also writes; the ModelConfig fields the run trains with; the
-TrainConfig epochs, batch_size and lr; SHA-256 digests of the train and
-test data; and the sampler and numerics versions).  The test labels,
-the same for every row, are written once per directory, in the same
-codec, to labels/<test data digest>.json; a subdirectory, so no run_id's
-row file can take its name.
+A stored row is file format 4 (`vslct._util.ROW_FORMAT`), a record
+written atomically: one line of compact JSON holding the AUC as
+`float.hex()`, the scores' dtype and shape, and a fingerprint of what
+produced the row (SweepRun.params, the run's one JSON description, which
+the sweep summary also writes; the ModelConfig fields the run trains
+with; the TrainConfig epochs, batch_size and lr; SHA-256 digests of the
+train and test data; and the sampler and numerics versions); then a
+newline and the scores' little-endian `<f8` bytes.  The test labels,
+the same for every row, are written once per directory, as a record of
+their `<i8` bytes, to labels/<test data digest>.json; a subdirectory, so
+no run_id's row file can take its name.
 
 Resume reuses a row only when its identity and fingerprint equal the
 requested run's, and then takes its labels from the test data it was
 given, whose digest the fingerprint has just matched.  It checks every
 stored row before training anything and otherwise fails once, counting
-the stale rows and naming every field that differs in the first.
+the stale, corrupt or unreadable rows and naming every field that
+differs in the first.
 load_rows reads one labels file for each test digest its rows name; a
 missing labels file, or one recorded for other test data, fails naming
 its path.
@@ -49,7 +51,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from vslct._util import ROW_FORMAT, atomic_write_text, checked_int, checked_real, decode_array, encode_array, read_versioned_json
+from vslct._util import ROW_FORMAT, checked_int, checked_real, read_record, record_array, write_record
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
@@ -383,51 +385,42 @@ def _differences(stored: dict, requested: dict) -> list[str]:
 
 def _save_row(out_dir, row: SweepRow, fingerprint: dict) -> None:
     """Write row without its labels, which the directory's labels file holds for every row."""
-    payload = {
-        "format": ROW_FORMAT,
-        "run_id": row.run_id,
-        "kind": row.kind,
-        "seed": row.seed,
-        "auc": float(row.auc).hex(),
-        "scores": encode_array(row.scores),
-        "fingerprint": fingerprint,
-    }
-    atomic_write_text(_row_path(out_dir, row.run_id), json.dumps(payload))
+    header = {"format": ROW_FORMAT, "run_id": row.run_id, "kind": row.kind, "seed": row.seed, "auc": float(row.auc).hex(), "fingerprint": fingerprint}
+    write_record(_row_path(out_dir, row.run_id), header, "scores", row.scores)
 
 
 def _save_labels(path, test_digest: str, labels) -> None:
-    payload = {"format": ROW_FORMAT, "test": test_digest, "labels": encode_array(labels)}
-    atomic_write_text(path, json.dumps(payload))
+    write_record(path, {"format": ROW_FORMAT, "test": test_digest}, "labels", labels)
 
 
 def _load_labels(path, test_digest: str) -> np.ndarray:
     """The labels stored at path for the test data with this digest; a missing, corrupt or mismatched file raises naming it."""
     try:
-        payload = read_versioned_json(path, ROW_FORMAT)
-        if payload["test"] != test_digest:
-            raise ValueError(f"recorded for test data {payload['test']}, the rows name test data {test_digest}")
-        return decode_array(payload["labels"])
+        header, body = read_record(path, ROW_FORMAT)
+        if header["test"] != test_digest:
+            raise ValueError(f"recorded for test data {header['test']}, the rows name test data {test_digest}")
+        return record_array(header["labels"], body)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: missing or corrupt test labels ({exc}); delete it if present and resume the sweep to rewrite it") from exc
 
 
-def _row_from_payload(payload: dict, labels: np.ndarray) -> SweepRow:
-    """Decode a stored row whose format is checked; a malformed payload raises KeyError, TypeError or ValueError."""
-    scores = decode_array(payload["scores"])
-    return SweepRow(payload["run_id"], payload["kind"], int(payload["seed"]), float.fromhex(payload["auc"]), scores, labels)
+def _row_from_record(header: dict, body: bytes, labels: np.ndarray) -> SweepRow:
+    """Decode a stored row whose format is checked; a malformed record raises KeyError, TypeError or ValueError."""
+    scores = record_array(header["scores"], body)
+    return SweepRow(header["run_id"], header["kind"], int(header["seed"]), float.fromhex(header["auc"]), scores, labels)
 
 
 def _load_row(out_dir, run: SweepRun, fingerprint: dict, labels: np.ndarray) -> SweepRow:
     """The stored row of `run`, compared with the requested fingerprint before its scores are decoded."""
     path = _row_path(out_dir, run.run_id)
     try:
-        payload = read_versioned_json(path, ROW_FORMAT)
-        stored = {"run_id": payload["run_id"], "kind": payload["kind"], "seed": payload["seed"], **payload["fingerprint"]}
+        header, body = read_record(path, ROW_FORMAT)
+        stored = {"run_id": header["run_id"], "kind": header["kind"], "seed": header["seed"], **header["fingerprint"]}
         requested = {"run_id": run.run_id, "kind": run.kind, "seed": run.seed, **fingerprint}
         if stored != requested:
             raise ValueError("; ".join(_differences(stored, requested)))
-        return _row_from_payload(payload, labels)
-    except (KeyError, TypeError, ValueError) as exc:
+        return _row_from_record(header, body, labels)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: stale or corrupt sweep row ({exc}); delete it to recompute") from exc
 
 
@@ -444,17 +437,17 @@ def load_rows(rows_dir, run_ids: list[str]) -> list[SweepRow]:
     for run_id in run_ids:
         path = _row_path(rows_dir, run_id)
         try:
-            payload = read_versioned_json(path, ROW_FORMAT)
-            if payload["run_id"] != run_id:
-                raise ValueError(f"stored as run_id {payload['run_id']!r}, listed as {run_id!r}")
-            digest = payload["fingerprint"]["data"]["test"]
+            header, body = read_record(path, ROW_FORMAT)
+            if header["run_id"] != run_id:
+                raise ValueError(f"stored as run_id {header['run_id']!r}, listed as {run_id!r}")
+            digest = header["fingerprint"]["data"]["test"]
             labels_path = _labels_path(rows_dir, digest)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a sweep row: {exc}") from exc
         if digest not in labels:
             labels[digest] = _load_labels(labels_path, digest)
         try:
-            rows.append(_row_from_payload(payload, labels[digest]))
+            rows.append(_row_from_record(header, body, labels[digest]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a sweep row: {exc}") from exc
     return rows

@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from vslct._util import atomic_write_text
+from vslct._util import atomic_write_bytes
 from vslct.analysis import aggregate_roc, load_rows, run_sweep, sweep_report, train_run
 from vslct.config import grid_runs, load_json, summary_rows_from_json, sweep_summary, train_config_from_json, train_spec_from_json
 from vslct.data import load_csv, save_csv, subsample_minority, synth_gaussian
@@ -72,13 +72,13 @@ def _should_write(path: str, if_exists: str) -> bool:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    atomic_write_bytes(path, (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode())
 
 
 def _write_table(path: str, header: str, rows) -> None:
     """CSV of float cells as repr(float(v)), which also prints a numpy scalar as a plain number."""
     lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------

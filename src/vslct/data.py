@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vslct._util import atomic_write_text
+from vslct._util import atomic_write_bytes
 from vslct.losses import ClassCounts
 
 __all__ = ["Dataset", "synth_gaussian", "subsample_minority", "load_csv", "save_csv"]
@@ -113,7 +113,7 @@ def save_csv(data: Dataset, path) -> None:
     lines = [",".join([f"f{j}" for j in range(data.dim)] + ["label"])]
     for i in range(data.n):
         lines.append(",".join([repr(float(v)) for v in data.x[i]] + [str(int(data.y[i]))]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_csv(path) -> Dataset:

@@ -52,7 +52,7 @@ dependency; gradients are verified against finite differences in tests.
 
 Checkpoints are JSON in file format 2 (`vslct._util.CHECKPOINT_FORMAT`): each
 parameter array is stored as the hex of its little-endian float64 bytes
-(`vslct._util.encode_array`, the codec sweep rows use too), making
+(`vslct._util.encode_array`; sweep rows store raw bytes instead), making
 save/load round trips bit-exact.  A format-1 checkpoint, which stored
 each float as a `float.hex()` token, fails to load with a message that
 says to recompute it.
@@ -68,7 +68,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vslct._util import CHECKPOINT_FORMAT, atomic_write_text, checked_int, decode_array, encode_array, read_versioned_json
+from vslct._util import CHECKPOINT_FORMAT, atomic_write_bytes, checked_int, decode_array, encode_array, read_versioned_json
 from vslct.losses import sigmoid
 
 # `MlpFilmModel.scores` runs one `forward` on a set of at most this many
@@ -433,7 +433,7 @@ def save_checkpoint(path, model: MlpFilmModel, meta: dict | None = None) -> None
         "params": {k: encode_array(v) for k, v in model.params.items()},
         "meta": meta or {},
     }
-    atomic_write_text(path, json.dumps(payload))
+    atomic_write_bytes(path, json.dumps(payload).encode())
 
 
 def load_checkpoint(path) -> tuple[MlpFilmModel, dict]:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vslct._util import decode_array, encode_array
+from records import record
+from vslct._util import decode_array, encode_array, read_record, record_array, write_record
 from vslct.analysis import (
     AucStats,
     _data_digest,
@@ -290,7 +291,7 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{r.run_id}.json" for r in runs] + ["labels"])
         # the rows hold no labels; one file holds them for every row
         assert [p.name for p in (tmp_path / "labels").iterdir()] == [f"{_data_digest(test)}.json"]
-        assert not any("labels" in json.loads((tmp_path / f"{r.run_id}.json").read_text()) for r in runs)
+        assert not any("labels" in record(tmp_path / f"{r.run_id}.json") for r in runs)
         again = run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
         for a, b in zip(first, again):
             assert a.auc == b.auc
@@ -474,6 +475,11 @@ def store(out_dir, row, fingerprint):
     _save_labels(_labels_path(out_dir, digest), digest, row.labels)
 
 
+def replace_by_a_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
 # A fingerprint for rows that no resume reads: load_rows needs only its test digest.
 UNREAD_FINGERPRINT = {"data": {"test": "0" * 64}}
 
@@ -487,10 +493,28 @@ def golden_row_inputs():
     return run, train, test, TrainConfig(epochs=3, batch_size=128, lr=0.1)
 
 
-# The texts _save_row and run_sweep write for the golden row and its test
-# labels, pinned so any change to the row format, the array codec or the
-# fingerprint shows up here.
-GOLDEN_ROW_TEXT = (
+# The records _save_row and run_sweep write for the golden row and its
+# test labels, pinned so any change to the row format, the array layout or
+# the fingerprint shows up here.
+GOLDEN_ROW = (
+    b'{"format":4,"run_id":"lct-s3","kind":"lct","seed":3,"auc":"0x1.8000000000000p-1",'
+    b'"fingerprint":{"run":{"eval_cond":[1.5],"omega":0.5,"gamma":0.0,'
+    b'"conditioned":{"tau":{"a":0.0,"b":3.0,"h_b":0.5}}},'
+    b'"model":{"input_dim":2,"cond_dim":1,"trunk_widths":[64,64],"film_hidden":128,"film_affine":false,"film_zero_init":true},'
+    b'"train":{"epochs":3,"batch_size":128,"lr":0.1},'
+    b'"data":{"train":"acc73a3280c41f19a5d53bb8b3fa367daa5c8d1c062d0b6e7f3fa071b1ba9dac",'
+    b'"test":"e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52"},'
+    b'"versions":{"sampler":1,"numerics":1}},"scores":{"dtype":"<f8","shape":[2]}}\n' + bytes.fromhex("000000000000d03f000000000000e03f")
+)
+GOLDEN_LABELS_NAME = "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52.json"
+GOLDEN_LABELS = (
+    b'{"format":4,"test":"e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52","labels":{"dtype":"<i8","shape":[2]}}\n'
+    + bytes.fromhex("00000000000000000100000000000000")
+)
+
+# The golden row and its labels as format 3 wrote them: one line of JSON
+# each, the arrays as the hex of their bytes.
+FORMAT_3_ROW_TEXT = (
     '{"format": 3, "run_id": "lct-s3", "kind": "lct", "seed": 3, "auc": "0x1.8000000000000p-1", '
     '"scores": {"dtype": "<f8", "shape": [2], "hex": "000000000000d03f000000000000e03f"}, '
     '"fingerprint": {"run": {"eval_cond": [1.5], "omega": 0.5, "gamma": 0.0, '
@@ -501,8 +525,7 @@ GOLDEN_ROW_TEXT = (
     '"test": "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52"}, '
     '"versions": {"sampler": 1, "numerics": 1}}}'
 )
-GOLDEN_LABELS_NAME = "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52.json"
-GOLDEN_LABELS_TEXT = (
+FORMAT_3_LABELS_TEXT = (
     '{"format": 3, "test": "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52", '
     '"labels": {"dtype": "<i8", "shape": [2], "hex": "00000000000000000100000000000000"}}'
 )
@@ -521,7 +544,11 @@ FORMAT_2_ROW_TEXT = (
 
 # The golden row with the run block as written before it became
 # SweepRun.params: the lct base nested under "base", the tau it replaces included.
-BASE_LAYOUT_ROW_TEXT = GOLDEN_ROW_TEXT.replace('"omega": 0.5, "gamma": 0.0, ', '"base": {"omega": 0.5, "gamma": 0.0, "tau": 0.0}, ')
+BASE_LAYOUT_ROW = GOLDEN_ROW.replace(b'"omega":0.5,"gamma":0.0,', b'"base":{"omega":0.5,"gamma":0.0,"tau":0.0},')
+
+
+# The header of a record holding two floats under "a".
+A_HEADER = b'{"format":4,"a":{"dtype":"<f8","shape":[2]}}'
 
 
 class TestRowCodec:
@@ -546,12 +573,32 @@ class TestRowCodec:
             ({"dtype": "<f4"}, "array dtype must be one of ['<f8', '<i8'], got '<f4'"),
             ({"shape": [3]}, "array of 16 bytes does not hold shape [3] of 8-byte <f8"),
             ({"shape": [-2]}, "array shape must be a list of sizes >= 0, got [-2]"),
+            # a change given as bytes is a whole record file
+            pytest.param(b'{"format":4,"a":\n' + bytes(16), "Expecting value: line 1 column 17", id="record-header-not-json"),
+            pytest.param(b'[4,{"dtype":"<f8","shape":[2]}]\n' + bytes(16), "expected a JSON object, got list", id="record-header-not-an-object"),
+            pytest.param(A_HEADER, "no newline after the record's JSON header", id="record-without-newline"),
+            pytest.param(A_HEADER + b"\n" + bytes(15), "array of 15 bytes does not hold shape [2] of 8-byte <f8", id="record-body-too-short"),
+            pytest.param(A_HEADER + b"\n" + bytes(24), "array of 24 bytes does not hold shape [2] of 8-byte <f8", id="record-body-too-long"),
+            pytest.param(b'{"format":4,"a":{"dtype":"<f4","shape":[4]}}\n' + bytes(16), "array dtype must be one of ['<f8', '<i8'], got '<f4'", id="record-unknown-dtype"),
         ],
     )
-    def test_malformed_array_payload_raises(self, change, message):
-        good = encode_array(np.array([0.25, 0.5]))
-        with pytest.raises(ValueError, match=re.escape(message)):
-            decode_array({**good, **change})
+    def test_malformed_array_payload_raises(self, tmp_path, change, message):
+        with pytest.raises((TypeError, ValueError), match=re.escape(message)):
+            if isinstance(change, bytes):
+                (tmp_path / "a").write_bytes(change)
+                header, body = read_record(tmp_path / "a", 4)
+                record_array(header["a"], body)
+            else:
+                decode_array({**encode_array(np.array([0.25, 0.5])), **change})
+
+    @pytest.mark.parametrize("values", [np.array([0.25, -0.0, math.inf]), np.arange(6).reshape(2, 3), np.empty((0, 2)), np.array(1.5)])
+    def test_record_round_trip_bit_exact(self, tmp_path, values):
+        write_record(tmp_path / "a", {"format": 4, "note": "x"}, "a", values)
+        header, body = read_record(tmp_path / "a", 4)
+        assert header == {"format": 4, "note": "x", "a": {"dtype": values.dtype.str, "shape": list(values.shape)}}
+        decoded = record_array(header["a"], body)
+        assert (decoded.dtype, decoded.shape, decoded.tobytes()) == (values.dtype, values.shape, values.tobytes())
+        assert decoded.flags.writeable
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -579,12 +626,12 @@ class TestRowCodec:
         run, train, test, train_config = golden_row_inputs()
         row = SweepRow("lct-s3", "lct", 3, 0.75, np.array([0.25, 0.5]), np.array([0, 1]))
         _save_row(tmp_path, row, fingerprint_for(run, train, test, train_config))
-        assert (tmp_path / "lct-s3.json").read_text() == GOLDEN_ROW_TEXT
+        assert (tmp_path / "lct-s3.json").read_bytes() == GOLDEN_ROW
         # run_sweep requests the same fingerprint, so it reuses the row instead of training,
         # and writes the labels file that was missing
         (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
         assert (resumed.auc, resumed.scores.tobytes(), resumed.labels.tobytes()) == (row.auc, row.scores.tobytes(), row.labels.tobytes())
-        assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW_TEXT.encode(), f"labels/{GOLDEN_LABELS_NAME}": GOLDEN_LABELS_TEXT.encode()}
+        assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW, f"labels/{GOLDEN_LABELS_NAME}": GOLDEN_LABELS}
         (loaded,) = load_rows(tmp_path, ["lct-s3"])
         assert (loaded.auc, loaded.scores.tobytes(), loaded.labels.tobytes()) == (row.auc, row.scores.tobytes(), row.labels.tobytes())
 
@@ -611,7 +658,7 @@ class TestRowCodec:
         run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
         digest, other = _data_digest(test), _data_digest(train)
         path = tmp_path / "labels" / f"{digest}.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "test": other}))
+        record(path, lambda header: {**header, "test": other})
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing or corrupt test labels (recorded for test data {other}, the rows name test data {digest})")):
             load_rows(tmp_path, [runs[0].run_id])
 
@@ -622,27 +669,45 @@ class TestRowCodec:
             load_rows(tmp_path, ["r0"])
 
     def test_format_2_row_fails_saying_recompute(self, tmp_path):
+        (tmp_path / "lct-s3.json").write_text(FORMAT_2_ROW_TEXT)
+        assert_golden_row_fails_saying_recompute(tmp_path, 2)
+
+    def test_format_3_row_fails_saying_recompute(self, tmp_path):
+        (tmp_path / "lct-s3.json").write_text(FORMAT_3_ROW_TEXT)
+        (tmp_path / "labels").mkdir()
+        (tmp_path / "labels" / GOLDEN_LABELS_NAME).write_text(FORMAT_3_LABELS_TEXT)
+        assert_golden_row_fails_saying_recompute(tmp_path, 3)
+
+    def test_format_3_labels_file_fails_saying_recompute(self, tmp_path, monkeypatch):
         run, train, test, train_config = golden_row_inputs()
-        path = tmp_path / "lct-s3.json"
-        path.write_text(FORMAT_2_ROW_TEXT)
-        message = "stored in format 2, this version reads format 3 only; recompute it"
-        with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
+        (tmp_path / "lct-s3.json").write_bytes(GOLDEN_ROW)
+        (tmp_path / "labels").mkdir()
+        path = tmp_path / "labels" / GOLDEN_LABELS_NAME
+        path.write_text(FORMAT_3_LABELS_TEXT)
+        message = "stored in format 3, this version reads format 4 only; recompute it"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing or corrupt test labels ({message}); delete it if present")):
             load_rows(tmp_path, ["lct-s3"])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message}); delete it to recompute")):
-            run_sweep([run], train, test, train_config, out_dir=tmp_path)
-        assert stored_files(tmp_path) == {"lct-s3.json": FORMAT_2_ROW_TEXT.encode()}
+
+        def no_training(run, *args, **kwargs):
+            raise AssertionError(f"{run.run_id} trained")
+
+        # a resume takes its labels from the test data and leaves the existing file as it is
+        monkeypatch.setattr("vslct.analysis.train_run", no_training)
+        (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
+        assert resumed.labels.tobytes() == test.y.tobytes()
+        assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW, f"labels/{GOLDEN_LABELS_NAME}": FORMAT_3_LABELS_TEXT.encode()}
 
     def test_row_of_another_sampler_version_fails_naming_it(self, tmp_path):
         run, train, test, train_config = golden_row_inputs()
         path = tmp_path / "lct-s3.json"
-        path.write_text(GOLDEN_ROW_TEXT.replace('"sampler": 1', '"sampler": 0'))
+        path.write_bytes(GOLDEN_ROW.replace(b'"sampler":1', b'"sampler":0'))
         with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row (versions.sampler: stored 0, requested 1)")):
             run_sweep([run], train, test, train_config, out_dir=tmp_path)
 
     def test_base_layout_row_fails_to_resume_and_stays_untouched(self, tmp_path):
         run, train, test, train_config = golden_row_inputs()
         path = tmp_path / "lct-s3.json"
-        path.write_text(BASE_LAYOUT_ROW_TEXT)
+        path.write_bytes(BASE_LAYOUT_ROW)
         with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row (")) as exc:
             run_sweep([run], train, test, train_config, out_dir=tmp_path)
         assert str(exc.value).endswith(
@@ -650,15 +715,23 @@ class TestRowCodec:
             "run.base.omega: stored 0.5, requested nothing; run.base.gamma: stored 0.0, requested nothing; "
             "run.base.tau: stored 0.0, requested nothing); delete it to recompute"
         )
-        assert path.read_bytes() == BASE_LAYOUT_ROW_TEXT.encode()
+        assert path.read_bytes() == BASE_LAYOUT_ROW
         assert [p.name for p in tmp_path.iterdir()] == ["lct-s3.json"]
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("labels", encode_array(np.array([0, 2, 0])), "labels must be 0 or 1"),
-            ("labels", encode_array(np.array([0, 1])), "length mismatch: 3 scores, 2 labels"),
-            ("scores", encode_array(np.array([0.5, math.inf, 0.0])), "scores must be finite"),
+            ("labels", np.array([0, 2, 0]), "labels must be 0 or 1"),
+            ("labels", np.array([0, 1]), "length mismatch: 3 scores, 2 labels"),
+            ("scores", np.array([0.5, math.inf, 0.0]), "scores must be finite"),
+            # the other cases damage the row file's bytes
+            pytest.param("row", replace_by_a_directory, "[Errno 21] Is a directory", id="row-a-directory"),
+            pytest.param("row", lambda path: path.write_bytes(b"{not json\n" + bytes(24)), "Expecting property name enclosed in double quotes", id="row-header-not-json"),
+            pytest.param("row", lambda path: path.write_bytes(b'"r0"\n' + bytes(24)), "expected a JSON object, got str", id="row-header-not-an-object"),
+            pytest.param("row", lambda path: path.write_bytes(path.read_bytes().partition(b"\n")[0]), "no newline after the record's JSON header", id="row-without-newline"),
+            pytest.param("row", lambda path: path.write_bytes(path.read_bytes()[:-8]), "array of 16 bytes does not hold shape [3] of 8-byte <f8", id="row-body-too-short"),
+            pytest.param("row", lambda path: path.write_bytes(path.read_bytes() + bytes(8)), "array of 32 bytes does not hold shape [3] of 8-byte <f8", id="row-body-too-long"),
+            pytest.param("row", lambda path: record(path, lambda h: {**h, "scores": {"dtype": ">f8", "shape": [3]}}), "array dtype must be one of ['<f8', '<i8'], got '>f8'", id="row-unknown-dtype"),
         ],
     )
     def test_bad_stored_row_raises_naming_the_file(self, data, tmp_path, key, value, message):
@@ -669,7 +742,10 @@ class TestRowCodec:
         path = tmp_path / "r0.json"
         # the stored labels live in the labels file, which load_rows joins to each row
         damaged = tmp_path / "labels" / f"{_data_digest(test)}.json" if key == "labels" else path
-        damaged.write_text(json.dumps({**json.loads(damaged.read_text()), key: value}))
+        if key == "row":
+            value(damaged)
+        else:
+            write_record(damaged, record(damaged), key, value)
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
             load_rows(tmp_path, ["r0"])
         if key == "labels":
@@ -677,18 +753,28 @@ class TestRowCodec:
             (resumed,) = run_sweep([run], train, test, TINY_TRAIN, out_dir=tmp_path)
             assert resumed.labels.tobytes() == test.y.tobytes()
         else:
-            with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message})")):
+            with pytest.raises(ValueError) as exc:
                 run_sweep([run], train, test, TINY_TRAIN, out_dir=tmp_path)
+            assert str(exc.value).startswith(f"{tmp_path}: 1 of 1 stored rows are stale or corrupt; the first: {path}: stale or corrupt sweep row ({message}")
+            assert str(exc.value).endswith("); delete it to recompute")
 
-    def test_format_1_row_fails_saying_recompute(self, data, tmp_path):
-        run = SweepRun(run_id="r0", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams())
-        path = tmp_path / "r0.json"
-        path.write_text(json.dumps({"run_id": "r0", "kind": "baseline", "seed": 0, "auc": "0x1.0p-1", "scores": ["0x1.0p-1", "0x1.0p-2"], "labels": [0, 1]}))
-        message = "stored in format 1, this version reads format 3 only; recompute it"
-        with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
-            load_rows(tmp_path, ["r0"])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message}); delete it to recompute")):
-            run_sweep([run], *data, TINY_TRAIN, out_dir=tmp_path)
+    def test_format_1_row_fails_saying_recompute(self, tmp_path):
+        row = {"run_id": "lct-s3", "kind": "lct", "seed": 3, "auc": "0x1.8p-1", "scores": ["0x1.0p-2", "0x1.0p-1"], "labels": [0, 1]}
+        (tmp_path / "lct-s3.json").write_text(json.dumps(row))
+        assert_golden_row_fails_saying_recompute(tmp_path, 1)
+
+
+def assert_golden_row_fails_saying_recompute(directory, version):
+    """load_rows and a resume of the golden run both fail on its row file, stored in `version`, saying to recompute it; no file changes."""
+    run, train, test, train_config = golden_row_inputs()
+    path = directory / "lct-s3.json"
+    stored = stored_files(directory)
+    message = f"stored in format {version}, this version reads format 4 only; recompute it"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a sweep row: {message}")):
+        load_rows(directory, ["lct-s3"])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row ({message}); delete it to recompute")):
+        run_sweep([run], train, test, train_config, out_dir=directory)
+    assert stored_files(directory) == stored
 
 
 def store_rows(out_dir, run_ids):
@@ -729,16 +815,17 @@ class TestLoadRows:
         def opened(path, expected):
             raise AssertionError(f"{path} opened")
 
-        monkeypatch.setattr("vslct.analysis.read_versioned_json", opened)
+        monkeypatch.setattr("vslct.analysis.read_record", opened)
         with pytest.raises(ValueError, match=re.escape(message)):
             load_rows(tmp_path, run_ids)
 
     def test_listed_partial_row_is_not_a_sweep_row(self, tmp_path):
         store_rows(tmp_path, ["r0"])
-        stored = {**json.loads((tmp_path / "r0.json").read_text()), "run_id": "partial"}
+        path = tmp_path / "partial.json"
+        stored = {**record(tmp_path / "r0.json"), "run_id": "partial"}
         for key in stored:
-            partial = {k: v for k, v in stored.items() if k != key}
-            (tmp_path / "partial.json").write_text(json.dumps(partial))
+            path.write_bytes((tmp_path / "r0.json").read_bytes())
+            record(path, lambda header: {k: v for k, v in stored.items() if k != key})
             with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'partial.json'}: not a sweep row: ")):
                 load_rows(tmp_path, ["r0", "partial"])
 

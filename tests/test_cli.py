@@ -13,6 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
+from records import record
 from vslct import cli
 from vslct.analysis import SweepRun, load_rows, run_sweep, sweep_report
 from vslct.cli import build_parser, main
@@ -347,8 +348,7 @@ class TestSweep:
             summary_rows = json.load(fh)["rows"]
         assert len(summary_rows) == 4
         for row in summary_rows:
-            with open(os.path.join(sweep_dir["out_dir"], f"{row['run_id']}.json")) as fh:
-                assert row["params"] == json.load(fh)["fingerprint"]["run"]
+            assert row["params"] == record(os.path.join(sweep_dir["out_dir"], f"{row['run_id']}.json"))["fingerprint"]["run"]
 
     def test_unchanged_summary_is_left_as_it_is(self, sweep_dir, tmp_path, capsys):
         out_dir = tmp_path / "runs"
@@ -569,7 +569,7 @@ class TestRoc:
         assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "before.csv") == 0
         assert run_cli("analyze", "--summary", rows / "summary.json", "--out", rows / "report.json") == 0
         (rows / "stray.json").write_text(json.dumps({"run_id": 3}))
-        (rows / ".tmp-x1y2r0.json").write_text('{"format": 3, "run_id": "r0", "kind": "lct", "scores": {"dtype": "<f8", "hex": "00')
+        (rows / ".tmp-x1y2r0.json").write_text('{"format":4,"run_id":"r0","kind":"lct","seed":0,"auc":"0x1.8p-1","fingerprint":{"run"')
         capsys.readouterr()
         assert run_cli("roc", "--rows-dir", rows, "--out", tmp_path / "after.csv") == 0
         assert "aggregated 4 curves" in capsys.readouterr().out

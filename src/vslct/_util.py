@@ -17,19 +17,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = [
-    "ROW_FORMAT",
-    "CHECKPOINT_FORMAT",
-    "read_versioned_json",
-    "write_record",
-    "read_record",
-    "record_array",
-    "checked_int",
-    "checked_real",
-    "encode_array",
-    "decode_array",
-    "atomic_write_bytes",
-]
+__all__ = ["ROW_FORMAT", "CHECKPOINT_FORMAT", "read_versioned_json", "write_record", "read_record", "record_array", "checked_int", "checked_real", "encode_array", "decode_array", "atomic_write_bytes"]
 
 # Versions of the files the package writes with stored arrays.  Files
 # without a "format" field are format 1, which stored each float as its own

@@ -48,16 +48,16 @@ def read_versioned_json(path, expected: int) -> dict:
 
 
 def write_record(path, header: dict, key: str, values) -> None:
-    """Store header, with header[key] set to the {"dtype", "shape"} of values, as one line of compact JSON, then a newline and the bytes of values.
+    """Store header, led by "format": ROW_FORMAT and with header[key] set to the {"dtype", "shape"} of values, as one line of compact JSON, then a newline and the bytes of values.
 
     Floating arrays are stored as <f8 and integer arrays as <i8, little-endian.
     """
     meta, raw = _array_bytes(values)
-    atomic_write_bytes(path, json.dumps({**header, key: meta}, separators=(",", ":")).encode() + b"\n" + raw)
+    atomic_write_bytes(path, json.dumps({"format": ROW_FORMAT, **header, key: meta}, separators=(",", ":")).encode() + b"\n" + raw)
 
 
-def read_record(path, expected: int) -> tuple[dict, bytes]:
-    """The header and the array bytes of the record stored at path in format `expected`; decode them with record_array.
+def read_record(path) -> tuple[dict, bytes]:
+    """The header and the array bytes of the record stored at path in format ROW_FORMAT; decode them with record_array.
 
     Raises OSError, ValueError (a header that is not JSON, or no newline
     after it) or TypeError.  The format is checked before the newline, so
@@ -66,7 +66,7 @@ def read_record(path, expected: int) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
         data = fh.read()
     line, newline, body = data.partition(b"\n")
-    header = _versioned(json.loads(line), expected)
+    header = _versioned(json.loads(line), ROW_FORMAT)
     if not newline:
         raise ValueError("no newline after the record's JSON header")
     return header, body

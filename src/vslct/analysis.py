@@ -16,8 +16,9 @@ with; the TrainConfig epochs, batch_size and lr; SHA-256 digests of the
 train and test data; and the sampler and numerics versions); then a
 newline and the scores' little-endian `<f8` bytes.  The test labels,
 the same for every row, are written once per directory, as a record of
-their `<i8` bytes, to labels/<test data digest>.json; a subdirectory, so
-no run_id's row file can take its name.
+their `<i8` bytes, to labels/<test data digest>.json, whenever that file
+is missing, or a run trains and the file does not load; a subdirectory,
+so no run_id's row file can take its name.
 
 Resume reuses a row only when its identity and fingerprint equal the
 requested run's, and then takes its labels from the test data it was
@@ -51,7 +52,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from vslct._util import ROW_FORMAT, checked_int, checked_real, read_record, record_array, write_record
+from vslct._util import checked_int, checked_real, read_record, record_array, write_record
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
@@ -385,23 +386,32 @@ def _differences(stored: dict, requested: dict) -> list[str]:
 
 def _save_row(out_dir, row: SweepRow, fingerprint: dict) -> None:
     """Write row without its labels, which the directory's labels file holds for every row."""
-    header = {"format": ROW_FORMAT, "run_id": row.run_id, "kind": row.kind, "seed": row.seed, "auc": float(row.auc).hex(), "fingerprint": fingerprint}
+    header = {"run_id": row.run_id, "kind": row.kind, "seed": row.seed, "auc": float(row.auc).hex(), "fingerprint": fingerprint}
     write_record(_row_path(out_dir, row.run_id), header, "scores", row.scores)
 
 
 def _save_labels(path, test_digest: str, labels) -> None:
-    write_record(path, {"format": ROW_FORMAT, "test": test_digest}, "labels", labels)
+    write_record(path, {"test": test_digest}, "labels", labels)
 
 
 def _load_labels(path, test_digest: str) -> np.ndarray:
     """The labels stored at path for the test data with this digest; a missing, corrupt or mismatched file raises naming it."""
     try:
-        header, body = read_record(path, ROW_FORMAT)
+        header, body = read_record(path)
         if header["test"] != test_digest:
             raise ValueError(f"recorded for test data {header['test']}, the rows name test data {test_digest}")
         return record_array(header["labels"], body)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: missing or corrupt test labels ({exc}); delete it if present and resume the sweep to rewrite it") from exc
+
+
+def _labels_stored(path, test_digest: str) -> bool:
+    """Whether path holds the labels of the test data with this digest in the current format."""
+    try:
+        _load_labels(path, test_digest)
+    except ValueError:
+        return False
+    return True
 
 
 def _row_from_record(header: dict, body: bytes, labels: np.ndarray) -> SweepRow:
@@ -414,7 +424,7 @@ def _load_row(out_dir, run: SweepRun, fingerprint: dict, labels: np.ndarray) -> 
     """The stored row of `run`, compared with the requested fingerprint before its scores are decoded."""
     path = _row_path(out_dir, run.run_id)
     try:
-        header, body = read_record(path, ROW_FORMAT)
+        header, body = read_record(path)
         stored = {"run_id": header["run_id"], "kind": header["kind"], "seed": header["seed"], **header["fingerprint"]}
         requested = {"run_id": run.run_id, "kind": run.kind, "seed": run.seed, **fingerprint}
         if stored != requested:
@@ -437,7 +447,7 @@ def load_rows(rows_dir, run_ids: list[str]) -> list[SweepRow]:
     for run_id in run_ids:
         path = _row_path(rows_dir, run_id)
         try:
-            header, body = read_record(path, ROW_FORMAT)
+            header, body = read_record(path)
             if header["run_id"] != run_id:
                 raise ValueError(f"stored as run_id {header['run_id']!r}, listed as {run_id!r}")
             digest = header["fingerprint"]["data"]["test"]
@@ -490,7 +500,9 @@ def run_sweep(
     With out_dir set, each finished run is written to out_dir/run_id.json
     and found again on the next invocation; delete a file to force that
     run to recompute.  The test labels are written to
-    out_dir/labels/<test data digest>.json whenever that file is missing.
+    out_dir/labels/<test data digest>.json whenever that file is missing,
+    or any run trains and the file does not load, so recomputing rows also
+    replaces a labels file of an older format.
     Every found row is checked before any run trains; if any is stale or
     corrupt (its fingerprint differs from the requested run's, or it does
     not decode), one error counts them and gives the first one's message,
@@ -514,7 +526,8 @@ def run_sweep(
         if errors:
             raise ValueError(f"{out_dir}: {len(errors)} of {len(stored)} stored rows are stale or corrupt; the first: {errors[0]}") from errors[0]
         labels_path = _labels_path(out_dir, test_digest)
-        if not os.path.exists(labels_path):
+        # a pure resume leaves an existing labels file alone; one that trains replaces a file that does not load
+        if not os.path.exists(labels_path) or (len(found) < len(runs) and not _labels_stored(labels_path, test_digest)):
             _save_labels(labels_path, test_digest, test_data.y)
     rows: list[SweepRow] = []
     for i, run in enumerate(runs):

@@ -563,8 +563,8 @@ class TestRowCodec:
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "a")
             for original in (flat, two_d, two_d.T, np.empty((0, cols)), np.array(ints, dtype=np.int64), np.empty((cols, 0), dtype=np.int64)):
-                write_record(path, {"format": 4, "note": "x"}, "a", original)
-                header, body = read_record(path, 4)
+                write_record(path, {"note": "x"}, "a", original)
+                header, body = read_record(path)
                 assert header == {"format": 4, "note": "x", "a": {"dtype": original.dtype.str, "shape": list(original.shape)}}
                 for decoded in (decode_array(json.loads(json.dumps(encode_array(original)))), record_array(header["a"], body)):
                     assert (decoded.dtype, decoded.shape) == (original.dtype, original.shape)
@@ -579,23 +579,29 @@ class TestRowCodec:
             ({"dtype": "<f4"}, "array dtype must be one of ['<f8', '<i8'], got '<f4'"),
             ({"shape": [3]}, "array of 16 bytes does not hold shape [3] of 8-byte <f8"),
             ({"shape": [-2]}, "array shape must be a list of sizes >= 0, got [-2]"),
-            # a change given as bytes is a whole record file
-            pytest.param(b'{"format":4,"a":\n' + bytes(16), "Expecting value: line 1 column 17", id="record-header-not-json"),
-            pytest.param(b'[4,{"dtype":"<f8","shape":[2]}]\n' + bytes(16), "expected a JSON object, got list", id="record-header-not-an-object"),
-            pytest.param(A_HEADER, "no newline after the record's JSON header", id="record-without-newline"),
-            pytest.param(A_HEADER + b"\n" + bytes(15), "array of 15 bytes does not hold shape [2] of 8-byte <f8", id="record-body-too-short"),
-            pytest.param(A_HEADER + b"\n" + bytes(24), "array of 24 bytes does not hold shape [2] of 8-byte <f8", id="record-body-too-long"),
-            pytest.param(b'{"format":4,"a":{"dtype":"<f4","shape":[4]}}\n' + bytes(16), "array dtype must be one of ['<f8', '<i8'], got '<f4'", id="record-unknown-dtype"),
         ],
     )
-    def test_malformed_array_payload_raises(self, tmp_path, change, message):
-        with pytest.raises((TypeError, ValueError), match=re.escape(message)):
-            if isinstance(change, bytes):
-                (tmp_path / "a").write_bytes(change)
-                header, body = read_record(tmp_path / "a", 4)
-                record_array(header["a"], body)
-            else:
-                decode_array({**encode_array(np.array([0.25, 0.5])), **change})
+    def test_malformed_array_payload_raises(self, change, message):
+        good = encode_array(np.array([0.25, 0.5]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode_array({**good, **change})
+
+    @pytest.mark.parametrize(
+        "stored, error, message",
+        [
+            pytest.param(b'{"format":4,"a":\n' + bytes(16), ValueError, "Expecting value: line 1 column 17", id="header-not-json"),
+            pytest.param(b'[4,{"dtype":"<f8","shape":[2]}]\n' + bytes(16), TypeError, "expected a JSON object, got list", id="header-not-an-object"),
+            pytest.param(A_HEADER, ValueError, "no newline after the record's JSON header", id="without-newline"),
+            pytest.param(A_HEADER + b"\n" + bytes(15), ValueError, "array of 15 bytes does not hold shape [2] of 8-byte <f8", id="body-too-short"),
+            pytest.param(A_HEADER + b"\n" + bytes(24), ValueError, "array of 24 bytes does not hold shape [2] of 8-byte <f8", id="body-too-long"),
+            pytest.param(b'{"format":4,"a":{"dtype":"<f4","shape":[4]}}\n' + bytes(16), ValueError, "array dtype must be one of ['<f8', '<i8'], got '<f4'", id="unknown-dtype"),
+        ],
+    )
+    def test_malformed_record_raises(self, tmp_path, stored, error, message):
+        (tmp_path / "a").write_bytes(stored)
+        with pytest.raises(error, match=re.escape(message)):
+            header, body = read_record(tmp_path / "a")
+            record_array(header["a"], body)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -688,11 +694,18 @@ class TestRowCodec:
         def no_training(run, *args, **kwargs):
             raise AssertionError(f"{run.run_id} trained")
 
-        # a resume takes its labels from the test data and leaves the existing file as it is
-        monkeypatch.setattr("vslct.analysis.train_run", no_training)
-        (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
+        # a pure resume takes its labels from the test data and writes nothing
+        with monkeypatch.context() as patched:
+            patched.setattr("vslct.analysis.train_run", no_training)
+            (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
         assert resumed.labels.tobytes() == test.y.tobytes()
         assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW, f"labels/{GOLDEN_LABELS_NAME}": FORMAT_3_LABELS_TEXT.encode()}
+        # a resume that recomputes a row rewrites the labels file too
+        (tmp_path / "lct-s3.json").unlink()
+        run_sweep([run], train, test, train_config, out_dir=tmp_path)
+        assert (tmp_path / "labels" / GOLDEN_LABELS_NAME).read_bytes() == GOLDEN_LABELS
+        (loaded,) = load_rows(tmp_path, ["lct-s3"])
+        assert loaded.labels.tobytes() == test.y.tobytes()
 
     def test_row_of_another_sampler_version_fails_naming_it(self, tmp_path):
         run, train, test, train_config = golden_row_inputs()
@@ -809,7 +822,7 @@ class TestLoadRows:
         ],
     )
     def test_bad_run_ids_fail_before_any_file_is_opened(self, tmp_path, monkeypatch, run_ids, message):
-        def opened(path, expected):
+        def opened(path):
             raise AssertionError(f"{path} opened")
 
         monkeypatch.setattr("vslct.analysis.read_record", opened)

@@ -1,10 +1,9 @@
-"""Small shared helpers: the file format versions, the bit-exact stores of arrays, versioned reads, atomic writes and number checks.
+"""Small shared helpers: the record store of arrays, atomic writes and number checks.
 
-Two stores keep arrays bit-exact.  A record (sweep rows and their labels
-files) is one line of compact JSON, a newline, then one array's
-little-endian bytes, which the JSON line describes by dtype and shape.
-A checkpoint is JSON throughout, each array as the hex of its bytes
-(`encode_array`).
+Every file the package writes with an array in it (sweep rows, their
+labels files and checkpoints) is a record: one line of compact JSON, a
+newline, then one array's little-endian bytes, which the JSON line
+describes by dtype and shape, so the array round-trips bit for bit.
 """
 
 from __future__ import annotations
@@ -17,47 +16,37 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["ROW_FORMAT", "CHECKPOINT_FORMAT", "read_versioned_json", "write_record", "read_record", "record_array", "checked_int", "checked_real", "encode_array", "decode_array", "atomic_write_bytes"]
+__all__ = ["RECORD_FORMAT", "write_record", "read_record", "record_array", "checked_int", "checked_real", "atomic_write_bytes"]
 
-# Versions of the files the package writes with stored arrays.  Files
-# without a "format" field are format 1, which stored each float as its own
-# float.hex() token.  Sweep rows (with their labels files) and checkpoints
-# are versioned apart, so a new layout of one leaves files of the other
-# readable: rows are records since format 4, checkpoints stay JSON.
-ROW_FORMAT = 4
-CHECKPOINT_FORMAT = 2
+# Version of the record layout.  Files without a "format" field are format
+# 1, which stored each float as its own float.hex() token; formats 2 and 3
+# stored each array as the hex of its bytes inside JSON.
+RECORD_FORMAT = 4
 
 # Stored dtype -> the native dtype decoding returns; all are 8 bytes wide.
 _DTYPES = {"<f8": np.float64, "<i8": np.int64}
 
 
-def _versioned(payload, expected: int) -> dict:
-    """payload, if it is a JSON object of format `expected`; otherwise TypeError or ValueError."""
-    if not isinstance(payload, dict):
-        raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
-    version = payload.get("format", 1)
-    if version != expected:
-        raise ValueError(f"stored in format {version}, this version reads format {expected} only; recompute it")
-    return payload
-
-
-def read_versioned_json(path, expected: int) -> dict:
-    """The JSON object stored at path in format `expected`; raises OSError, ValueError (invalid JSON included) or TypeError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _versioned(json.load(fh), expected)
-
-
 def write_record(path, header: dict, key: str, values) -> None:
-    """Store header, led by "format": ROW_FORMAT and with header[key] set to the {"dtype", "shape"} of values, as one line of compact JSON, then a newline and the bytes of values.
+    """Store header, led by "format": RECORD_FORMAT and with header[key] set to the {"dtype", "shape"} of values, as one line of compact JSON, then a newline and the bytes of values.
 
-    Floating arrays are stored as <f8 and integer arrays as <i8, little-endian.
+    Floating arrays are stored as <f8 and integer arrays as <i8,
+    little-endian.  A non-finite float in header raises ValueError, since
+    strict JSON has no token for it.
     """
-    meta, raw = _array_bytes(values)
-    atomic_write_bytes(path, json.dumps({"format": ROW_FORMAT, **header, key: meta}, separators=(",", ":")).encode() + b"\n" + raw)
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        dtype = "<f8"
+    elif a.dtype.kind in "iu":
+        dtype = "<i8"
+    else:
+        raise ValueError(f"cannot encode an array of dtype {a.dtype}")
+    line = json.dumps({"format": RECORD_FORMAT, **header, key: {"dtype": dtype, "shape": list(a.shape)}}, separators=(",", ":"), allow_nan=False)
+    atomic_write_bytes(path, line.encode() + b"\n" + a.astype(dtype, copy=False).tobytes())
 
 
 def read_record(path) -> tuple[dict, bytes]:
-    """The header and the array bytes of the record stored at path in format ROW_FORMAT; decode them with record_array.
+    """The header and the array bytes of the record stored at path in format RECORD_FORMAT; decode them with record_array.
 
     Raises OSError, ValueError (a header that is not JSON, or no newline
     after it) or TypeError.  The format is checked before the newline, so
@@ -66,10 +55,27 @@ def read_record(path) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
         data = fh.read()
     line, newline, body = data.partition(b"\n")
-    header = _versioned(json.loads(line), ROW_FORMAT)
+    header = json.loads(line)
+    if not isinstance(header, dict):
+        raise TypeError(f"expected a JSON object, got {type(header).__name__}")
+    version = header.get("format", 1)
+    if version != RECORD_FORMAT:
+        raise ValueError(f"stored in format {version}, this version reads format {RECORD_FORMAT} only; recompute it")
     if not newline:
         raise ValueError("no newline after the record's JSON header")
     return header, body
+
+
+def record_array(meta: dict, raw) -> np.ndarray:
+    """The array of meta's dtype and shape whose bytes are raw: a fresh, writable native array; a malformed meta or length raises ValueError."""
+    dtype, shape = meta["dtype"], meta["shape"]
+    if dtype not in _DTYPES:
+        raise ValueError(f"array dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+    if not isinstance(shape, list) or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ValueError(f"array shape must be a list of sizes >= 0, got {shape!r}")
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"array of {len(raw)} bytes does not hold shape {shape} of 8-byte {dtype}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPES[dtype])
 
 
 def checked_int(name: str, value, least: int = 1) -> int:
@@ -86,41 +92,6 @@ def checked_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
-
-
-def _array_bytes(values) -> tuple[dict, bytes]:
-    """The array's {"dtype", "shape"} and its little-endian bytes: <f8 for floating arrays, <i8 for integer ones."""
-    a = np.asarray(values)
-    if a.dtype.kind == "f":
-        dtype = "<f8"
-    elif a.dtype.kind in "iu":
-        dtype = "<i8"
-    else:
-        raise ValueError(f"cannot encode an array of dtype {a.dtype}")
-    return {"dtype": dtype, "shape": list(a.shape)}, a.astype(dtype, copy=False).tobytes()
-
-
-def record_array(meta: dict, raw) -> np.ndarray:
-    """The array of meta's dtype and shape whose bytes are raw: a fresh, writable native array; a malformed meta or length raises ValueError."""
-    dtype, shape = meta["dtype"], meta["shape"]
-    if dtype not in _DTYPES:
-        raise ValueError(f"array dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
-    if not isinstance(shape, list) or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
-        raise ValueError(f"array shape must be a list of sizes >= 0, got {shape!r}")
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"array of {len(raw)} bytes does not hold shape {shape} of 8-byte {dtype}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPES[dtype])
-
-
-def encode_array(values) -> dict:
-    """{"dtype", "shape", "hex"}: the array's little-endian bytes in hex, so JSON round trips are bit-exact."""
-    meta, raw = _array_bytes(values)
-    return {**meta, "hex": raw.hex()}
-
-
-def decode_array(obj: dict) -> np.ndarray:
-    """Inverse of encode_array: a fresh, writable native array; a malformed payload raises ValueError."""
-    return record_array(obj, bytes.fromhex(obj["hex"]))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

@@ -7,7 +7,7 @@ row to a file and transparently reloads completed rows on a rerun, so an
 interrupted sweep resumes where it stopped; load_rows reads back the rows
 of given run_ids, which `vslct roc` takes from the sweep's summary.json.
 
-A stored row is file format 4 (`vslct._util.ROW_FORMAT`), a record
+A stored row is file format 4 (`vslct._util.RECORD_FORMAT`), a record
 written atomically: one line of compact JSON holding the AUC as
 `float.hex()`, the scores' dtype and shape, and a fingerprint of what
 produced the row (SweepRun.params, the run's one JSON description, which

@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config: mode, hyper/lct, train, model")
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--test-data", default=None, help="optional CSV to report a test AUC")
-    p.add_argument("--out", required=True, help="output checkpoint path (JSON)")
+    p.add_argument("--out", required=True, help="output checkpoint path (a record: one JSON line, then the parameter bytes)")
     add_if_exists(p)
     p.set_defaults(func=cmd_train)
 

@@ -50,17 +50,16 @@ can differ from one unblocked `forward` in the last few bits (see
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
 
-Checkpoints are JSON in file format 2 (`vslct._util.CHECKPOINT_FORMAT`): each
-parameter array is stored as the hex of its little-endian float64 bytes
-(`vslct._util.encode_array`; sweep rows store raw bytes instead), making
-save/load round trips bit-exact.  A format-1 checkpoint, which stored
-each float as a `float.hex()` token, fails to load with a message that
-says to recompute it.
+A checkpoint is a record (`vslct._util.write_record`), like a sweep row:
+one line of JSON holding the ModelConfig fields, the caller's meta and
+the dtype and shape of `flat`, then a newline and `flat`'s little-endian
+float64 bytes, so save/load round trips are bit-exact.  A checkpoint of
+an older format (1 and 2 were JSON throughout) fails to load with a
+message that says to recompute it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -68,7 +67,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vslct._util import CHECKPOINT_FORMAT, atomic_write_bytes, checked_int, decode_array, encode_array, read_versioned_json
+from vslct._util import checked_int, read_record, record_array, write_record
 from vslct.losses import sigmoid
 
 # `MlpFilmModel.scores` runs one `forward` on a set of at most this many
@@ -426,25 +425,24 @@ def sgd_step(
 
 
 def save_checkpoint(path, model: MlpFilmModel, meta: dict | None = None) -> None:
-    """Serialize config + parameters as JSON, atomically; arrays in the bit-exact byte-hex codec."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "config": asdict(model.config),
-        "params": {k: encode_array(v) for k, v in model.params.items()},
-        "meta": meta or {},
-    }
-    atomic_write_bytes(path, json.dumps(payload).encode())
+    """Store config, meta and the flat parameter buffer as a record, atomically; a non-finite float in meta raises ValueError."""
+    write_record(path, {"config": asdict(model.config), "meta": meta or {}}, "flat", model.flat)
 
 
 def load_checkpoint(path) -> tuple[MlpFilmModel, dict]:
     """Inverse of :func:`save_checkpoint`; returns (model, meta)."""
     try:
-        payload = read_versioned_json(path, CHECKPOINT_FORMAT)
-        cfg_dict = dict(payload["config"])
+        header, body = read_record(path)
+        cfg_dict = dict(header["config"])
         cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
         config = ModelConfig(**cfg_dict)
-        params = {k: decode_array(v) for k, v in payload["params"].items()}
-        meta = payload.get("meta", {})
+        meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta must be a JSON object, got {type(meta).__name__}")
+        expected = {"dtype": "<f8", "shape": [_param_count(config)]}
+        if header["flat"] != expected:
+            raise ValueError(f"flat must be {expected} for this config, got {header['flat']!r}")
+        flat = record_array(header["flat"], body)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from exc
-    return MlpFilmModel(config, params), meta
+    return MlpFilmModel(config, _views(flat, _param_shapes(config))), meta

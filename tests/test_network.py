@@ -20,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vslct
+from records import record
 from vslct import network
+from vslct._util import write_record
 from vslct.network import (
     SCORE_BLOCK_ROWS,
     MlpFilmModel,
@@ -643,7 +645,7 @@ class TestOptimizer:
 
 
 class TestCheckpoint:
-    """Bit-exact JSON serialization."""
+    """Bit-exact records of config, meta and the flat parameter buffer."""
 
     @pytest.mark.parametrize("affine", [False, True])
     def test_round_trip_exact(self, tmp_path, affine):
@@ -679,50 +681,65 @@ class TestCheckpoint:
             assert loaded.params[k].shape == model.params[k].shape
             assert loaded.params[k].tobytes() == model.params[k].tobytes()
 
-    def test_floats_stored_as_hex(self, tmp_path):
+    def test_stored_as_a_record(self, tmp_path):
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(74))
         path = tmp_path / "model.json"
-        save_checkpoint(path, model)
-        payload = json.loads(path.read_text())
-        assert payload["format"] == 2
-        for key in MlpFilmModel.PARAM_KEYS:
-            stored = payload["params"][key]
-            assert (stored["dtype"], stored["shape"]) == ("<f8", list(model.params[key].shape))
-            assert stored["hex"] == model.params[key].astype("<f8").tobytes().hex()
+        save_checkpoint(path, model, meta={"epoch": 7})
+        header = {"format": 4, "config": asdict(model.config), "meta": {"epoch": 7}, "flat": {"dtype": "<f8", "shape": [model.flat.size]}}
+        assert path.read_bytes() == json.dumps(header, separators=(",", ":")).encode() + b"\n" + model.flat.astype("<f8").tobytes()
 
-    def test_format_2_checkpoint_still_loads_bit_exact(self, tmp_path):
-        # checkpoints keep format 2 whatever format sweep rows are in
+    def test_non_finite_meta_fails_at_write_time(self, tmp_path):
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            save_checkpoint(path, MlpFilmModel.init(tiny_config(False), np.random.default_rng(74)), meta={"final_loss": float("nan")})
+        assert not path.exists()
+
+    def test_format_2_checkpoint_fails_saying_recompute(self, tmp_path):
         model = MlpFilmModel.init(tiny_config(True), np.random.default_rng(76))
         path = tmp_path / "model.json"
         params = {k: {"dtype": "<f8", "shape": list(v.shape), "hex": v.astype("<f8").tobytes().hex()} for k, v in model.params.items()}
         path.write_text(json.dumps({"format": 2, "config": asdict(model.config), "params": params, "meta": {"epoch": 3}}))
-        loaded, meta = load_checkpoint(path)
-        assert (loaded.config, meta) == (model.config, {"epoch": 3})
-        assert loaded.flat.tobytes() == model.flat.tobytes()
+        stored = path.read_bytes()
+        message = "stored in format 2, this version reads format 4 only; recompute it"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint: {message}")):
+            load_checkpoint(path)
+        assert path.read_bytes() == stored
 
     def test_format_1_checkpoint_fails_saying_recompute(self, tmp_path):
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(75))
         path = tmp_path / "model.json"
         params = {k: {"shape": list(v.shape), "data": [float(x).hex() for x in v.ravel()]} for k, v in model.params.items()}
         path.write_text(json.dumps({"config": asdict(model.config), "params": params, "meta": {}}))
-        message = "stored in format 1, this version reads format 2 only; recompute it"
+        message = "stored in format 1, this version reads format 4 only; recompute it"
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint: {message}")):
             load_checkpoint(path)
 
     def test_truncated_checkpoint_names_the_file(self, tmp_path):
         path = tmp_path / "model.json"
         save_checkpoint(path, MlpFilmModel.init(tiny_config(False), np.random.default_rng(76)))
-        path.write_text(path.read_text()[:100])
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint")):
             load_checkpoint(path)
 
     def test_non_integral_config_size_is_not_a_valid_checkpoint(self, tmp_path):
         path = tmp_path / "model.json"
         save_checkpoint(path, MlpFilmModel.init(REFERENCE_CONFIG, np.random.default_rng(77)))
-        payload = json.loads(path.read_text())
-        payload["config"]["trunk_widths"] = [64.5, 64]
-        path.write_text(json.dumps(payload))
+        record(path, lambda header: {**header, "config": {**header["config"], "trunk_widths": [64.5, 64]}})
         message = "trunk_widths entry must be an integer >= 1, got 64.5"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint: {message}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "meta, extra, message",
+        [
+            pytest.param([1, 2], 0, "meta must be a JSON object, got list", id="meta-not-an-object"),
+            pytest.param({}, 1, "flat must be {'dtype': '<f8', 'shape': [218]} for this config, got {'dtype': '<f8', 'shape': [219]}", id="one-parameter-too-many"),
+        ],
+    )
+    def test_record_that_does_not_fit_a_checkpoint_names_the_file(self, tmp_path, meta, extra, message):
+        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(78))
+        path = tmp_path / "model.json"
+        write_record(path, {"config": asdict(model.config), "meta": meta}, "flat", np.append(model.flat, np.zeros(extra)))
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint: {message}")):
             load_checkpoint(path)
 

@@ -20,7 +20,9 @@ which is removed afterwards:
   file summary.json, roc.csv and report.json, of its bytes; and one
   digest over those lines;
 * `train` of a baseline and of an affine conditioned model (3 epochs):
-  one line per checkpoint;
+  one line per checkpoint, a digest of its config and meta (as sorted
+  JSON) and its parameter bytes as `load_checkpoint` returns them, so a
+  change of the checkpoint layout can show the same;
 * the conditioned model's `scores` on a fixed set of 10^5 rows.
 
 It imports vslct from this checkout's src/ and needs nothing beyond it.
@@ -33,6 +35,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -83,6 +86,14 @@ def sha256_row(row) -> str:
     return digest.hexdigest()
 
 
+def sha256_checkpoint(path) -> str:
+    """Digest of a loaded checkpoint: its config and meta as sorted JSON, then its parameter bytes."""
+    model, meta = load_checkpoint(path)
+    digest = hashlib.sha256(json.dumps({"config": asdict(model.config), "meta": meta}, sort_keys=True).encode())
+    digest.update(model.flat.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="same-numbers-") as tmp:
 
@@ -111,7 +122,7 @@ def main() -> None:
             with open(at(name), "w", encoding="utf-8") as fh:
                 json.dump(config, fh)
             run("train", "--config", at(name), "--data", at("train.csv"), "--out", at("model-" + name))
-            print(f"{sha256_file(at('model-' + name))}  checkpoint of {name}")
+            print(f"{sha256_checkpoint(at('model-' + name))}  checkpoint of {name}")
 
         run("gen-data", "--out", at("large.csv"), "--n0", 50_000, "--n1", 50_000, "--dim", 2, "--sep", 2.5, "--seed", 303)
         model, _ = load_checkpoint(at("model-lct-affine.json"))

@@ -571,6 +571,20 @@ class TestRowCodec:
                 assert decoded.flags.writeable and decoded.dtype.isnative
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"shape": 2}, "array shape must be a list of sizes >= 0, got 2"),
+            ({"shape": [True, 2]}, "array shape must be a list of sizes >= 0, got [True, 2]"),
+            ({"dtype": "<f4"}, "array dtype must be one of ['<f8', '<i8'], got '<f4'"),
+            ({"shape": [2.0]}, "array shape must be a list of sizes >= 0, got [2.0]"),
+        ],
+    )
+    def test_malformed_array_payload_raises(self, change, message):
+        good = {"dtype": "<f8", "shape": [2]}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            record_array({**good, **change}, np.array([0.25, 0.5]).tobytes())
+
+    @pytest.mark.parametrize(
         "stored, error, message",
         [
             pytest.param(b'{"format":4,"a":\n' + bytes(16), ValueError, "Expecting value: line 1 column 17", id="header-not-json"),

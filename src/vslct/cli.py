@@ -11,8 +11,9 @@ Conventions:
   2 command-line usage errors.
 * All outputs are written atomically; an interrupted command never
   leaves a truncated file behind.
-* Relative output paths are placed under $VSLCT_OUT_ROOT when that
-  variable is set.
+* $VSLCT_OUT_ROOT, when set, prefixes relative --out and sweep --out-dir
+  paths only; roc --rows-dir and analyze --summary are read as given, so
+  they then need $VSLCT_OUT_ROOT/<dir>.
 * main checks every --out before the command does any work: it resolves
   the path, then applies --if-exists {error,skip,overwrite}, and skip
   skips the whole command.  Sweeps instead resume per run from their
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vslct",
         description="Loss-conditional training over the vector-scaling loss family.",
-        epilog=f"Relative output paths are placed under ${OUT_ROOT_ENV} when it is set.",
+        epilog=f"Relative --out and sweep --out-dir paths are placed under ${OUT_ROOT_ENV} when it is set; inputs are read as given.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,10 +17,11 @@ selects the path.  A shared row runs the FiLM network once and its mu
 output gradient over the batch before the FiLM backward.  Training and
 evaluation use the shared row, since one batch has one loss setting.
 
-All parameters live in one flat float64 buffer, `MlpFilmModel.flat`;
-`MlpFilmModel.params` maps each name of PARAM_KEYS to a reshaped view of
-its slice, in that order.  Writing through a view writes the buffer, and
-`sgd_step` updates the whole buffer with a few vector operations.
+A model is built from one flat float64 buffer and keeps it, uncopied,
+as `MlpFilmModel.flat`; `MlpFilmModel.params` maps each name of
+PARAM_KEYS to a reshaped view of its slice, in that order.  Writing
+through a view writes the buffer, and `sgd_step` updates the whole
+buffer with a few vector operations.
 
 Each trunk layer adds its bias and applies the ReLU in place on its
 matmul output; `x` and the parameters are never written.  `forward`
@@ -53,9 +54,9 @@ dependency; gradients are verified against finite differences in tests.
 A checkpoint is a record (`vslct._util.write_record`), like a sweep row:
 one line of JSON holding the ModelConfig fields, the caller's meta and
 the dtype and shape of `flat`, then a newline and `flat`'s little-endian
-float64 bytes, so save/load round trips are bit-exact.  A checkpoint of
-an older format (1 and 2 were JSON throughout) fails to load with a
-message that says to recompute it.
+float64 bytes, so save/load round trips are bit-exact; a load builds the
+model on the array it decodes.  A checkpoint of an older format (1 and 2
+were JSON throughout) fails to load with a message to recompute it.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ class ModelConfig:
         object.__setattr__(self, "trunk_widths", tuple(checked_int("trunk_widths entry", w) for w in self.trunk_widths))
         if len(self.trunk_widths) != 2:
             raise ValueError(f"trunk_widths must be two sizes >= 1, got {self.trunk_widths}")
+        for name in ("film_affine", "film_zero_init"):
+            if not isinstance(getattr(self, name), bool | np.bool_):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, bool(getattr(self, name)))
 
     @property
     def film_out_dim(self) -> int:
@@ -182,28 +187,25 @@ class Workspace:
 
 
 class MlpFilmModel:
-    """Bundles a ModelConfig with its parameters.
+    """Bundles a ModelConfig with the flat buffer it is built from.
 
-    The parameters are one flat float64 buffer, `flat`; `params` maps each
-    name of PARAM_KEYS to a view of its slice.  The fixed key order defines
-    the buffer layout and every iteration order (initialization draws,
+    `flat`, a C-contiguous, writeable float64 vector of the config's
+    parameter count, is kept without a copy; `params` maps each name of
+    PARAM_KEYS to a view of its slice.  The fixed key order defines the
+    buffer layout and every iteration order (initialization draws,
     checkpoints), which keeps runs reproducible.
     """
 
     PARAM_KEYS = tuple(_param_shapes(ModelConfig(input_dim=1)))
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
-        missing = set(self.PARAM_KEYS) - set(params)
-        if missing:
-            raise ValueError(f"missing parameter arrays: {sorted(missing)}")
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        shape = (_param_count(config),)
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == shape and flat.flags.c_contiguous and flat.flags.writeable):
+            got = f"{getattr(flat, 'dtype', type(flat).__name__)} of shape {np.shape(flat)}"
+            raise ValueError(f"flat must be a C-contiguous, writeable float64 array of shape {shape}, got {got}")
         self.config = config
-        self.flat = np.empty(_param_count(config))
-        self.params = _views(self.flat, _param_shapes(config))
-        for key, view in self.params.items():
-            value = np.asarray(params[key], dtype=np.float64)
-            if value.shape != view.shape:
-                raise ValueError(f"{key}: expected shape {view.shape}, got {value.shape}")
-            view[...] = value
+        self.flat = flat
+        self.params = _views(flat, _param_shapes(config))
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "MlpFilmModel":
@@ -219,10 +221,10 @@ class MlpFilmModel:
                 return np.zeros(shape)
             return rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])
 
-        return cls(config, {key: draw(key, shape) for key, shape in _param_shapes(config).items()})
+        return cls(config, np.concatenate([draw(key, shape) for key, shape in _param_shapes(config).items()], axis=None))
 
     def copy(self) -> "MlpFilmModel":
-        return MlpFilmModel(self.config, self.params)
+        return MlpFilmModel(self.config, self.flat.copy())
 
     # -- forward / backward -------------------------------------------------
 
@@ -425,24 +427,20 @@ def sgd_step(
 
 
 def save_checkpoint(path, model: MlpFilmModel, meta: dict | None = None) -> None:
-    """Store config, meta and the flat parameter buffer as a record, atomically; a non-finite float in meta raises ValueError."""
-    write_record(path, {"config": asdict(model.config), "meta": meta or {}}, "flat", model.flat)
+    """Store config, meta ({} for None) and the flat parameter buffer as a record, atomically; a meta that is not a dict or holds a non-finite float raises ValueError, and nothing is written."""
+    if not isinstance(meta, dict | None):
+        raise ValueError(f"meta must be a dict or None, got {type(meta).__name__}")
+    write_record(path, {"config": asdict(model.config), "meta": {} if meta is None else meta}, "flat", model.flat)
 
 
 def load_checkpoint(path) -> tuple[MlpFilmModel, dict]:
     """Inverse of :func:`save_checkpoint`; returns (model, meta)."""
     try:
         header, body = read_record(path)
-        cfg_dict = dict(header["config"])
-        cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
-        config = ModelConfig(**cfg_dict)
         meta = header["meta"]
         if not isinstance(meta, dict):
             raise TypeError(f"meta must be a JSON object, got {type(meta).__name__}")
-        expected = {"dtype": "<f8", "shape": [_param_count(config)]}
-        if header["flat"] != expected:
-            raise ValueError(f"flat must be {expected} for this config, got {header['flat']!r}")
-        flat = record_array(header["flat"], body)
+        model = MlpFilmModel(ModelConfig(**header["config"]), record_array(header["flat"], body))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from exc
-    return MlpFilmModel(config, _views(flat, _param_shapes(config))), meta
+    return model, meta

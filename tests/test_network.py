@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import vslct
 from records import record
 from vslct import network
-from vslct._util import write_record
+from vslct._util import record_array, write_record
 from vslct.network import (
     SCORE_BLOCK_ROWS,
     MlpFilmModel,
@@ -99,6 +99,17 @@ class TestModelConfig:
     def test_non_integral_size_rejected_naming_the_field(self, field, value, shown):
         with pytest.raises(ValueError, match=re.escape(field) + ".* must be an integer >= 1, got " + re.escape(shown)):
             ModelConfig(**{"input_dim": 2, field: value})
+
+    @pytest.mark.parametrize("field", ["film_affine", "film_zero_init"])
+    @pytest.mark.parametrize("value", ["yes", None, 1, 0.0, np.array([True])], ids=["str", "None", "int", "float", "array"])
+    def test_non_bool_flag_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a bool, got {value!r}")):
+            ModelConfig(**{"input_dim": 2, field: value})
+
+    def test_numpy_bool_flags_stored_as_bool(self):
+        config = ModelConfig(input_dim=2, film_affine=np.bool_(True), film_zero_init=np.bool_(False))
+        assert config == ModelConfig(input_dim=2, film_affine=True, film_zero_init=False)
+        assert type(config.film_affine) is bool and type(config.film_zero_init) is bool
 
     def test_numpy_integer_sizes_stored_as_int(self, tmp_path):
         config = ModelConfig(input_dim=np.int64(2), cond_dim=np.int32(1), trunk_widths=(np.int64(8), 4), film_hidden=np.uint8(16))
@@ -492,11 +503,29 @@ class TestFlatParameters:
         other.params["trunk0_w"][0, 0] += 1.0
         assert other.flat.tobytes() != model.flat.tobytes()
 
+    def test_model_keeps_the_buffer_it_is_built_from(self):
+        config = tiny_config(False)
+        flat = np.random.default_rng(82).normal(size=MlpFilmModel.init(config, np.random.default_rng(0)).flat.size)
+        model = MlpFilmModel(config, flat)
+        assert model.flat is flat
+        assert all(np.shares_memory(view, flat) for view in model.params.values())
+
     def test_wrong_shape_rejected(self):
-        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(82))
-        params = dict(model.params, head_b=np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="head_b"):
-            MlpFilmModel(model.config, params)
+        config = tiny_config(False)
+        p = MlpFilmModel.init(config, np.random.default_rng(82)).flat.size
+        wrong = {
+            "one-too-many": np.zeros(p + 1),
+            "float32": np.zeros(p, dtype=np.float32),
+            "int64": np.zeros(p, dtype=np.int64),
+            "2-D": np.zeros((p, 1)),
+            "non-contiguous": np.zeros(2 * p)[::2],
+            "read-only": np.frombuffer(np.zeros(p).tobytes()),
+            "params-dict": {"head_b": np.zeros(2)},
+        }
+        for name, flat in wrong.items():
+            with pytest.raises(ValueError, match=re.escape(f"flat must be a C-contiguous, writeable float64 array of shape ({p},)")):
+                MlpFilmModel(config, flat)
+                pytest.fail(name)
 
 
 class TestWorkspace:
@@ -658,6 +687,14 @@ class TestCheckpoint:
         for k in MlpFilmModel.PARAM_KEYS:
             np.testing.assert_array_equal(loaded.params[k], model.params[k])
 
+    def test_load_builds_the_model_on_the_decoded_array(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, MlpFilmModel.init(tiny_config(True), np.random.default_rng(73)))
+        decoded = []
+        monkeypatch.setattr(network, "record_array", lambda meta, raw: decoded.append(record_array(meta, raw)) or decoded[-1])
+        loaded, _ = load_checkpoint(path)
+        assert len(decoded) == 1 and loaded.flat is decoded[0]
+
     @settings(max_examples=50, deadline=None)
     @given(
         dims=st.tuples(*[st.integers(1, 5)] * 5),
@@ -693,6 +730,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             save_checkpoint(path, MlpFilmModel.init(tiny_config(False), np.random.default_rng(74)), meta={"final_loss": float("nan")})
         assert not path.exists()
+
+    @pytest.mark.parametrize("meta", [[1], [], "x", 0], ids=["list", "empty-list", "str", "zero"])
+    def test_meta_that_is_not_a_dict_fails_at_write_time(self, tmp_path, meta):
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=f"meta must be a dict or None, got {type(meta).__name__}"):
+            save_checkpoint(path, MlpFilmModel.init(tiny_config(False), np.random.default_rng(74)), meta=meta)
+        assert list(tmp_path.iterdir()) == []
 
     def test_format_2_checkpoint_fails_saying_recompute(self, tmp_path):
         model = MlpFilmModel.init(tiny_config(True), np.random.default_rng(76))
@@ -730,16 +774,17 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "meta, extra, message",
+        "fields, meta, flat, message",
         [
-            pytest.param([1, 2], 0, "meta must be a JSON object, got list", id="meta-not-an-object"),
-            pytest.param({}, 1, "flat must be {'dtype': '<f8', 'shape': [218]} for this config, got {'dtype': '<f8', 'shape': [219]}", id="one-parameter-too-many"),
+            pytest.param({}, [1, 2], np.zeros(218), "meta must be a JSON object, got list", id="meta-not-an-object"),
+            pytest.param({}, {}, np.zeros(219), "flat must be a C-contiguous, writeable float64 array of shape (218,), got float64 of shape (219,)", id="one-parameter-too-many"),
+            pytest.param({}, {}, np.zeros(218, dtype=np.int64), "flat must be a C-contiguous, writeable float64 array of shape (218,), got int64 of shape (218,)", id="integer-parameters"),
+            pytest.param({"film_affine": "yes"}, {}, np.zeros(218), "film_affine must be a bool, got 'yes'", id="flag-not-a-bool"),
         ],
     )
-    def test_record_that_does_not_fit_a_checkpoint_names_the_file(self, tmp_path, meta, extra, message):
-        model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(78))
+    def test_record_that_does_not_fit_a_checkpoint_names_the_file(self, tmp_path, fields, meta, flat, message):
         path = tmp_path / "model.json"
-        write_record(path, {"config": asdict(model.config), "meta": meta}, "flat", np.append(model.flat, np.zeros(extra)))
+        write_record(path, {"config": {**asdict(tiny_config(False)), **fields}, "meta": meta}, "flat", flat)
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid checkpoint: {message}")):
             load_checkpoint(path)
 

@@ -17,6 +17,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,8 @@ class LabeledScores:
     """Parallel arrays of classifier scores and 0/1 labels.
 
     Scores become float64 and labels int64, without a copy when they
-    already are; the class sizes n_pos and n_neg are counted once, here.
+    already are; the class sizes n_pos and n_neg are counted once, here,
+    and `with_scores` pairs the same labels and counts with other scores.
     """
 
     scores: np.ndarray
@@ -46,14 +48,8 @@ class LabeledScores:
     n_neg: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
         labels = np.asarray(self.labels)
-        if scores.ndim != 1 or labels.ndim != 1:
-            raise ValueError("scores and labels must be one-dimensional")
-        if scores.shape != labels.shape:
-            raise ValueError(f"length mismatch: {scores.shape[0]} scores, {labels.shape[0]} labels")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
+        scores = _checked_scores(self.scores, labels)
         n_pos = int(np.count_nonzero(labels == 1))
         n_neg = int(np.count_nonzero(labels == 0))
         if n_pos + n_neg != labels.size:
@@ -63,9 +59,27 @@ class LabeledScores:
         object.__setattr__(self, "n_pos", n_pos)
         object.__setattr__(self, "n_neg", n_neg)
 
+    def with_scores(self, scores) -> "LabeledScores":
+        """These labels and class counts, not counted again, with other scores, which get the constructor's checks."""
+        labeled = copy.copy(self)
+        object.__setattr__(labeled, "scores", _checked_scores(scores, self.labels))
+        return labeled
+
     def require_both_classes(self) -> None:
         if self.n_pos == 0 or self.n_neg == 0:
             raise ValueError("need at least one sample of each class")
+
+
+def _checked_scores(scores, labels: np.ndarray) -> np.ndarray:
+    """scores as float64, after checking that they are finite and parallel to labels."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or labels.ndim != 1:
+        raise ValueError("scores and labels must be one-dimensional")
+    if scores.shape != labels.shape:
+        raise ValueError(f"length mismatch: {scores.shape[0]} scores, {labels.shape[0]} labels")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    return scores
 
 
 @dataclass(frozen=True)
@@ -121,17 +135,24 @@ def roc_curve(data: LabeledScores) -> RocCurve:
     data.require_both_classes()
     order = np.argsort(-data.scores)
     s = data.scores[order]
-    y = data.labels[order]
     # last index of each tied block = cumulative counts through that score
-    block_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    tp = np.cumsum(y)[block_end]
-    fp = block_end + 1 - tp
-    tpr = np.concatenate(([0.0], tp / data.n_pos))
-    fpr = np.concatenate(([0.0], fp / data.n_neg))
+    is_end = np.empty(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=is_end[:-1])
+    is_end[-1] = True
+    block_end = np.flatnonzero(is_end)
+    tp = np.cumsum(data.labels[order])[block_end]
+    del order, is_end  # the curve's three arrays come next, so drop what is no longer read
+    tpr, fpr, thresholds = (np.empty(block_end.size + 1) for _ in range(3))
+    tpr[0] = fpr[0] = 0.0
+    np.divide(tp, data.n_pos, out=tpr[1:])
     # the point after block k is achieved by thresholding at the next
     # distinct score below it (or -inf after the last block)
-    distinct = s[block_end] + 0.0
-    thresholds = np.concatenate(([np.inf], distinct[1:], [-np.inf]))
+    thresholds[0], thresholds[-1] = np.inf, -np.inf
+    np.take(s, block_end[1:], out=thresholds[1:-1])
+    thresholds[1:-1] += 0.0  # a tied block of 0.0 and -0.0 reads 0.0
+    fp = np.add(block_end, 1, out=block_end)
+    fp -= tp
+    np.divide(fp, data.n_neg, out=fpr[1:])
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
 
 

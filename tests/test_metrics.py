@@ -1,5 +1,7 @@
 """Tests for ROC construction, AUC, and the pair-counting cross-check."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,7 +49,7 @@ def stable_sort_roc(data: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.nda
 
 @st.composite
 def labeled_scores(draw) -> LabeledScores:
-    """Both classes present; scores either continuous or drawn from a few values."""
+    """Both classes present; scores either continuous or drawn from a few values, with a tied 0.0/-0.0 block."""
     n = draw(st.integers(2, 60))
     labels = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
     labels[:2] = [0, 1]
@@ -56,6 +58,9 @@ def labeled_scores(draw) -> LabeledScores:
         scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     else:
         scores = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    # a tied block of 0.0 and -0.0 in any order, which reads as one score
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=n))
+    scores[: len(zeros)] = zeros
     return LabeledScores(np.array(scores), labels)
 
 
@@ -94,6 +99,21 @@ class TestLabeledScores:
             assert (data.n_pos, data.n_neg) == (2, 1)
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             LabeledScores(scores, np.array([0.0, 1.0, np.nan]))
+
+    def test_with_scores_keeps_labels_and_counts_and_checks_the_scores(self, monkeypatch):
+        data = LabeledScores(EX_SCORES, EX_LABELS)
+        monkeypatch.setattr(np, "count_nonzero", lambda *args, **kwargs: pytest.fail("labels counted again"))
+        other = data.with_scores([0.5, 0.4, 0.3, 0.2, 0.1])
+        assert other.labels is data.labels and (other.n_pos, other.n_neg) == (3, 2)
+        assert other.scores.dtype == np.float64 and other.scores.tolist() == [0.5, 0.4, 0.3, 0.2, 0.1]
+        assert data.scores.tolist() == EX_SCORES.tolist()
+        for scores, message in [
+            ([0.1, 0.2], "length mismatch: 2 scores, 5 labels"),
+            ([[0.1] * 5], "scores and labels must be one-dimensional"),
+            ([0.1, 0.2, np.inf, 0.3, 0.4], "scores must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                data.with_scores(scores)
 
 
 class TestRocCurve:

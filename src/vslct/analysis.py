@@ -48,7 +48,7 @@ import json
 import math
 import os
 import re
-from dataclasses import InitVar, asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -323,11 +323,7 @@ class SweepRun:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Result of one run: test-set scores and the derived AUC; the arrays are checked as LabeledScores when built.
-
-    Rows that share one labels array pass `counted`, a LabeledScores over
-    that very array, so that its classes are counted once for them all.
-    """
+    """Result of one run: test-set scores and the derived AUC; the arrays are checked as LabeledScores when built."""
 
     run_id: str
     kind: str
@@ -336,16 +332,9 @@ class SweepRow:
     scores: np.ndarray
     labels: np.ndarray
     labeled_scores: LabeledScores = field(init=False, repr=False, compare=False)
-    counted: InitVar[LabeledScores | None] = None
 
-    def __post_init__(self, counted):
-        if counted is None:
-            labeled = LabeledScores(scores=self.scores, labels=self.labels)
-        elif counted.labels is self.labels:
-            labeled = counted.with_scores(self.scores)
-        else:
-            raise ValueError(f"{self.run_id}: counted must hold the row's own labels array")
-        object.__setattr__(self, "labeled_scores", labeled)
+    def __post_init__(self):
+        object.__setattr__(self, "labeled_scores", LabeledScores(scores=self.scores, labels=self.labels))
 
 
 # Versions of what makes a row's numbers besides its inputs, stored in its
@@ -429,18 +418,13 @@ def _labels_stored(path, test_digest: str) -> bool:
     return True
 
 
-def _counted(labels: np.ndarray) -> LabeledScores:
-    """The labels, checked and counted once, for the rows that share them (its scores are zeros)."""
-    return LabeledScores(np.zeros(np.shape(labels)), labels)
-
-
-def _row_from_record(header: dict, body: bytes, counted: LabeledScores) -> SweepRow:
-    """Decode a stored row whose format is checked, with counted's labels; a malformed record raises KeyError, TypeError or ValueError."""
+def _row_from_record(header: dict, body: bytes, labels: np.ndarray) -> SweepRow:
+    """Decode a stored row whose format is checked; a malformed record raises KeyError, TypeError or ValueError."""
     scores = record_array(header["scores"], body)
-    return SweepRow(header["run_id"], header["kind"], int(header["seed"]), float.fromhex(header["auc"]), scores, counted.labels, counted)
+    return SweepRow(header["run_id"], header["kind"], int(header["seed"]), float.fromhex(header["auc"]), scores, labels)
 
 
-def _load_row(out_dir, run: SweepRun, fingerprint: dict, counted: LabeledScores) -> SweepRow:
+def _load_row(out_dir, run: SweepRun, fingerprint: dict, labels: np.ndarray) -> SweepRow:
     """The stored row of `run`, compared with the requested fingerprint before its scores are decoded."""
     path = _row_path(out_dir, run.run_id)
     try:
@@ -449,7 +433,7 @@ def _load_row(out_dir, run: SweepRun, fingerprint: dict, counted: LabeledScores)
         requested = {"run_id": run.run_id, "kind": run.kind, "seed": run.seed, **fingerprint}
         if stored != requested:
             raise ValueError("; ".join(_differences(stored, requested)))
-        return _row_from_record(header, body, counted)
+        return _row_from_record(header, body, labels)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: stale or corrupt sweep row ({exc}); delete it to recompute") from exc
 
@@ -464,7 +448,6 @@ def load_rows(rows_dir, run_ids: list[str]) -> list[SweepRow]:
     _check_run_ids(run_ids)
     rows = []
     labels: dict[str, np.ndarray] = {}
-    counted: dict[str, LabeledScores] = {}
     for run_id in run_ids:
         path = _row_path(rows_dir, run_id)
         try:
@@ -478,9 +461,7 @@ def load_rows(rows_dir, run_ids: list[str]) -> list[SweepRow]:
         if digest not in labels:
             labels[digest] = _load_labels(labels_path, digest)
         try:
-            if digest not in counted:
-                counted[digest] = _counted(labels[digest])
-            rows.append(_row_from_record(header, body, counted[digest]))
+            rows.append(_row_from_record(header, body, labels[digest]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a sweep row: {exc}") from exc
     return rows
@@ -540,11 +521,10 @@ def run_sweep(
         test_digest = _data_digest(test_data)
         fingerprints = _fingerprints(runs, train_data, test_digest, train_config)
         stored = [run for run in runs if os.path.exists(_row_path(out_dir, run.run_id))]
-        counted = _counted(test_data.y)
         errors = []
         for run in stored:
             try:
-                found[run.run_id] = _load_row(out_dir, run, fingerprints[run.run_id], counted)
+                found[run.run_id] = _load_row(out_dir, run, fingerprints[run.run_id], test_data.y)
             except ValueError as exc:
                 errors.append(exc)
         if errors:
@@ -558,7 +538,7 @@ def run_sweep(
         row = found.get(run.run_id)
         if row is None:
             scored = evaluate(train_run(run, train_data, train_config).model, test_data, run.eval_cond)
-            row = SweepRow(run.run_id, run.kind, run.seed, roc_curve(scored).auc, scored.scores, scored.labels, scored)
+            row = SweepRow(run.run_id, run.kind, run.seed, roc_curve(scored).auc, scored.scores, scored.labels)
             if out_dir is not None:
                 _save_row(out_dir, row, fingerprints[run.run_id])
         rows.append(row)

@@ -17,7 +17,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +37,7 @@ class LabeledScores:
     """Parallel arrays of classifier scores and 0/1 labels.
 
     Scores become float64 and labels int64, without a copy when they
-    already are; the class sizes n_pos and n_neg are counted once, here,
-    and `with_scores` pairs the same labels and counts with other scores.
+    already are; the class sizes n_pos and n_neg are counted once, here.
     """
 
     scores: np.ndarray
@@ -48,8 +46,14 @@ class LabeledScores:
     n_neg: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        scores = np.asarray(self.scores, dtype=np.float64)
         labels = np.asarray(self.labels)
-        scores = _checked_scores(self.scores, labels)
+        if scores.ndim != 1 or labels.ndim != 1:
+            raise ValueError("scores and labels must be one-dimensional")
+        if scores.shape != labels.shape:
+            raise ValueError(f"length mismatch: {scores.shape[0]} scores, {labels.shape[0]} labels")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
         n_pos = int(np.count_nonzero(labels == 1))
         n_neg = int(np.count_nonzero(labels == 0))
         if n_pos + n_neg != labels.size:
@@ -59,27 +63,9 @@ class LabeledScores:
         object.__setattr__(self, "n_pos", n_pos)
         object.__setattr__(self, "n_neg", n_neg)
 
-    def with_scores(self, scores) -> "LabeledScores":
-        """These labels and class counts, not counted again, with other scores, which get the constructor's checks."""
-        labeled = copy.copy(self)
-        object.__setattr__(labeled, "scores", _checked_scores(scores, self.labels))
-        return labeled
-
     def require_both_classes(self) -> None:
         if self.n_pos == 0 or self.n_neg == 0:
             raise ValueError("need at least one sample of each class")
-
-
-def _checked_scores(scores, labels: np.ndarray) -> np.ndarray:
-    """scores as float64, after checking that they are finite and parallel to labels."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or labels.ndim != 1:
-        raise ValueError("scores and labels must be one-dimensional")
-    if scores.shape != labels.shape:
-        raise ValueError(f"length mismatch: {scores.shape[0]} scores, {labels.shape[0]} labels")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    return scores
 
 
 @dataclass(frozen=True)

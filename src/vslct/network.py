@@ -33,20 +33,18 @@ gradient into its view of one flat buffer in `flat`'s layout, which
 `sgd_step` takes as it is.  The arrays returned are views, valid until
 the workspace's next use.
 
-`scores` runs `forward` on blocks of rows.  A set of at most
+`scores` runs `forward` on blocks of rows, and each of its threads keeps
+one workspace for all its blocks, so each block's activations stay in
+cache and reuse the pages of the block before.  A set of at most
 SCORE_BLOCK_ROWS rows is one `forward` on the calling thread.  A larger
 set is cut into fixed blocks of SCORE_BLOCK_ROWS // 2 rows (the last
 one shorter), which up to W threads (the caller among them) take in turn
-from one shared iterator.  The other W - 1 threads belong to the
-process's scoring pool: the first large call starts them, and they wait
-for the next call.  The pool keeps one workspace per thread and the
-caller's, so every block of every call reuses the pages of the block
-before.  numpy releases the GIL inside matmul and large ufunc loops, so
-the threads run in parallel.  W is the usable core count divided by
-OPENBLAS_NUM_THREADS when that variable is a positive integer, and 1
-otherwise, since OpenBLAS then already uses every core; at W = 1 the
-blocks run one after another on the calling thread.  With a shared
-conditioning row, the caller tiles the call's row constants (trunk
+from one shared iterator.  numpy releases the GIL inside matmul and
+large ufunc loops, so the threads run in parallel.  W is the usable core
+count divided by OPENBLAS_NUM_THREADS when that variable is a positive
+integer, and 1 otherwise, since OpenBLAS then already uses every core;
+at W = 1 the blocks run one after another on the calling thread.  With
+a shared conditioning row, the call tiles its row constants (trunk
 biases, FiLM terms, head bias) to SCORE_TILE_ROWS rows once, and
 `forward` adds each tile to a block's row groups in one numpy loop
 rather than one loop per row.  The blocks do not depend on W, and a
@@ -69,7 +67,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from dataclasses import asdict, dataclass
 
@@ -172,22 +169,18 @@ class Workspace:
     """The arrays `forward` and `backward` write, for one model shape and batches of up to `rows` rows.
 
     The row buffers are (rows, width) views of one allocation.  Training
-    makes one workspace per run and the scoring pool keeps one per
-    thread, and each reuses it for every batch or block (see the module
-    docstring).  `flat_grads` has the layout of `MlpFilmModel.flat`, and
-    `grads` maps each name of PARAM_KEYS to a view of its slice.
-    `constants` is None, or, set by the scoring pool for one call, the
-    `_row_constants` of its model and shared conditioning row with each
-    one-row term tiled to SCORE_TILE_ROWS rows, which makes `forward`
-    score without a cache for `backward`.  A workspace belongs to the
-    caller that made it and is never stored on a model, so
+    makes one workspace per run and `scores` one per thread per call, and
+    each reuses it for every batch or block (see the module docstring).
+    `flat_grads` has the layout of `MlpFilmModel.flat`, and `grads` maps
+    each name of PARAM_KEYS to a view of its slice.  Only `scores` sets
+    `_constants`, on the workspaces it makes (see `forward`).  A workspace
+    belongs to the caller that made it and is never stored on a model, so
     `MlpFilmModel.copy` and checkpoints cannot see it.
     """
 
     def __init__(self, config: ModelConfig, rows: int):
-        self.config = config
         self.rows = rows
-        self.constants = None
+        self._constants = None
         widths = _row_widths(config)
         self._full = _views(np.empty(rows * sum(widths.values())), {name: (rows, w) for name, w in widths.items()})
         self.flat_grads = np.zeros(_param_count(config))
@@ -254,8 +247,9 @@ class MlpFilmModel:
         biases, the FiLM terms and the head bias are `_row_constants(cond)`,
         broadcast over the rows.
 
-        A workspace that carries `constants`, those of this model and cond
-        tiled to SCORE_TILE_ROWS rows, is for scoring: where that row count
+        A workspace that `scores` makes for a shared conditioning row
+        carries `_constants`, those of this model and cond tiled to
+        SCORE_TILE_ROWS rows, and is for scoring: where that row count
         divides n, each tile is added or multiplied into every group of as
         many rows at once, and the FiLM network does not run; the FiLM
         output overwrites h1 in place, and the cache is None.  Each entry
@@ -264,8 +258,8 @@ class MlpFilmModel:
         x, cond = self._checked_inputs(x, cond)
         n = x.shape[0]
         out = workspace.take(n)
-        scoring = workspace.constants is not None
-        t, k = workspace.constants, SCORE_TILE_ROWS
+        scoring = workspace._constants is not None
+        t, k = workspace._constants, SCORE_TILE_ROWS
         if not scoring or n % k:
             t, k = self._row_constants(cond), 1
         p = self.params
@@ -359,144 +353,67 @@ class MlpFilmModel:
         Takes the inputs of `forward`.  Up to SCORE_BLOCK_ROWS rows, that
         is a single `forward` on the whole input on the calling thread, so
         the scores are bit for bit those of `forward`.  Above it, the rows
-        are cut into blocks of SCORE_BLOCK_ROWS // 2, and the caller and
-        min(W, blocks) - 1 threads of the process's scoring pool, W =
-        `_score_workers()`, take blocks from one shared iterator and run
-        `forward` on them in the workspace each keeps, slicing per-row
-        conditioning along with x; each block's scores go into its own
-        slice of the output.  With a shared conditioning row the caller
-        first tiles the call's row constants to SCORE_TILE_ROWS rows, once,
-        in the pool's one buffer, and every workspace carries them.  While
-        another thread's call holds the pool, the caller scores every block
-        alone in a workspace of its own.  A block is the same rows whichever
-        thread runs it, and a tile adds or multiplies the same numbers as
-        its broadcast row, so the scores depend on neither W nor the pool.
+        are cut into blocks of SCORE_BLOCK_ROWS // 2, and min(W, blocks)
+        threads, W = `_score_workers()` and the caller among them, take
+        blocks from one shared iterator and run `forward` on them in a
+        workspace of their own, slicing per-row conditioning along with x;
+        each block's scores go into its own slice of the output.  With a
+        shared conditioning row the caller first tiles the call's row
+        constants to SCORE_TILE_ROWS rows, once, and every workspace
+        carries them.  A block is the same rows whichever thread runs it,
+        and a tile adds or multiplies the same numbers as its broadcast
+        row, so the scores depend on neither W nor the tiles.
 
         Blocked scores can differ from an unblocked `forward`'s by a few
         ulps, since OpenBLAS picks its kernel for the (rows, width) @
         (width, 2) head product by row count, and numpy computes a one-row
         block, the last block of a set of 1 more than a multiple of
         SCORE_BLOCK_ROWS // 2, as a matrix-vector product.  An exception
-        in any block is raised here once, after every block has finished.
+        in any thread is raised here once every thread has been joined.
         """
         x, cond = self._checked_inputs(x, cond)
         n = x.shape[0]
         if n <= SCORE_BLOCK_ROWS:
             return minority_score(self.forward(x, cond, Workspace(self.config, n))[0])
-        return _pool.score(self, x, cond)
-
-
-class _ScorePool:
-    """The threads `MlpFilmModel.scores` runs large sets on, for one caller at a time.
-
-    The first large call starts them, and they wait for calls for the life
-    of the process (a forked child starts its own pool).  Each keeps the
-    workspace of the last model shape it scored, and the pool keeps one
-    for the caller holding `lock` and one buffer of row constants tiled to
-    SCORE_TILE_ROWS rows, which that caller refills on each shared-row
-    call before it hands the call to the threads.
-    """
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.inboxes: list[queue.SimpleQueue] = []
-        self.workspace: Workspace | None = None
-        self.tiles: tuple[ModelConfig, dict, dict] | None = None
-
-    def score(self, model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """`model.scores(x, cond)` of checked inputs of more than SCORE_BLOCK_ROWS rows."""
-        n, rows = x.shape[0], SCORE_BLOCK_ROWS // 2
+        rows = SCORE_BLOCK_ROWS // 2
         starts = range(0, n, rows)
+        workers = min(_score_workers(), len(starts))
         blocks = iter(starts)
         per_row = cond.shape[0] == n
+        constants = None if per_row else self._tiled_constants(cond)
+        out = np.empty(n)
         errors = []
-        constants = None
 
-        def score_blocks(workspace: Workspace | None) -> Workspace | None:
-            """Score blocks until none is left, in workspace, or a new one if it does not fit the model; returns the one used."""
+        def score_blocks() -> None:
             try:
-                if workspace is None or workspace.config != model.config:
-                    workspace = Workspace(model.config, rows)
-                workspace.constants = constants
+                # made on the thread that uses it, so its pages stay in that thread's
+                # malloc arena between calls instead of being returned and faulted in again
+                workspace = Workspace(self.config, rows)
+                workspace._constants = constants
                 for start in blocks:
                     stop = start + rows
-                    logits = model.forward(x[start:stop], cond[start:stop] if per_row else cond, workspace)[0]
+                    logits = self.forward(x[start:stop], cond[start:stop] if per_row else cond, workspace)[0]
                     out[start:stop] = minority_score(logits)
             except BaseException as exc:
                 errors.append(exc)
-            return workspace
 
-        if not self.lock.acquire(blocking=False):
-            # another thread's call holds the pool, and the blocks do not depend on W
-            out = np.empty(n)
-            score_blocks(None)
-        else:
-            try:
-                helpers = self._helpers(min(_score_workers(), len(starts)) - 1)
-                if not per_row:
-                    constants = self._tiled(model, cond)
-                if self.workspace is None:
-                    # glibc's malloc maps an array this large afresh on every call
-                    # until it has freed one (its mmap threshold then rises), so
-                    # freeing one now puts each output on heap pages that the
-                    # next call's output reuses
-                    np.empty(n + rows)
-                out = np.empty(n)
-                done = queue.SimpleQueue()
-                for inbox in helpers:
-                    inbox.put((score_blocks, done))
-                self.workspace = score_blocks(self.workspace)
-                for _ in helpers:
-                    done.get()
-            finally:
-                self.lock.release()
+        threads = [threading.Thread(target=score_blocks) for _ in range(workers - 1)]
+        for thread in threads:
+            thread.start()
+        score_blocks()
+        for thread in threads:
+            thread.join()
         if errors:
             raise errors[0]
         return out
 
-    def _helpers(self, count: int) -> list[queue.SimpleQueue]:
-        """The inboxes of the first `count` threads, started as needed."""
-        while len(self.inboxes) < count:
-            inbox = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(inbox,), name="vslct-score", daemon=True).start()
-            self.inboxes.append(inbox)
-        return self.inboxes[:count]
-
-    def _tiled(self, model: MlpFilmModel, cond: np.ndarray) -> dict:
-        """model._row_constants(cond) with each one-row term tiled to SCORE_TILE_ROWS rows, read-only, in the pool's buffer."""
-        if self.tiles is None or self.tiles[0] != model.config:
-            w1, w2 = model.config.trunk_widths
-            widths = {"trunk0_b": w1, "trunk1_b": w2, "mu": w2, "head_b": 2} | ({"sigma": w2} if model.config.film_affine else {})
-            tiles = _views(np.empty(SCORE_TILE_ROWS * sum(widths.values())), {key: (SCORE_TILE_ROWS, w) for key, w in widths.items()})
-            readable = {key: a.view() for key, a in tiles.items()}
-            for a in readable.values():
-                a.flags.writeable = False
-            self.tiles = (model.config, tiles, readable)
-        constants = model._row_constants(cond)
-        for key, tile in self.tiles[1].items():
-            np.copyto(tile, constants[key])
-        return constants | self.tiles[2]
-
-
-def _serve(inbox: queue.SimpleQueue) -> None:
-    """A pool thread: run each call it is handed in the workspace it kept from the last, then report done; None ends it."""
-    workspace = None
-    while (call := inbox.get()) is not None:
-        score_blocks, done = call
-        workspace = score_blocks(workspace)
-        # the call holds its arrays, which must not outlive it
-        call = score_blocks = None
-        done.put(None)
-
-
-def _new_pool() -> None:
-    global _pool
-    _pool = _ScorePool()
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
+    def _tiled_constants(self, cond: np.ndarray) -> dict:
+        """`_row_constants(cond)` of a shared row, with each one-row term tiled to SCORE_TILE_ROWS rows."""
+        constants = self._row_constants(cond)
+        for key in ("trunk0_b", "trunk1_b", "mu", "sigma", "head_b"):
+            if constants[key] is not None:
+                constants[key] = np.tile(constants[key], (SCORE_TILE_ROWS, 1))
+        return constants
 
 
 def _groups(a: np.ndarray, k: int) -> np.ndarray:
@@ -505,7 +422,12 @@ def _groups(a: np.ndarray, k: int) -> np.ndarray:
     numpy adds a (k, width) tile to every group in one loop over k * width
     entries, where it adds a broadcast row in one loop per row.
     """
-    return a if k == 1 else a.reshape(-1, k, a.shape[1], copy=False)
+    if k == 1:
+        return a
+    groups = a.reshape(-1, k, a.shape[1])
+    # the workspace's leading rows are C-contiguous, so reshape makes a view
+    assert np.may_share_memory(groups, a)
+    return groups
 
 
 def _score_workers() -> int:

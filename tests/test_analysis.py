@@ -267,44 +267,8 @@ def stored_files(directory) -> dict:
     return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
-def count_label_counting(monkeypatch) -> list:
-    """Record every class count LabeledScores makes from here on; returns the record."""
-    counted = []
-    original = LabeledScores.__post_init__
-
-    def post_init(self):
-        counted.append(len(self.labels))
-        original(self)
-
-    monkeypatch.setattr(LabeledScores, "__post_init__", post_init)
-    return counted
-
-
 class TestSweep:
     """Run execution, persistence, and resume semantics."""
-
-    def test_resume_counts_the_labels_once(self, data, tmp_path, monkeypatch):
-        train, test = data
-        runs = tiny_sweep_runs()
-        first = run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
-        counted = count_label_counting(monkeypatch)
-        rows = run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
-        assert counted == [test.n]
-        for a, b in zip(first, rows):
-            assert b.labels is test.y and b.labeled_scores.labels is test.y
-            assert (b.labeled_scores.n_pos, b.labeled_scores.n_neg) == (a.labeled_scores.n_pos, a.labeled_scores.n_neg)
-            assert b.labeled_scores.scores.tobytes() == a.scores.tobytes()
-
-    def test_row_borrows_counts_only_for_its_own_labels_array(self):
-        labels = np.array([0, 1, 1])
-        counted = LabeledScores(np.zeros(3), labels)
-        row = SweepRow("r0", "lct", 0, 0.5, np.array([0.1, 0.2, 0.3]), labels, counted)
-        assert (row.labeled_scores.n_pos, row.labeled_scores.n_neg, row.labeled_scores.scores.tolist()) == (2, 1, [0.1, 0.2, 0.3])
-        with pytest.raises(ValueError, match="r0: counted must hold the row's own labels array"):
-            SweepRow("r0", "lct", 0, 0.5, np.array([0.1, 0.2, 0.3]), labels.copy(), counted)
-        for scores, message in [(np.array([0.1, np.nan, 0.3]), "scores must be finite"), (np.array([0.1, 0.2]), "length mismatch: 2 scores, 3 labels")]:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                SweepRow("r0", "lct", 0, 0.5, scores, labels, counted)
 
     def test_rows_in_input_order(self, data):
         train, test = data
@@ -865,18 +829,6 @@ class TestLoadRows:
         monkeypatch.setattr("vslct.analysis.read_record", opened)
         with pytest.raises(ValueError, match=re.escape(message)):
             load_rows(tmp_path, run_ids)
-
-    def test_labels_counted_once_per_call(self, tmp_path, monkeypatch):
-        store_rows(tmp_path, ["r0", "r1", "r2"])
-        counted = count_label_counting(monkeypatch)
-        rows = load_rows(tmp_path, ["r2", "r0", "r1"])
-        assert counted == [2]
-        assert all(row.labels is rows[0].labels and row.labeled_scores.labels is rows[0].labels for row in rows)
-        assert [(row.labeled_scores.n_pos, row.labeled_scores.n_neg, row.labeled_scores.scores.tolist()) for row in rows] == [
-            (1, 1, [0.25, 2.5]),
-            (1, 1, [0.25, 0.5]),
-            (1, 1, [0.25, 1.5]),
-        ]
 
     def test_run_id_rule_accepts_the_old_rules_set_on_every_bmp_code_point(self):
         # the rule was a per-character generator: isalnum or one of "._-", not dot-leading

@@ -1,7 +1,5 @@
 """Tests for ROC construction, AUC, and the pair-counting cross-check."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,21 +97,6 @@ class TestLabeledScores:
             assert (data.n_pos, data.n_neg) == (2, 1)
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             LabeledScores(scores, np.array([0.0, 1.0, np.nan]))
-
-    def test_with_scores_keeps_labels_and_counts_and_checks_the_scores(self, monkeypatch):
-        data = LabeledScores(EX_SCORES, EX_LABELS)
-        monkeypatch.setattr(np, "count_nonzero", lambda *args, **kwargs: pytest.fail("labels counted again"))
-        other = data.with_scores([0.5, 0.4, 0.3, 0.2, 0.1])
-        assert other.labels is data.labels and (other.n_pos, other.n_neg) == (3, 2)
-        assert other.scores.dtype == np.float64 and other.scores.tolist() == [0.5, 0.4, 0.3, 0.2, 0.1]
-        assert data.scores.tolist() == EX_SCORES.tolist()
-        for scores, message in [
-            ([0.1, 0.2], "length mismatch: 2 scores, 5 labels"),
-            ([[0.1] * 5], "scores and labels must be one-dimensional"),
-            ([0.1, 0.2, np.inf, 0.3, 0.4], "scores must be finite"),
-        ]:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                data.with_scores(scores)
 
 
 class TestRocCurve:

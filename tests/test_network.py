@@ -6,13 +6,11 @@ import math
 import os
 import platform
 import re
-import signal
 import subprocess
 import sys
 import tempfile
 import textwrap
 import threading
-import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -219,16 +217,6 @@ def width64_config(affine: bool) -> ModelConfig:
     return ModelConfig(input_dim=2, cond_dim=2, trunk_widths=(64, 64), film_hidden=16, film_affine=affine, film_zero_init=False)
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """A new scoring pool in place of the process's for one test; its threads end afterwards."""
-    pool = network._ScorePool()
-    monkeypatch.setattr(network, "_pool", pool)
-    yield pool
-    for inbox in pool.inboxes:
-        inbox.put(None)
-
-
 class TestBlockedScores:
     """`scores` runs `forward` over blocks of rows, on one thread or on several."""
 
@@ -250,15 +238,14 @@ class TestBlockedScores:
 
     @pytest.mark.parametrize("affine", [False, True])
     @pytest.mark.parametrize("n", [128, 1024, 672, 1000])
-    def test_tiled_forward_gives_the_broadcast_logits(self, fresh_pool, n, affine):
+    def test_tiled_forward_gives_the_broadcast_logits(self, n, affine):
         # 672 rows are whole 128-row groups; 1000 rows are not, and take the broadcast row
         model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(107))
         x = np.random.default_rng(108).normal(size=(n, 2))
         cond = np.full((1, 2), 2.5)
         expected = fresh_forward(model, x, cond)[0]
         workspace = Workspace(model.config, SCORE_BLOCK_ROWS // 2)
-        workspace.constants = fresh_pool._tiled(model, cond)
-        assert not any(tile.flags.writeable for tile in fresh_pool.tiles[2].values())
+        workspace._constants = model._tiled_constants(cond)
         logits, cache = model.forward(x, cond, workspace)
         assert logits.tobytes() == expected.tobytes() and cache is None
 
@@ -321,12 +308,10 @@ class TestBlockedScores:
         + [(4, 2049, SCORE_BLOCK_ROWS // 2), (4, 4097, SCORE_BLOCK_ROWS // 2)]
         + [(w, n, n) for w in (1, 2, 3) for n in (0, 1000, SCORE_BLOCK_ROWS)],
     )
-    def test_one_workspace_per_worker(self, monkeypatch, fresh_pool, workers, n, rows):
-        # the first large call makes one block workspace for the caller and one for
-        # each of the min(W, blocks) - 1 pool threads it starts, and a second call
-        # starts no thread and makes no workspace; a small set is one forward in
-        # a workspace of its own on each call
-        made, started = [], []
+    def test_one_workspace_per_worker(self, monkeypatch, workers, n, rows):
+        # a larger set runs in fixed blocks on min(W, blocks) threads, each with
+        # one workspace of a block; a smaller one in one workspace on the caller
+        made = []
 
         class CountedWorkspace(Workspace):
             def __init__(self, config, rows):
@@ -339,17 +324,16 @@ class TestBlockedScores:
                 super().start()
 
         monkeypatch.setattr(network, "_score_workers", lambda: workers)
-        monkeypatch.setattr(network, "Workspace", CountedWorkspace)
-        monkeypatch.setattr(threading, "Thread", CountedThread)
         model = MlpFilmModel.init(width64_config(True), np.random.default_rng(96))
         x = np.random.default_rng(97).normal(size=(n, 2))
-        first = model.scores(x, np.ones((1, 2)))
+        expected = model.scores(x, np.ones((1, 2)))
+        started = []
+        monkeypatch.setattr(network, "Workspace", CountedWorkspace)
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        assert model.scores(x, np.ones((1, 2))).tobytes() == expected.tobytes()
         threads = min(workers, math.ceil(n / rows)) if n > SCORE_BLOCK_ROWS else 1
-        assert (made, len(started)) == ([rows] * threads, threads - 1)
-        made.clear()
-        started.clear()
-        assert model.scores(x, np.ones((1, 2))).tobytes() == first.tobytes()
-        assert (made, started) == ([] if n > SCORE_BLOCK_ROWS else [rows], [])
+        assert made == [rows] * threads
+        assert len(started) == threads - 1
 
     @pytest.mark.parametrize("cond_rows", ["shared", "per-row"])
     @pytest.mark.parametrize("affine", [False, True])
@@ -365,13 +349,9 @@ class TestBlockedScores:
         assert model.scores(x, cond).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
-    def test_block_error_raised_after_every_thread_joined(self, monkeypatch, fresh_pool, failing):
-        # the failing thread takes no further block, the other scores every block
-        # left, and the caller raises the error once every pool thread has reported
-        # back; the pool keeps its thread and serves the next call
+    def test_block_error_raised_after_every_thread_joined(self, monkeypatch, failing):
         worker_started = threading.Event()
         original = MlpFilmModel.forward
-        attempted, finished = [], []
 
         def forward(self, x, cond, workspace):
             on_worker = threading.current_thread() is not threading.main_thread()
@@ -380,30 +360,22 @@ class TestBlockedScores:
             else:
                 # a worker takes its first block before the caller takes one
                 assert worker_started.wait(10)
-            attempted.append(len(x))
-            try:
-                if on_worker == (failing == "worker"):
-                    raise KeyError(f"block of {len(x)} rows failed on the {failing}")
-                return original(self, x, cond, workspace)
-            finally:
-                finished.append(len(x))
+            if on_worker == (failing == "worker"):
+                raise KeyError(f"block of {len(x)} rows failed on the {failing}")
+            return original(self, x, cond, workspace)
 
         model = MlpFilmModel.init(width64_config(False), np.random.default_rng(100))
         x = np.random.default_rng(101).normal(size=(4 * SCORE_BLOCK_ROWS, 2))
         monkeypatch.setattr(network, "_score_workers", lambda: 2)
-        expected = model.scores(x, np.ones((1, 2)))
-        threads = threading.active_count()
         monkeypatch.setattr(MlpFilmModel, "forward", forward)
+        before = threading.active_count()
         with pytest.raises(KeyError, match=f"block of 1024 rows failed on the {failing}"):
             model.scores(x, np.ones((1, 2)))
-        assert attempted == finished == [SCORE_BLOCK_ROWS // 2] * 8
-        monkeypatch.setattr(MlpFilmModel, "forward", original)
-        assert model.scores(x, np.ones((1, 2))).tobytes() == expected.tobytes()
-        assert threading.active_count() == threads
+        assert threading.active_count() == before
 
-    def test_callers_scoring_at_once_get_the_serial_bytes(self, monkeypatch, fresh_pool):
-        # one caller at a time holds the pool and its tiles while the others score
-        # alone; a mixed-up tile or block would change some caller's bytes
+    def test_callers_scoring_at_once_get_the_serial_bytes(self, monkeypatch):
+        # each call tiles its own row constants and runs its own threads; a
+        # mixed-up tile or block would change some caller's bytes
         monkeypatch.setattr(network, "_score_workers", lambda: 3)
         rng = np.random.default_rng(104)
         models = [MlpFilmModel.init(width64_config(affine), rng) for affine in (False, True)]
@@ -432,35 +404,6 @@ class TestBlockedScores:
         assert not any(thread.is_alive() for thread in callers)
         assert [set(r) for r in results.values()] == [{e} for e in expected]
         assert all(len(r) == 4 for r in results.values())
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks the process")
-    def test_forked_child_scores_on_a_pool_of_its_own(self, monkeypatch, fresh_pool):
-        # the parent's pool threads do not exist in a forked child, which would
-        # wait for them for ever; the child starts a pool of its own instead
-        monkeypatch.setattr(network, "_score_workers", lambda: 2)
-        model = MlpFilmModel.init(width64_config(True), np.random.default_rng(105))
-        x = np.random.default_rng(106).normal(size=(4 * SCORE_BLOCK_ROWS + 3, 2))
-        cond = np.full((1, 2), 1.5)
-        expected = model.scores(x, cond).tobytes()
-        assert len(fresh_pool.inboxes) == 1
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                same = model.scores(x, cond).tobytes() == expected
-                own = network._pool is not fresh_pool and len(network._pool.inboxes) == 1
-                code = 0 if same and own else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        if status[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish scoring within 60 s")
-        assert os.waitstatus_to_exitcode(status[1]) == 0
-        assert network._pool is fresh_pool and model.scores(x, cond).tobytes() == expected
 
     @pytest.mark.parametrize(
         "blas_threads, workers",
@@ -501,9 +444,8 @@ class TestBlockedScores:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts pages under glibc's malloc")
     def test_later_calls_fault_no_new_pages_in_a_fresh_process(self):
-        # Every block of every call runs in a workspace the scoring pool keeps,
-        # and each call's output reuses the heap pages of the one before, so
-        # from the second call on, a call faults almost no page in.
+        # Every block of every call runs in one workspace of one allocation,
+        # so once the process holds its pages, a call faults almost none in.
         script = textwrap.dedent(
             """
             import resource
@@ -521,7 +463,7 @@ class TestBlockedScores:
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         faults = [int(line) for line in run.stdout.split()]
         assert len(faults) == 5
-        assert all(count < 50 for count in faults[1:]), faults
+        assert all(count < 50 for count in faults[2:]), faults
 
 
 class TestBackward:

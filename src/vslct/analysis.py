@@ -4,8 +4,9 @@ run_sweep trains a list of configured runs through train_run (the executor
 `vslct train` uses too), scores each trained model on a held-out test set,
 and returns one row per run.  Given an output directory it persists each
 row to a file and transparently reloads completed rows on a rerun, so an
-interrupted sweep resumes where it stopped; load_rows reads back the rows
-of given run_ids, which `vslct roc` takes from the sweep's summary.json.
+interrupted sweep resumes where it stopped, and after the last row it
+writes the directory's manifest, summary.json (sweep_summary); load_rows
+reads back the rows of given run_ids, which `vslct roc` takes from it.
 
 A stored row is file format 4 (`vslct._util.RECORD_FORMAT`), a record
 written atomically: one line of compact JSON holding the AUC as
@@ -37,12 +38,13 @@ The statistics layer is self-contained numpy/stdlib:
   via p = I_x(df/2, 1/2) with x = df / (df + t^2).
 * polyfit_r2: least-squares polynomial surface fit (degree 1 or 2, with
   pairwise interaction terms) reporting R^2.
-* aggregate_roc / auc_stats / sweep_report: per-group ROC envelopes, AUC
-  dispersion across runs, and the `vslct analyze` report.
+* aggregate_roc / auc_stats / sweep_summary / sweep_report: ROC envelopes,
+  AUC dispersion, a sweep's manifest and the `vslct analyze` report.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -52,7 +54,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from vslct._util import checked_int, checked_real, read_record, record_array, write_record
+from vslct._util import atomic_write_bytes, checked_int, checked_real, read_record, record_array, write_record
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
@@ -70,9 +72,11 @@ __all__ = [
     "SweepRow",
     "train_run",
     "run_sweep",
+    "summary_path",
     "load_rows",
     "AucStats",
     "auc_stats",
+    "sweep_summary",
     "sweep_report",
     "RocAggregate",
     "aggregate_roc",
@@ -249,10 +253,12 @@ _RUN_ID = re.compile(r"[\w.-]+")
 
 
 def _check_run_ids(run_ids: list[str]) -> None:
-    """Raise unless each run_id, which names its row file, is non-empty, filesystem-safe and not dot-leading, and none repeats."""
+    """Raise unless each run_id, which names its row file, is non-empty, filesystem-safe, not dot-leading and not "summary", and none repeats."""
     for run_id in run_ids:
         if not isinstance(run_id, str) or run_id[:1] == "." or not _RUN_ID.fullmatch(run_id):
             raise ValueError(f"run_id must be non-empty, filesystem-safe and not start with '.', got {run_id!r}")
+        if run_id == "summary":
+            raise ValueError("run_id 'summary' is reserved: its row file would be the sweep's manifest, summary.json")
     if len(set(run_ids)) != len(run_ids):
         raise ValueError(f"run_ids must be unique within a sweep; repeated: {sorted({i for i in run_ids if run_ids.count(i) > 1})}")
 
@@ -265,8 +271,9 @@ class SweepRun:
     eval_cond; kind "lct" trains with per-batch draws from `lct` and is
     evaluated at eval_cond, inside each conditioned distribution's support.
     run_id names the run's row file, so it must be a non-empty, safe file
-    name not starting with '.', unique within a sweep; seed is stored as a
-    plain int >= 0 and eval_cond as plain floats, each checked as a real number.
+    name not starting with '.', not "summary" (the manifest) and unique in
+    a sweep; seed is stored as a plain int >= 0 and eval_cond as plain
+    floats, each checked as a real number.
     """
 
     run_id: str
@@ -345,6 +352,11 @@ _VERSIONS = {"sampler": 1, "numerics": 1}
 
 def _row_path(out_dir, run_id: str) -> str:
     return os.path.join(os.fspath(out_dir), f"{run_id}.json")
+
+
+def summary_path(rows_dir) -> str:
+    """Where a rows directory keeps its manifest, the summary.json that run_sweep writes."""
+    return os.path.join(os.fspath(rows_dir), "summary.json")
 
 
 def _labels_path(out_dir, test_digest: str) -> str:
@@ -467,10 +479,15 @@ def load_rows(rows_dir, run_ids: list[str]) -> list[SweepRow]:
     return rows
 
 
+def _model_config(run: SweepRun, train_data: Dataset, **model_fields) -> ModelConfig:
+    """The ModelConfig `run` trains with on train_data; model_fields are its fields besides the two dimensions."""
+    return ModelConfig(input_dim=train_data.dim, cond_dim=len(run.eval_cond), **model_fields)
+
+
 def train_run(run: SweepRun, train_data: Dataset, train_config: TrainConfig, **model_fields) -> TrainResult:
     """Train `run` at its own seed; model_fields are the ModelConfig fields besides the two dimensions."""
     config = replace(train_config, seed=run.seed)
-    model_config = ModelConfig(input_dim=train_data.dim, cond_dim=len(run.eval_cond), **model_fields)
+    model_config = _model_config(run, train_data, **model_fields)
     if run.kind == "baseline":
         return train_baseline(train_data, run.hyper, config, model_config=model_config, const_cond=np.array(run.eval_cond))
     return train_lct(train_data, run.lct, config, model_config=model_config)
@@ -482,9 +499,9 @@ def _fingerprints(runs: list[SweepRun], train_data: Dataset, test_digest: str, t
     train = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
     data = {"train": _data_digest(train_data), "test": test_digest}
     models = {}
-    for cond_dim in {len(run.eval_cond) for run in runs}:  # the ModelConfig train_run builds
-        config = ModelConfig(input_dim=train_data.dim, cond_dim=cond_dim)
-        models[cond_dim] = {**asdict(config), "trunk_widths": list(config.trunk_widths)}
+    for run in {len(r.eval_cond): r for r in runs}.values():  # a ModelConfig differs between runs only in cond_dim
+        config = _model_config(run, train_data)
+        models[config.cond_dim] = {**asdict(config), "trunk_widths": list(config.trunk_widths)}
     return {
         run.run_id: {"run": run.params, "model": models[len(run.eval_cond)], "train": train, "data": data, "versions": _VERSIONS}
         for run in runs
@@ -506,7 +523,9 @@ def run_sweep(
     run to recompute.  The test labels are written to
     out_dir/labels/<test data digest>.json whenever that file is missing,
     or any run trains and the file does not load, so recomputing rows also
-    replaces a labels file of an older format.
+    replaces a labels file of an older format.  After the last progress call
+    it writes sweep_summary(runs, rows) to summary_path(out_dir), leaving a
+    file that already parses to that summary untouched.
     Every found row is checked before any run trains; if any is stale or
     corrupt (its fingerprint differs from the requested run's, or it does
     not decode), one error counts them and gives the first one's message,
@@ -544,7 +563,17 @@ def run_sweep(
         rows.append(row)
         if progress is not None:
             progress(i, len(runs), row)
+    if out_dir is not None:
+        _save_summary(summary_path(out_dir), sweep_summary(runs, rows))
     return rows
+
+
+def _save_summary(path: str, summary: dict) -> None:
+    """Write summary as indented JSON, unless the file at path already parses to it (a pure resume)."""
+    with contextlib.suppress(OSError, ValueError), open(path, "r", encoding="utf-8") as fh:  # missing, unreadable or not JSON: written again
+        if json.load(fh) == summary:
+            return
+    atomic_write_bytes(path, (json.dumps(summary, indent=2, allow_nan=False) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +594,15 @@ def auc_stats(rows: list[SweepRow]) -> AucStats:
         raise ValueError(f"need at least 2 rows for dispersion, got {len(rows)}")
     aucs = np.array([row.auc for row in rows])
     return AucStats(mean=float(np.mean(aucs)), std=float(np.std(aucs, ddof=1)), n=aucs.size)
+
+
+def sweep_summary(runs: list[SweepRun], rows: list[SweepRow]) -> dict:
+    """The manifest `summary.json` of a sweep: each row with its run's params; stats cover kinds with 2+ rows."""
+    groups = {kind: [r for r in rows if r.kind == kind] for kind in ("baseline", "lct")}
+    return {
+        "rows": [{"run_id": r.run_id, "kind": r.kind, "seed": r.seed, "auc": r.auc, "params": run.params} for run, r in zip(runs, rows, strict=True)],
+        "stats": {kind: asdict(auc_stats(group)) for kind, group in groups.items() if len(group) >= 2},
+    }
 
 
 def sweep_report(rows: list[dict]) -> dict:

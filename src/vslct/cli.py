@@ -11,13 +11,10 @@ Conventions:
   2 command-line usage errors.
 * All outputs are written atomically; an interrupted command never
   leaves a truncated file behind.
-* $VSLCT_OUT_ROOT, when set, prefixes relative --out and sweep --out-dir
-  paths only; roc --rows-dir and analyze --summary are read as given, so
-  they then need $VSLCT_OUT_ROOT/<dir>.
-* main checks every --out before the command does any work: it resolves
-  the path, then applies --if-exists {error,skip,overwrite}, and skip
-  skips the whole command.  Sweeps instead resume per run from their
-  output directory.
+* Every path is read and written as given.  main checks every --out
+  before the command does any work (--if-exists {error,skip,overwrite};
+  skip skips the whole command).  A sweep resumes per run instead: the
+  library's run_sweep writes its rows, labels and manifest summary.json.
 * JSON configs are parsed by vslct.config, which validates them
   strictly: unknown keys are errors, so a typo cannot silently fall back
   to a default, and a value of the wrong type names its key path.
@@ -35,8 +32,8 @@ import time
 import numpy as np
 
 from vslct._util import atomic_write_bytes
-from vslct.analysis import aggregate_roc, load_rows, run_sweep, sweep_report, train_run
-from vslct.config import grid_runs, load_json, summary_rows_from_json, sweep_summary, train_config_from_json, train_spec_from_json
+from vslct.analysis import aggregate_roc, load_rows, run_sweep, summary_path, sweep_report, sweep_summary, train_run
+from vslct.config import grid_runs, load_json, summary_rows_from_json, train_config_from_json, train_spec_from_json
 from vslct.data import load_csv, save_csv, subsample_minority, synth_gaussian
 from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams, break_even_line, break_even_softmax_score, loss_difference_grid
@@ -46,19 +43,10 @@ from vslct.training import evaluate
 
 __all__ = ["main"]
 
-OUT_ROOT_ENV = "VSLCT_OUT_ROOT"
-
 
 # ---------------------------------------------------------------------------
 # Output handling
 # ---------------------------------------------------------------------------
-
-
-def _resolve_out(path: str) -> str:
-    root = os.environ.get(OUT_ROOT_ENV, "")
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
 
 
 def _should_write(path: str, if_exists: str) -> bool:
@@ -115,35 +103,24 @@ def cmd_sweep(args) -> int:
     config = load_json(args.config)
     runs = grid_runs(config)
     train_config = train_config_from_json(config.get("train", {}), "config.train")
-    train_data = load_csv(args.train_data)
-    test_data = load_csv(args.test_data)
-    out_dir = _resolve_out(args.out_dir)
+    train_data, test_data = load_csv(args.train_data), load_csv(args.test_data)
     started = time.monotonic()
 
     def progress(i, total, row):
         print(f"[{i + 1}/{total}] {row.run_id}: auc={row.auc:.6f}")
 
-    rows = run_sweep(runs, train_data, test_data, train_config, out_dir=out_dir, progress=progress)
-    summary = sweep_summary(runs, rows)
-    summary_path = os.path.join(out_dir, "summary.json")
-    # A pure resume rebuilds the same summary: compare it parsed and skip the dump and write.
-    try:
-        unchanged = load_json(summary_path) == summary
-    except (OSError, ValueError):
-        unchanged = False
-    if not unchanged:
-        _write_json(summary_path, summary)
+    rows = run_sweep(runs, train_data, test_data, train_config, out_dir=args.out_dir, progress=progress)
     print(f"swept {len(rows)} runs in {time.monotonic() - started:.1f}s")
-    for kind, stats in summary["stats"].items():
+    for kind, stats in sweep_summary(runs, rows)["stats"].items():
         print(f"  {kind}: mean auc {stats['mean']:.6f}, std {stats['std']:.6f} over {stats['n']} runs")
-    print(f"left {summary_path} unchanged" if unchanged else f"wrote {summary_path}")
+    print(f"manifest: {summary_path(args.out_dir)}")
     return 0
 
 
 def cmd_roc(args) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    summary = os.path.join(args.rows_dir, "summary.json")
+    summary = summary_path(args.rows_dir)
     run_ids = [row["run_id"] for row in summary_rows_from_json(load_json(summary), summary)]
     rows = [row for row in load_rows(args.rows_dir, run_ids) if args.select in ("all", row.kind)]
     if not rows:
@@ -217,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vslct",
         description="Loss-conditional training over the vector-scaling loss family.",
-        epilog=f"Relative --out and sweep --out-dir paths are placed under ${OUT_ROOT_ENV} when it is set; inputs are read as given.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config: train, seeds, eval_lambda, baseline_grid, lct_grid")
     p.add_argument("--train-data", required=True, help="training CSV")
     p.add_argument("--test-data", required=True, help="evaluation CSV")
-    p.add_argument("--out-dir", required=True, help="directory for per-run rows, their test labels and summary.json")
+    p.add_argument("--out-dir", required=True, help="directory where the sweep writes its per-run rows, their test labels and its manifest summary.json")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("roc", help="aggregate ROC envelopes across sweep rows")
@@ -299,11 +275,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # the one output gate: every --out is resolved and checked before its command runs
-        if getattr(args, "out", None):
-            args.out = _resolve_out(args.out)
-            if not _should_write(args.out, args.if_exists):
-                return 0
+        # the one output gate: every --out is checked before its command runs
+        if getattr(args, "out", None) and not _should_write(args.out, args.if_exists):
+            return 0
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,9 @@
 Both `vslct train` and `vslct sweep` read their configs through this
 module, and so does any library caller that wants the same runs as the
 shell (the acceptance suite expands configs/directional.json here):
-grid_runs expands a sweep config into a list of SweepRuns.  It also owns
-the sweep summary: sweep_summary builds it for `vslct sweep`, each row's
-params being its run's SweepRun.params, and summary_rows_from_json checks
-it for `vslct analyze` and `vslct roc`, which loads the rows it lists.
+grid_runs expands a sweep config into a list of SweepRuns, and
+summary_rows_from_json checks a sweep's manifest, the summary.json that
+vslct.analysis.run_sweep writes, for `vslct analyze` and `vslct roc`.
 
 Parsing is strict: unknown keys are errors, so a typo cannot silently
 fall back to a default, and a value of the wrong type raises a
@@ -23,12 +22,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 
-from vslct.analysis import SweepRow, SweepRun, auc_stats
+from vslct.analysis import SweepRun
 from vslct.lindist import LinearDistribution, make_linear
 from vslct.losses import VsHyperParams
 from vslct.training import COND_ORDER, LctConfig, TrainConfig
 
-__all__ = ["TrainSpec", "load_json", "train_spec_from_json", "train_config_from_json", "grid_runs", "sweep_summary", "summary_rows_from_json"]
+__all__ = ["TrainSpec", "load_json", "train_spec_from_json", "train_config_from_json", "grid_runs", "summary_rows_from_json"]
 
 
 def _is_number(value) -> bool:
@@ -195,7 +194,8 @@ def grid_runs(config: dict) -> list[SweepRun]:
     The baseline grid is the product omega x gamma x tau x seeds; the
     conditioned grid is h_b x omega x seeds, each run drawing the
     `conditioned` hyperparameter from a linear density on lambda_range,
-    so lct_grid may not also set that hyperparameter.
+    so lct_grid may not also set that hyperparameter.  A train.seed is
+    accepted and ignored: each run trains at its entry of `seeds`.
     """
     _require_keys(config, {"train", "seeds", "eval_lambda", "baseline_grid", "lct_grid"}, "config")
     seeds = config.get("seeds")
@@ -227,20 +227,6 @@ def grid_runs(config: dict) -> list[SweepRun]:
     if not runs:
         raise ValueError("config: neither baseline_grid nor lct_grid produced any runs")
     return runs
-
-
-def sweep_summary(runs: list[SweepRun], rows: list[SweepRow]) -> dict:
-    """The `summary.json` of a sweep: each row with its run's params; stats cover kinds with 2+ rows."""
-    summary = {
-        "rows": [{"run_id": r.run_id, "kind": r.kind, "seed": r.seed, "auc": r.auc, "params": run.params} for run, r in zip(runs, rows, strict=True)],
-        "stats": {},
-    }
-    for kind in ("baseline", "lct"):
-        group = [r for r in rows if r.kind == kind]
-        if len(group) >= 2:
-            stats = auc_stats(group)
-            summary["stats"][kind] = {"mean": stats.mean, "std": stats.std, "n": stats.n}
-    return summary
 
 
 def summary_rows_from_json(summary, context: str) -> list[dict]:

@@ -425,8 +425,9 @@ def _groups(a: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return a
     groups = a.reshape(-1, k, a.shape[1])
-    # the workspace's leading rows are C-contiguous, so reshape makes a view
-    assert np.may_share_memory(groups, a)
+    # the workspace's leading rows are C-contiguous, so reshape makes a view; a copy would drop the tiles
+    if not np.may_share_memory(groups, a):
+        raise RuntimeError(f"reshaping a {a.shape} array into {k}-row groups made a copy, not a view")
     return groups
 
 

@@ -6,7 +6,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from records import record
+from vslct import analysis
 from vslct._util import read_record, record_array, write_record
 from vslct.analysis import (
     AucStats,
@@ -29,10 +30,12 @@ from vslct.analysis import (
     polyfit_r2,
     regularized_incomplete_beta,
     run_sweep,
+    summary_path,
     SweepRow,
     SweepRun,
     _poly_design,
     sweep_report,
+    sweep_summary,
 )
 from vslct.data import Dataset, synth_gaussian
 from vslct.lindist import make_linear
@@ -289,7 +292,7 @@ class TestSweep:
         train, test = data
         runs = tiny_sweep_runs()
         first = run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{r.run_id}.json" for r in runs] + ["labels"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{r.run_id}.json" for r in runs] + ["labels", "summary.json"])
         # the rows hold no labels; one file holds them for every row
         assert [p.name for p in (tmp_path / "labels").iterdir()] == [f"{_data_digest(test)}.json"]
         assert not any("labels" in record(tmp_path / f"{r.run_id}.json") for r in runs)
@@ -303,7 +306,8 @@ class TestSweep:
         train, test = data
         runs = tiny_sweep_runs()
         run_sweep(runs[:2], train, test, TINY_TRAIN, out_dir=tmp_path)
-        mtimes = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+        # the manifest is rewritten to list the two new rows too
+        mtimes = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir() if p.name != "summary.json"}
         executed = []
         run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path, progress=lambda i, n, row: executed.append(row.run_id))
         assert len(executed) == 4
@@ -403,9 +407,52 @@ class TestSweep:
         assert type(run.seed) is int
         config = TrainConfig(epochs=np.int64(1), batch_size=np.int64(32), lr=np.float32(0.25), seed=np.int64(0))
         [row] = run_sweep([run], train, test, config, out_dir=tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-np.json", "labels"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-np.json", "labels", "summary.json"]
         [again] = run_sweep([run], train, test, TrainConfig(epochs=1, batch_size=32, lr=0.25), out_dir=tmp_path)
         assert again.scores.tobytes() == row.scores.tobytes()
+
+    def test_writes_the_manifest_and_a_pure_resume_leaves_it_untouched(self, data, tmp_path, monkeypatch):
+        train, test = data
+        runs = tiny_sweep_runs()
+        rows = run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
+        path = tmp_path / "summary.json"
+        assert path.read_text() == json.dumps(sweep_summary(runs, rows), indent=2) + "\n"
+        assert summary_path(tmp_path) == str(path)
+        before = (path.read_bytes(), path.stat().st_mtime_ns, path.stat().st_ino)
+
+        def no_training(run, *args, **kwargs):
+            raise AssertionError(f"{run.run_id} trained")
+
+        monkeypatch.setattr("vslct.analysis.train_run", no_training)
+        run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
+        assert (path.read_bytes(), path.stat().st_mtime_ns, path.stat().st_ino) == before
+
+    def test_run_id_summary_refused_before_any_file_is_written(self, data, tmp_path):
+        train, test = data
+        message = "run_id 'summary' is reserved: its row file would be the sweep's manifest, summary.json"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepRun(run_id="summary", kind="baseline", seed=0, eval_cond=(0.0,), hyper=VsHyperParams())
+        # a run whose run_id was changed after it was checked
+        run = tiny_sweep_runs()[0]
+        object.__setattr__(run, "run_id", "summary")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sweep([run], train, test, TINY_TRAIN, out_dir=tmp_path / "runs")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_rows(tmp_path, ["summary"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fingerprint_describes_the_model_that_trains(self, data, tmp_path, monkeypatch):
+        train, test = data
+        narrow = analysis._model_config
+        monkeypatch.setattr(analysis, "_model_config", lambda run, train_data, **fields: narrow(run, train_data, trunk_widths=(8, 8), film_hidden=8))
+        trained = []
+        scored = analysis.evaluate
+        monkeypatch.setattr(analysis, "evaluate", lambda model, *args: trained.append(model.config) or scored(model, *args))
+        runs = tiny_sweep_runs()[:2]
+        run_sweep(runs, train, test, TINY_TRAIN, out_dir=tmp_path)
+        assert [c.trunk_widths for c in trained] == [(8, 8), (8, 8)]
+        for run, config in zip(runs, trained):
+            assert record(tmp_path / f"{run.run_id}.json")["fingerprint"]["model"] == {**asdict(config), "trunk_widths": [8, 8]}
 
 
 def lct_run(eval_cond, **conditioned):
@@ -512,6 +559,34 @@ GOLDEN_LABELS = (
     b'{"format":4,"test":"e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52","labels":{"dtype":"<i8","shape":[2]}}\n'
     + bytes.fromhex("00000000000000000100000000000000")
 )
+# The manifest run_sweep writes beside the golden row: its one row, with no
+# stats, since a kind needs two rows for a dispersion.
+GOLDEN_SUMMARY = b"""{
+  "rows": [
+    {
+      "run_id": "lct-s3",
+      "kind": "lct",
+      "seed": 3,
+      "auc": 0.75,
+      "params": {
+        "eval_cond": [
+          1.5
+        ],
+        "omega": 0.5,
+        "gamma": 0.0,
+        "conditioned": {
+          "tau": {
+            "a": 0.0,
+            "b": 3.0,
+            "h_b": 0.5
+          }
+        }
+      }
+    }
+  ],
+  "stats": {}
+}
+"""
 
 # The golden row and its labels as format 3 wrote them: one line of JSON
 # each, the arrays as the hex of their bytes.
@@ -635,7 +710,7 @@ class TestRowCodec:
         # and writes the labels file that was missing
         (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
         assert (resumed.auc, resumed.scores.tobytes(), resumed.labels.tobytes()) == (row.auc, row.scores.tobytes(), row.labels.tobytes())
-        assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW, f"labels/{GOLDEN_LABELS_NAME}": GOLDEN_LABELS}
+        assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW, f"labels/{GOLDEN_LABELS_NAME}": GOLDEN_LABELS, "summary.json": GOLDEN_SUMMARY}
         (loaded,) = load_rows(tmp_path, ["lct-s3"])
         assert (loaded.auc, loaded.scores.tobytes(), loaded.labels.tobytes()) == (row.auc, row.scores.tobytes(), row.labels.tobytes())
 
@@ -700,7 +775,7 @@ class TestRowCodec:
             patched.setattr("vslct.analysis.train_run", no_training)
             (resumed,) = run_sweep([run], train, test, train_config, out_dir=tmp_path)
         assert resumed.labels.tobytes() == test.y.tobytes()
-        assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW, f"labels/{GOLDEN_LABELS_NAME}": FORMAT_3_LABELS_TEXT.encode()}
+        assert stored_files(tmp_path) == {"lct-s3.json": GOLDEN_ROW, f"labels/{GOLDEN_LABELS_NAME}": FORMAT_3_LABELS_TEXT.encode(), "summary.json": GOLDEN_SUMMARY}
         # a resume that recomputes a row rewrites the labels file too
         (tmp_path / "lct-s3.json").unlink()
         run_sweep([run], train, test, train_config, out_dir=tmp_path)

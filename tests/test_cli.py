@@ -8,6 +8,7 @@ tool.
 import argparse
 import json
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -15,9 +16,9 @@ import pytest
 
 from records import record
 from vslct import cli
-from vslct.analysis import SweepRun, load_rows, run_sweep, sweep_report
+from vslct.analysis import SweepRun, load_rows, run_sweep, sweep_report, sweep_summary
 from vslct.cli import build_parser, main
-from vslct.config import grid_runs, load_json, summary_rows_from_json, sweep_summary, train_config_from_json
+from vslct.config import grid_runs, load_json, summary_rows_from_json, train_config_from_json
 from vslct.data import load_csv
 from vslct.lindist import make_linear
 from vslct.losses import VsHyperParams, loss_difference_grid
@@ -77,20 +78,6 @@ class TestGenData:
         code = run_cli("gen-data", "--out", path, "--n0", 12, "--n1", 6, "--seed", 1, "--if-exists", "overwrite")
         assert code == 0
         assert load_csv(path).counts.n0 == 12
-
-    def test_out_root_env_prefixes_relative_paths(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VSLCT_OUT_ROOT", str(tmp_path))
-        monkeypatch.chdir(tmp_path)
-        code = run_cli("gen-data", "--out", os.path.join("nested", "d.csv"), "--n0", 10, "--n1", 5, "--seed", 0)
-        assert code == 0
-        assert (tmp_path / "nested" / "d.csv").exists()
-
-    def test_out_root_env_leaves_absolute_paths_alone(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VSLCT_OUT_ROOT", str(tmp_path / "elsewhere"))
-        path = tmp_path / "d.csv"
-        assert run_cli("gen-data", "--out", path, "--n0", 10, "--n1", 5, "--seed", 0) == 0
-        assert path.exists()
-        assert not (tmp_path / "elsewhere").exists()
 
 
 class TestTrain:
@@ -359,7 +346,7 @@ class TestSweep:
         code = run_cli("sweep", "--config", sweep_dir["config"], "--train-data", sweep_dir["train"], "--test-data", sweep_dir["test"], "--out-dir", out_dir)
         assert code == 0
         assert (path.read_bytes(), os.stat(path).st_mtime_ns, os.stat(path).st_ino) == before
-        assert capsys.readouterr().out.splitlines()[-1] == f"left {path} unchanged"
+        assert capsys.readouterr().out.splitlines()[-1] == f"manifest: {path}"
 
     @pytest.mark.parametrize("damage", ["auc edited", "truncated", "not json", "missing", "fewer seeds"])
     def test_stale_or_damaged_summary_is_rewritten(self, sweep_dir, tmp_path, capsys, damage):
@@ -389,7 +376,7 @@ class TestSweep:
         rows = run_sweep(runs, load_csv(sweep_dir["train"]), load_csv(sweep_dir["test"]), train_config_from_json(config["train"], "config.train"), out_dir=str(out_dir))
         assert path.read_text() == json.dumps(sweep_summary(runs, rows), indent=2) + "\n"
         assert (path.read_text() == text) == (damage != "fewer seeds")
-        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {path}"
+        assert capsys.readouterr().out.splitlines()[-1] == f"manifest: {path}"
 
     def test_config_without_any_grid_exits_1(self, sweep_dir, tmp_path, capsys):
         config = tmp_path / "empty.json"
@@ -458,6 +445,31 @@ def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, com
     assert code == 1
     assert err.startswith("error:")
     assert named in err
+
+
+@pytest.fixture(scope="module")
+def library_dir(sweep_dir):
+    """The runs of sweep_dir's config swept through run_sweep alone, into a directory of their own."""
+    config = load_json(sweep_dir["config"])
+    out_dir = sweep_dir["root"] / "library-runs"
+    run_sweep(grid_runs(config), load_csv(sweep_dir["train"]), load_csv(sweep_dir["test"]), train_config_from_json(config["train"], "config.train"), out_dir=out_dir)
+    return out_dir
+
+
+class TestLibrarySweepDirectory:
+    """A directory that run_sweep wrote without the CLI is a whole sweep directory."""
+
+    def test_summary_is_byte_identical_to_the_cli_sweep(self, sweep_dir, library_dir):
+        assert (library_dir / "summary.json").read_bytes() == (pathlib.Path(sweep_dir["out_dir"]) / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["roc", "analyze"])
+    def test_roc_and_analyze_read_it_as_they_read_the_cli_sweep(self, sweep_dir, library_dir, tmp_path, command):
+        outputs = {}
+        for name, rows_dir in (("cli", sweep_dir["out_dir"]), ("library", library_dir)):
+            argv = ["--rows-dir", rows_dir] if command == "roc" else ["--summary", os.path.join(rows_dir, "summary.json")]
+            outputs[name] = tmp_path / f"{name}.out"
+            assert run_cli(command, *argv, "--out", outputs[name]) == 0
+        assert outputs["library"].read_bytes() == outputs["cli"].read_bytes()
 
 
 class TestRoc:
@@ -800,13 +812,12 @@ class TestOutputGate:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "sub").exists()
 
-    def test_relative_out_lands_under_out_root(self, command, gated_argv, tmp_path, monkeypatch):
-        monkeypatch.setenv("VSLCT_OUT_ROOT", str(tmp_path / "root"))
+    def test_relative_out_is_written_as_given(self, command, gated_argv, tmp_path, monkeypatch):
         os.makedirs(tmp_path / "cwd")
         monkeypatch.chdir(tmp_path / "cwd")
         assert run_cli(command, *gated_argv[command], "--out", os.path.join("nested", "result.out")) == 0
-        assert (tmp_path / "root" / "nested" / "result.out").is_file()
-        assert os.listdir(tmp_path / "cwd") == []
+        assert os.listdir(tmp_path / "cwd") == ["nested"]
+        assert os.listdir(tmp_path / "cwd" / "nested") == ["result.out"]
 
 
 class TestUsageErrors:

@@ -249,6 +249,17 @@ class TestBlockedScores:
         logits, cache = model.forward(x, cond, workspace)
         assert logits.tobytes() == expected.tobytes() and cache is None
 
+    def test_groups_that_would_be_a_copy_raise_naming_the_shape(self):
+        # a copy would take the tiles in place of the workspace; the check is a raise, so `python -O` keeps it
+        class CopyingReshape(np.ndarray):
+            def reshape(self, *shape):
+                return np.asarray(self).reshape(*shape).copy()
+
+        a = np.zeros((256, 64)).view(CopyingReshape)
+        with pytest.raises(RuntimeError, match=re.escape("reshaping a (256, 64) array into 128-row groups made a copy, not a view")):
+            network._groups(a, 128)
+        assert network._groups(np.zeros((256, 64)), 128).shape == (2, 128, 64)
+
     def test_shapes_checked_before_slicing(self):
         model = MlpFilmModel.init(width64_config(False), np.random.default_rng(92))
         n = 2 * SCORE_BLOCK_ROWS + 1

@@ -230,7 +230,7 @@ def grid_runs(config: dict) -> list[SweepRun]:
 
 
 def summary_rows_from_json(summary, context: str) -> list[dict]:
-    """The rows of a `vslct sweep` summary, each checked for what `vslct analyze` and `vslct roc` read.
+    """The rows of a sweep's summary.json, each checked for what `vslct analyze` and `vslct roc` read.
 
     Every row needs a string run_id and kind, an integer seed, a numeric
     auc and a params object; a baseline row's params also need numeric

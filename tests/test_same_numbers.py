@@ -57,7 +57,7 @@ def test_fixed_experiment_prints_the_recorded_numbers():
     recorded_env, env = json.loads(recorded_env), environment()
     differing = sorted(key for key in recorded_env.keys() | env.keys() if recorded_env.get(key) != env.get(key))
     if differing:
-        pytest.skip(f"{RECORD} was recorded on another environment; differing: " + ", ".join(f"{k} {recorded_env.get(k)!r} here {env.get(k)!r}" for k in differing))
+        pytest.skip(f"{RECORD} was recorded on another environment; differing: " + "; ".join(f"{k} recorded {recorded_env.get(k)!r}, here {env.get(k)!r}" for k in differing))
     assert same_numbers().splitlines() == recorded
 
 

@@ -113,29 +113,53 @@ def roc_curve(data: LabeledScores) -> RocCurve:
     threshold -inf; interior point i is the confusion at `thresholds[i]`,
     i.e. counts over samples scoring strictly above it.
 
-    Cumulative counts are read only at the last index of each tied block,
-    and a tied 0.0 and -0.0 are reported as the threshold 0.0, so the
-    order within a tie is never read and any sort kind gives the same
-    curve.
+    Each row becomes one uint64 key: the bits of |score|, shifted left by
+    one, with the label in the low bit.  The bits of a non-negative
+    float64 order as the value does, so the keys order as the magnitudes,
+    and one plain sort of the keys, with no argsort and no gathers, puts
+    the rows in score order with each row's label beside its score.  The
+    key holds all 63 bits of the magnitude, so the order and the
+    thresholds are exact; abs clears the sign, so a tied 0.0 and -0.0 are
+    one score, reported as 0.0.  The sign takes the 64th bit, so it splits
+    the rows into two ranges: the non-negative scores, sorted through the
+    bitwise complement so that they descend, and after them the negative
+    ones, which descend as their magnitudes ascend.  A tie block never
+    crosses from one range to the other.  Cumulative counts are read only
+    at the last index of each tied block, so the order within a tie, which
+    the labels decide, is never read.
     """
     data.require_both_classes()
-    order = np.argsort(-data.scores)
-    s = data.scores[order]
+    s = data.scores
+    negative = s < 0.0
+    m = s.size - int(np.count_nonzero(negative))  # rows in the non-negative range
+    keys = np.abs(s).view(np.uint64)
+    keys <<= 1
+    keys |= data.labels.view(np.uint64)
+    np.invert(keys, out=keys)
+    keys = np.concatenate((keys[~negative], np.invert(keys[negative])))
+    keys[:m].sort()
+    keys[m:].sort()
+    np.invert(keys[:m], out=keys[:m])
+    labels = np.bitwise_and(keys, 1).view(np.int64)
+    keys >>= 1  # the bits of each row's |score|
     # last index of each tied block = cumulative counts through that score
     is_end = np.empty(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=is_end[:-1])
+    np.not_equal(keys[1:], keys[:-1], out=is_end[:-1])
     is_end[-1] = True
+    is_end[m - 1 : m] = True  # s and -s have one magnitude but are two scores
     block_end = np.flatnonzero(is_end)
-    tp = np.cumsum(data.labels[order])[block_end]
-    del order, is_end  # the curve's three arrays come next, so drop what is no longer read
+    tp = np.cumsum(labels)[block_end]
+    block_score = keys[block_end].view(np.float64)
+    first_negative = np.searchsorted(block_end, m)
+    np.negative(block_score[first_negative:], out=block_score[first_negative:])
+    del keys, labels, is_end  # the curve's three arrays come next, so drop what is no longer read
     tpr, fpr, thresholds = (np.empty(block_end.size + 1) for _ in range(3))
     tpr[0] = fpr[0] = 0.0
     np.divide(tp, data.n_pos, out=tpr[1:])
     # the point after block k is achieved by thresholding at the next
     # distinct score below it (or -inf after the last block)
     thresholds[0], thresholds[-1] = np.inf, -np.inf
-    np.take(s, block_end[1:], out=thresholds[1:-1])
-    thresholds[1:-1] += 0.0  # a tied block of 0.0 and -0.0 reads 0.0
+    thresholds[1:-1] = block_score[1:]
     fp = np.add(block_end, 1, out=block_end)
     fp -= tp
     np.divide(fp, data.n_neg, out=fpr[1:])

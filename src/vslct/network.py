@@ -23,15 +23,19 @@ PARAM_KEYS to a reshaped view of its slice, in that order.  Writing
 through a view writes the buffer, and `sgd_step` updates the whole
 buffer with a few vector operations.
 
-Each trunk layer adds its bias and applies the ReLU in place on its
-matmul output; `x` and the parameters are never written.  `forward`
-writes into the caller's `Workspace` and records it in its cache, and
-`backward` continues in it: every (n, width) product, the logits, the
-logit gradient and the masked gradients go through `out=` into its row
-buffers (a short batch uses the leading rows), and each parameter
-gradient into its view of one flat buffer in `flat`'s layout, which
-`sgd_step` takes as it is.  The arrays returned are views, valid until
-the workspace's next use.
+Each trunk layer adds its bias inside its matmul: the workspace holds
+the input and h0 each with a trailing column of ones, and PARAM_KEYS
+stores each trunk bias right after its weight, so the slice of `flat`
+from a trunk weight through its bias is the augmented weight [W; b], a
+view.  The ReLU then runs in place on the matmul output; `x` and the
+parameters are never written.  `forward` writes into the caller's
+`Workspace` and records it in its cache, and `backward` continues in
+it, reading h0 without its ones column: every (n, width) product, the
+logits, the logit gradient and the masked gradients go through `out=`
+into its row buffers (a short batch uses the leading rows), and each
+parameter gradient into its view of one flat buffer in `flat`'s
+layout, which `sgd_step` takes as it is.  The arrays returned are
+views, valid until the workspace's next use.
 
 `scores` runs `forward` on blocks of rows, and each of its threads keeps
 one workspace for all its blocks, so each block's activations stay in
@@ -44,13 +48,13 @@ large ufunc loops, so the threads run in parallel.  W is the usable core
 count divided by OPENBLAS_NUM_THREADS when that variable is a positive
 integer, and 1 otherwise, since OpenBLAS then already uses every core;
 at W = 1 the blocks run one after another on the calling thread.  With
-a shared conditioning row, the call tiles its row constants (trunk
-biases, FiLM terms, head bias) to SCORE_TILE_ROWS rows once, and
-`forward` adds each tile to a block's row groups in one numpy loop
-rather than one loop per row.  The blocks do not depend on W, and a
-tile holds the numbers of its row, so the scores depend on neither; but
-blocked scores can differ from one unblocked `forward` in the last few
-bits (see `scores`).
+a shared conditioning row, the call tiles its row constants (the FiLM
+shift mu, the affine scale sigma and the head bias) to SCORE_TILE_ROWS
+rows once, and `forward` adds each tile to a block's row groups in one
+numpy loop rather than one loop per row.  The blocks do not depend on
+W, and a tile holds the numbers of its row, so the scores depend on
+neither; but blocked scores can differ from one unblocked `forward` in
+the last few bits (see `scores`).
 
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
@@ -128,7 +132,10 @@ def count_film_weights(config: ModelConfig) -> int:
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter array; this order is PARAM_KEYS and the flat buffer's layout."""
+    """Shape of every parameter array; this order is PARAM_KEYS and the flat buffer's layout.
+
+    Each trunk bias follows its weight, so `forward` can read the pair as one augmented weight [W; b].
+    """
     w1, w2 = config.trunk_widths
     return {
         "trunk0_w": (config.input_dim, w1),
@@ -162,7 +169,7 @@ def _param_count(config: ModelConfig) -> int:
 def _row_widths(config: ModelConfig) -> dict[str, int]:
     """Width of every (n, width) array a `Workspace` holds."""
     w1, w2 = config.trunk_widths
-    return {"h0": w1, "h1": w2, "hmod": w2, "logits": 2, "dlogits": 2, "dh": w2, "dpre1": w2, "dpre0": w1}
+    return {"x_ones": config.input_dim + 1, "h0_ones": w1 + 1, "h1": w2, "hmod": w2, "logits": 2, "dlogits": 2, "dh": w2, "dpre1": w2, "dpre0": w1}
 
 
 class Workspace:
@@ -171,6 +178,10 @@ class Workspace:
     The row buffers are (rows, width) views of one allocation.  Training
     makes one workspace per run and `scores` one per thread per call, and
     each reuses it for every batch or block (see the module docstring).
+    `x_ones` (input_dim + 1 wide) and `h0_ones` (trunk width + 1) end in
+    a column of ones, set here and never written again: `forward` copies
+    x into the leading columns of one and writes h0 into those of the
+    other, so each trunk matmul adds its bias (see `forward`).
     `flat_grads` has the layout of `MlpFilmModel.flat`, and `grads` maps
     each name of PARAM_KEYS to a view of its slice.  Only `scores` sets
     `_constants`, on the workspaces it makes (see `forward`).  A workspace
@@ -183,6 +194,7 @@ class Workspace:
         self._constants = None
         widths = _row_widths(config)
         self._full = _views(np.empty(rows * sum(widths.values())), {name: (rows, w) for name, w in widths.items()})
+        self._full["x_ones"][:, -1] = self._full["h0_ones"][:, -1] = 1.0
         self.flat_grads = np.zeros(_param_count(config))
         self.grads = _views(self.flat_grads, _param_shapes(config))
 
@@ -243,9 +255,17 @@ class MlpFilmModel:
         x: (n, input_dim); cond: (n, cond_dim) per row, or (1, cond_dim)
         for one conditioning row shared by every row of x.  The logits and
         the cached activations are views of the workspace's leading n rows,
-        and the cache records the workspace for `backward`.  The trunk
-        biases, the FiLM terms and the head bias are `_row_constants(cond)`,
-        broadcast over the rows.
+        and the cache records the workspace for `backward`; its h0 is the
+        leading trunk-width columns of `h0_ones`.  Each trunk layer is one
+        matmul of the input or h0, with its ones column, by the augmented
+        weight [W; b], a view of `flat`, so its bias is the last term of
+        every sum rather than a separate add.  On the default model shape
+        (2 inputs, trunk 64 x 64) that gives the bits of a matmul followed
+        by the bias add at 1, 100, 128 and 1024 rows, as the tests check;
+        OpenBLAS does not promise to add the last term last, and on some
+        other shapes the sums differ in the last bits.  The FiLM terms and
+        the head bias are
+        `_row_constants(cond)`, broadcast over the rows.
 
         A workspace that `scores` makes for a shared conditioning row
         carries `_constants`, those of this model and cond tiled to
@@ -262,12 +282,15 @@ class MlpFilmModel:
         t, k = workspace._constants, SCORE_TILE_ROWS
         if not scoring or n % k:
             t, k = self._row_constants(cond), 1
-        p = self.params
-        h0 = np.matmul(x, p["trunk0_w"], out=out["h0"])
-        np.add(_groups(h0, k), t["trunk0_b"], out=_groups(h0, k))
-        np.maximum(h0, 0.0, out=h0)
-        h1 = np.matmul(h0, p["trunk1_w"], out=out["h1"])
-        np.add(_groups(h1, k), t["trunk1_b"], out=_groups(h1, k))
+        d, (w1, w2) = self.config.input_dim, self.config.trunk_widths
+        # PARAM_KEYS puts each trunk bias right after its weight, so these slices are [W0; b0] and [W1; b1]
+        trunk0 = self.flat[: (d + 1) * w1].reshape(d + 1, w1)
+        trunk1 = self.flat[(d + 1) * w1 : (d + 1) * w1 + (w1 + 1) * w2].reshape(w1 + 1, w2)
+        x_ones, h0_ones = out["x_ones"], out["h0_ones"]
+        x_ones[:, :d] = x
+        h0 = np.matmul(x_ones, trunk0, out=h0_ones[:, :w1])
+        np.maximum(h0_ones, 0.0, out=h0_ones)  # max(1, 0) keeps the ones column
+        h1 = np.matmul(h0_ones, trunk1, out=out["h1"])
         np.maximum(h1, 0.0, out=h1)
         hmod = h1 if scoring else out["hmod"]
         if t["sigma"] is not None:
@@ -275,7 +298,7 @@ class MlpFilmModel:
             np.add(_groups(hmod, k), t["mu"], out=_groups(hmod, k))
         else:
             np.add(_groups(h1, k), t["mu"], out=_groups(hmod, k))
-        logits = np.matmul(hmod, p["head_w"], out=out["logits"])
+        logits = np.matmul(hmod, self.params["head_w"], out=out["logits"])
         np.add(_groups(logits, k), t["head_b"], out=_groups(logits, k))
         if scoring:
             return logits, None
@@ -283,18 +306,20 @@ class MlpFilmModel:
         return logits, cache
 
     def _row_constants(self, cond: np.ndarray) -> dict:
-        """What `forward` adds to or multiplies into each row, by name, for a checked cond.
+        """What `forward` adds to or multiplies into each row after the trunk, by name, for a checked cond.
 
-        trunk0_b, trunk1_b and head_b are the parameters; g is the FiLM
-        hidden activation of cond's rows, mu their FiLM shift, and sigma
-        their FiLM scale in affine mode (None otherwise).
+        head_b is the parameter; g is the FiLM hidden activation of cond's
+        rows, mu their FiLM shift, and sigma their FiLM scale in affine
+        mode (None otherwise).  The trunk biases are not among them: the
+        trunk matmuls add them.  `_tiled_constants` tiles mu, sigma and
+        head_b.
         """
         p = self.params
         g = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0)
         film_out = g @ p["film1_w"] + p["film1_b"]
         c = self.config.trunk_widths[1]
         sigma = 1.0 + film_out[:, c:] if self.config.film_affine else None
-        return {"trunk0_b": p["trunk0_b"], "trunk1_b": p["trunk1_b"], "g": g, "mu": film_out[:, :c], "sigma": sigma, "head_b": p["head_b"]}
+        return {"g": g, "mu": film_out[:, :c], "sigma": sigma, "head_b": p["head_b"]}
 
     def _checked_inputs(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x and cond as float64 arrays, after checking the shapes `forward` accepts."""
@@ -410,7 +435,7 @@ class MlpFilmModel:
     def _tiled_constants(self, cond: np.ndarray) -> dict:
         """`_row_constants(cond)` of a shared row, with each one-row term tiled to SCORE_TILE_ROWS rows."""
         constants = self._row_constants(cond)
-        for key in ("trunk0_b", "trunk1_b", "mu", "sigma", "head_b"):
+        for key in ("mu", "sigma", "head_b"):
             if constants[key] is not None:
                 constants[key] = np.tile(constants[key], (SCORE_TILE_ROWS, 1))
         return constants

@@ -45,17 +45,30 @@ def stable_sort_roc(data: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.nda
     return fpr, tpr, thresholds
 
 
+# magnitudes across the exponent range: subnormals, the smallest normal,
+# 2 and above (which set the top exponent bit) and the largest doubles
+EDGE_MAGNITUDES = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-30, 2.0, 3.0, 1e30, 1e300, 1.7e308, 1.7976931348623157e308]
+
+
 @st.composite
 def labeled_scores(draw) -> LabeledScores:
-    """Both classes present; scores either continuous or drawn from a few values, with a tied 0.0/-0.0 block."""
+    """Both classes present; scores either continuous or drawn from a few values, across the exponent range, with pairs s and -s and a tied 0.0/-0.0 block."""
     n = draw(st.integers(2, 60))
     labels = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
     labels[:2] = [0, 1]
+    score = st.one_of(
+        st.floats(-5.0, 5.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(EDGE_MAGNITUDES + [-m for m in EDGE_MAGNITUDES]),
+    )
     if draw(st.booleans()):
-        values = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4, unique=True))
+        values = draw(st.lists(score, min_size=1, max_size=4, unique=True))
         scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     else:
-        scores = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+        scores = draw(st.lists(score, min_size=n, max_size=n))
+    # the last rows mirror the first ones: s and -s have one magnitude but are two scores
+    mirrored = draw(st.integers(0, n // 2))
+    scores[n - mirrored :] = [-v for v in scores[:mirrored]]
     # a tied block of 0.0 and -0.0 in any order, which reads as one score
     zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=n))
     scores[: len(zeros)] = zeros
@@ -158,6 +171,24 @@ class TestRocCurveProperties:
         assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
         assert np.all(np.diff(curve.fpr) >= 0.0) and np.all(np.diff(curve.tpr) >= 0.0)
         assert abs(curve.auc - auc_pair_oracle(data)) <= 1e-12
+
+
+    def test_large_set_equal_to_stable_sort(self):
+        # probabilities with ties, their mirror images, and magnitudes across the exponent range
+        rng = np.random.default_rng(36)
+        probs = 1.0 / (1.0 + np.exp(-3.0 * rng.normal(size=12_000)))
+        probs[:2000] = np.round(probs[:2000], 2)
+        exponents = rng.integers(-1074, 1024, size=4000)
+        wide = np.ldexp(rng.uniform(0.5, 1.0, size=4000), exponents) * rng.choice([-1.0, 1.0], size=4000)
+        edges = rng.choice(EDGE_MAGNITUDES + [0.0, -0.0], size=1000)
+        scores = np.concatenate([probs, -probs[:3000], wide[np.isfinite(wide)], edges, -edges])
+        scores = scores[rng.permutation(scores.size)]
+        labels = (rng.uniform(size=scores.size) < 0.3).astype(np.int64)
+        data = LabeledScores(scores, labels)
+        assert data.n_pos > 0 and data.n_neg > 0 and scores.size >= 20_000
+        curve = roc_curve(data)
+        for got, expected in zip((curve.fpr, curve.tpr, curve.thresholds), stable_sort_roc(data)):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestAuc:

@@ -217,6 +217,67 @@ def width64_config(affine: bool) -> ModelConfig:
     return ModelConfig(input_dim=2, cond_dim=2, trunk_widths=(64, 64), film_hidden=16, film_affine=affine, film_zero_init=False)
 
 
+def model_with_trunk_biases(affine: bool, seed: int) -> MlpFilmModel:
+    """A width-64 model whose trunk biases are not zero, so that a bias added in the wrong place shows."""
+    model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for key in ("trunk0_b", "trunk1_b", "head_b"):
+        model.params[key][:] = rng.normal(scale=0.5, size=model.params[key].shape)
+    return model
+
+
+def unfolded_forward(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h0, h1, logits) with each trunk bias added after its matmul, in the order `forward` used before the fold."""
+    p = model.params
+    h0 = np.maximum(x @ p["trunk0_w"] + p["trunk0_b"], 0.0)
+    h1 = np.maximum(h0 @ p["trunk1_w"] + p["trunk1_b"], 0.0)
+    film_out = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0) @ p["film1_w"] + p["film1_b"]
+    c = model.config.trunk_widths[1]
+    hmod = (1.0 + film_out[:, c:]) * h1 + film_out[:, :c] if model.config.film_affine else h1 + film_out[:, :c]
+    return h0, h1, hmod @ p["head_w"] + p["head_b"]
+
+
+class TestTrunkFold:
+    """Each trunk matmul adds its bias through a ones column; the bits are those of the unfolded layers."""
+
+    @pytest.mark.parametrize("cond_rows", ["shared", "per-row"])
+    @pytest.mark.parametrize("affine", [False, True])
+    @pytest.mark.parametrize("n", [128, 100, 1], ids=["full", "short-batch", "one-row"])
+    def test_forward_equal_to_unfolded_layers(self, n, affine, cond_rows):
+        model = model_with_trunk_biases(affine, 120)
+        rng = np.random.default_rng(122)
+        x = rng.normal(size=(n, 2))
+        cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
+        logits, cache = model.forward(x, cond, Workspace(model.config, 128))
+        h0, h1, expected = unfolded_forward(model, x, cond)
+        assert cache["h0"].shape == h0.shape and cache["h0"].tobytes() == h0.tobytes()
+        assert cache["h1"].tobytes() == h1.tobytes()
+        assert logits.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cond_rows", ["shared", "per-row"])
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_scores_equal_to_unfolded_layers_over_the_same_blocks(self, affine, cond_rows):
+        # 4097 rows are four 1024-row blocks, which tile the row constants, and a one-row block
+        n, rows = 4097, SCORE_BLOCK_ROWS // 2
+        model = model_with_trunk_biases(affine, 124)
+        rng = np.random.default_rng(126)
+        x = rng.normal(size=(n, 2))
+        cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
+        per_row = cond_rows == "per-row"
+        blocks = [unfolded_forward(model, x[i : i + rows], cond[i : i + rows] if per_row else cond)[2] for i in range(0, n, rows)]
+        assert model.scores(x, cond).tobytes() == minority_score(np.concatenate(blocks)).tobytes()
+
+    def test_ones_columns_survive_forward_and_backward(self):
+        model = model_with_trunk_biases(True, 128)
+        rng = np.random.default_rng(130)
+        workspace = Workspace(model.config, 128)
+        for n in (128, 100, 1):
+            _, cache = model.forward(rng.normal(size=(n, 2)), np.ones((1, 2)), workspace)
+            model.backward(cache, rng.normal(size=(n, 2)))
+        full = workspace.take(128)
+        assert np.all(full["x_ones"][:, -1] == 1.0) and np.all(full["h0_ones"][:, -1] == 1.0)
+
+
 class TestBlockedScores:
     """`scores` runs `forward` over blocks of rows, on one thread or on several."""
 

@@ -4,9 +4,9 @@ tests/same_numbers.txt holds one JSON line naming that environment (numpy
 version, BLAS name and version, CPU model and the BLAS thread setting),
 then what `OPENBLAS_NUM_THREADS=1 python3 tools/same_numbers.py` printed
 there: a digest of every sweep row, of summary.json, roc.csv and
-report.json, of both checkpoints and of the large-set scores.  Trained
-bits depend on numpy's build and the CPU as well as on the code, so
-elsewhere the test skips, naming the fields that differ.
+report.json, of both checkpoints, of the large-set scores and of their
+ROC curve.  Trained bits depend on numpy's build and the CPU as well as
+on the code, so elsewhere the test skips, naming the fields that differ.
 
 A change that moves numbers on purpose rewrites the file in the same
 commit, with `PYTHONPATH=src python3 tests/test_same_numbers.py`, and

@@ -23,7 +23,8 @@ which is removed afterwards:
   one line per checkpoint, a digest of its config and meta (as sorted
   JSON) and its parameter bytes as `load_checkpoint` returns them, so a
   change of the checkpoint layout can show the same;
-* the conditioned model's `scores` on a fixed set of 10^5 rows.
+* the conditioned model's `scores` on a fixed set of 10^5 rows, and one
+  digest of `roc_curve`'s fpr, tpr and thresholds on those scores.
 
 It imports vslct from this checkout's src/ and needs nothing beyond it.
 """
@@ -44,6 +45,7 @@ from vslct.analysis import load_rows  # noqa: E402
 from vslct.cli import main as vslct_main  # noqa: E402
 from vslct.config import load_json, summary_rows_from_json  # noqa: E402
 from vslct.data import load_csv  # noqa: E402
+from vslct.metrics import roc_curve  # noqa: E402
 from vslct.network import load_checkpoint  # noqa: E402
 from vslct.training import evaluate  # noqa: E402
 
@@ -128,6 +130,12 @@ def main() -> None:
         model, _ = load_checkpoint(at("model-lct-affine.json"))
         scored = evaluate(model, load_csv(at("large.csv")), [0.5, 0.5])
         print(f"{hashlib.sha256(scored.scores.tobytes()).hexdigest()}  scores of lct-affine.json on {len(scored.scores)} rows")
+        curve = roc_curve(scored)
+        # the three arrays have one length, so their bytes cannot run together
+        digest = hashlib.sha256(curve.fpr.tobytes())
+        digest.update(curve.tpr.tobytes())
+        digest.update(curve.thresholds.tobytes())
+        print(f"{digest.hexdigest()}  roc_curve of those scores: fpr, tpr and thresholds ({curve.fpr.size} points)")
 
 
 if __name__ == "__main__":

@@ -135,8 +135,7 @@ def roc_curve(data: LabeledScores) -> RocCurve:
     keys = np.abs(s).view(np.uint64)
     keys <<= 1
     keys |= data.labels.view(np.uint64)
-    np.invert(keys, out=keys)
-    keys = np.concatenate((keys[~negative], np.invert(keys[negative])))
+    keys = np.concatenate((np.invert(keys[~negative]), keys[negative]))
     keys[:m].sort()
     keys[m:].sort()
     np.invert(keys[:m], out=keys[:m])

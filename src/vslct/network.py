@@ -258,14 +258,13 @@ class MlpFilmModel:
         and the cache records the workspace for `backward`; its h0 is the
         leading trunk-width columns of `h0_ones`.  Each trunk layer is one
         matmul of the input or h0, with its ones column, by the augmented
-        weight [W; b], a view of `flat`, so its bias is the last term of
-        every sum rather than a separate add.  On the default model shape
-        (2 inputs, trunk 64 x 64) that gives the bits of a matmul followed
-        by the bias add at 1, 100, 128 and 1024 rows, as the tests check;
-        OpenBLAS does not promise to add the last term last, and on some
-        other shapes the sums differ in the last bits.  The FiLM terms and
-        the head bias are
-        `_row_constants(cond)`, broadcast over the rows.
+        weight [W; b], a view of `flat`, so the bias is the last term of
+        the matmul's sum rather than a separate add.  On the default model
+        shape (2 inputs, trunk 64 x 64) the bits equal those of a matmul
+        followed by the bias add at every row count the tests check;
+        OpenBLAS does not promise the order of its sums, and on some other
+        shapes the two differ in the last bits.  The FiLM terms and the
+        head bias are `_row_constants(cond)`, broadcast over the rows.
 
         A workspace that `scores` makes for a shared conditioning row
         carries `_constants`, those of this model and cond tiled to

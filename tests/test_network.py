@@ -248,7 +248,11 @@ class TestTrunkFold:
         rng = np.random.default_rng(122)
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
-        logits, cache = model.forward(x, cond, Workspace(model.config, 128))
+        # a training step first, so the ones columns must have survived a forward and a backward
+        workspace = Workspace(model.config, 128)
+        _, full = model.forward(rng.normal(size=(128, 2)), cond[:1], workspace)
+        model.backward(full, rng.normal(size=(128, 2)))
+        logits, cache = model.forward(x, cond, workspace)
         h0, h1, expected = unfolded_forward(model, x, cond)
         assert cache["h0"].shape == h0.shape and cache["h0"].tobytes() == h0.tobytes()
         assert cache["h1"].tobytes() == h1.tobytes()
@@ -266,16 +270,6 @@ class TestTrunkFold:
         per_row = cond_rows == "per-row"
         blocks = [unfolded_forward(model, x[i : i + rows], cond[i : i + rows] if per_row else cond)[2] for i in range(0, n, rows)]
         assert model.scores(x, cond).tobytes() == minority_score(np.concatenate(blocks)).tobytes()
-
-    def test_ones_columns_survive_forward_and_backward(self):
-        model = model_with_trunk_biases(True, 128)
-        rng = np.random.default_rng(130)
-        workspace = Workspace(model.config, 128)
-        for n in (128, 100, 1):
-            _, cache = model.forward(rng.normal(size=(n, 2)), np.ones((1, 2)), workspace)
-            model.backward(cache, rng.normal(size=(n, 2)))
-        full = workspace.take(128)
-        assert np.all(full["x_ones"][:, -1] == 1.0) and np.all(full["h0_ones"][:, -1] == 1.0)
 
 
 class TestBlockedScores:

@@ -172,7 +172,6 @@ class TestRocCurveProperties:
         assert np.all(np.diff(curve.fpr) >= 0.0) and np.all(np.diff(curve.tpr) >= 0.0)
         assert abs(curve.auc - auc_pair_oracle(data)) <= 1e-12
 
-
     def test_large_set_equal_to_stable_sort(self):
         # probabilities with ties, their mirror images, and magnitudes across the exponent range
         rng = np.random.default_rng(36)

@@ -347,7 +347,10 @@ class SweepRow:
 # Versions of what makes a row's numbers besides its inputs, stored in its
 # fingerprint: bump "sampler" when LinearDistribution's draws change and
 # "numerics" when trained bits do, and older rows fail to resume naming it.
-_VERSIONS = {"sampler": 1, "numerics": 1}
+# Numerics 2: the trunk biases are added inside the trunk matmuls, which
+# keeps the bits of numerics 1 on the default model shape but not on every
+# input_dim and trunk_widths.
+_VERSIONS = {"sampler": 1, "numerics": 2}
 
 
 def _row_path(out_dir, run_id: str) -> str:

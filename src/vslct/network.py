@@ -283,8 +283,7 @@ class MlpFilmModel:
             t, k = self._row_constants(cond), 1
         d, (w1, w2) = self.config.input_dim, self.config.trunk_widths
         # PARAM_KEYS puts each trunk bias right after its weight, so these slices are [W0; b0] and [W1; b1]
-        trunk0 = self.flat[: (d + 1) * w1].reshape(d + 1, w1)
-        trunk1 = self.flat[(d + 1) * w1 : (d + 1) * w1 + (w1 + 1) * w2].reshape(w1 + 1, w2)
+        trunk0, trunk1 = _views(self.flat, {"trunk0": (d + 1, w1), "trunk1": (w1 + 1, w2)}).values()
         x_ones, h0_ones = out["x_ones"], out["h0_ones"]
         x_ones[:, :d] = x
         h0 = np.matmul(x_ones, trunk0, out=h0_ones[:, :w1])

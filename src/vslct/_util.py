@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["RECORD_FORMAT", "write_record", "read_record", "record_array", "checked_int", "checked_real", "atomic_write_bytes"]
+__all__ = ["RECORD_FORMAT", "write_record", "read_record", "record_array", "checked_int", "checked_real", "atomic_write_bytes", "write_json"]
 
 # Version of the record layout.  Files without a "format" field are format
 # 1, which stored each float as its own float.hex() token; formats 2 and 3
@@ -112,3 +112,8 @@ def atomic_write_bytes(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload) -> None:
+    """payload as strict JSON indented by 2, with a final newline, written atomically; a non-finite float raises ValueError and writes nothing."""
+    atomic_write_bytes(path, (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode())

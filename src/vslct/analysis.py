@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from vslct._util import atomic_write_bytes, checked_int, checked_real, read_record, record_array, write_record
+from vslct._util import atomic_write_bytes, checked_int, checked_real, read_record, record_array, write_json, write_record
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams
@@ -349,8 +349,9 @@ class SweepRow:
 # "numerics" when trained bits do, and older rows fail to resume naming it.
 # Numerics 2: the trunk biases are added inside the trunk matmuls, which
 # keeps the bits of numerics 1 on the default model shape but not on every
-# input_dim and trunk_widths.
-_VERSIONS = {"sampler": 1, "numerics": 2}
+# input_dim and trunk_widths.  Numerics 3: a shared conditioning row's FiLM
+# and head are scored as one folded affine map, which moves scores by ulps.
+_VERSIONS = {"sampler": 1, "numerics": 3}
 
 
 def _row_path(out_dir, run_id: str) -> str:
@@ -576,7 +577,7 @@ def _save_summary(path: str, summary: dict) -> None:
     with contextlib.suppress(OSError, ValueError), open(path, "r", encoding="utf-8") as fh:  # missing, unreadable or not JSON: written again
         if json.load(fh) == summary:
             return
-    atomic_write_bytes(path, (json.dumps(summary, indent=2, allow_nan=False) + "\n").encode())
+    write_json(path, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
-from vslct._util import atomic_write_bytes
+from vslct._util import atomic_write_bytes, write_json
 from vslct.analysis import aggregate_roc, load_rows, run_sweep, summary_path, sweep_report, sweep_summary, train_run
 from vslct.config import grid_runs, load_json, summary_rows_from_json, train_config_from_json, train_spec_from_json
 from vslct.data import load_csv, save_csv, subsample_minority, synth_gaussian
@@ -58,10 +57,6 @@ def _should_write(path: str, if_exists: str) -> bool:
             print(f"skipping {path}: already exists")
             return False
     return True
-
-
-def _write_json(path: str, payload: dict) -> None:
-    atomic_write_bytes(path, (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode())
 
 
 def _write_table(path: str, header: str, rows) -> None:
@@ -134,7 +129,7 @@ def cmd_roc(args) -> int:
 
 def cmd_analyze(args) -> int:
     report = sweep_report(summary_rows_from_json(load_json(args.summary), str(args.summary)))
-    _write_json(args.out, report)
+    write_json(args.out, report)
     for kind, stats in report["groups"].items():
         print(f"{kind}: n={stats['n']} mean={stats['mean']:.6f} std={stats['std']:.6f}")
     if report["paired_by_seed"]:
@@ -177,7 +172,7 @@ def cmd_dist_check(args) -> int:
     ks = max(float(np.max(np.arange(1, n + 1) / n - cdf)), float(np.max(cdf - np.arange(0, n) / n)))
     print(f"drew {n} samples in {elapsed:.3f}s; KS distance to exact CDF = {ks:.6f}")
     if args.out:
-        _write_json(args.out, {"a": args.a, "b": args.b, "h_b": args.h_b, "samples": n, "seed": args.seed, "ks": ks, "seconds": elapsed})
+        write_json(args.out, {"a": args.a, "b": args.b, "h_b": args.h_b, "samples": n, "seed": args.seed, "ks": ks, "seconds": elapsed})
         print(f"wrote {args.out}")
     if args.max_ks is not None and ks > args.max_ks:
         print(f"KS {ks:.6f} exceeds --max-ks {args.max_ks}", file=sys.stderr)

@@ -40,21 +40,20 @@ views, valid until the workspace's next use.
 `scores` runs `forward` on blocks of rows, and each of its threads keeps
 one workspace for all its blocks, so each block's activations stay in
 cache and reuse the pages of the block before.  A set of at most
-SCORE_BLOCK_ROWS rows is one `forward` on the calling thread.  A larger
-set is cut into fixed blocks of SCORE_BLOCK_ROWS // 2 rows (the last
-one shorter), which up to W threads (the caller among them) take in turn
-from one shared iterator.  numpy releases the GIL inside matmul and
-large ufunc loops, so the threads run in parallel.  W is the usable core
-count divided by OPENBLAS_NUM_THREADS when that variable is a positive
-integer, and 1 otherwise, since OpenBLAS then already uses every core;
-at W = 1 the blocks run one after another on the calling thread.  With
-a shared conditioning row, the call tiles its row constants (the FiLM
-shift mu, the affine scale sigma and the head bias) to SCORE_TILE_ROWS
-rows once, and `forward` adds each tile to a block's row groups in one
-numpy loop rather than one loop per row.  The blocks do not depend on
-W, and a tile holds the numbers of its row, so the scores depend on
-neither; but blocked scores can differ from one unblocked `forward` in
-the last few bits (see `scores`).
+SCORE_BLOCK_ROWS rows is one block; a larger set is cut into fixed
+blocks of SCORE_BLOCK_ROWS // 2 rows (the last one shorter), which up to
+W threads (the caller among them) take in turn from one shared
+iterator.  numpy releases the GIL inside matmul and large ufunc loops,
+so the threads run in parallel.  W is the usable core count divided by
+OPENBLAS_NUM_THREADS when that variable is a positive integer, and 1
+otherwise, since OpenBLAS then already uses every core; at W = 1, or
+with one block, the blocks run one after another on the calling thread.
+With one conditioning row shared by the set, FiLM and the head are one
+affine map of h1, so the call folds them once into a (width, 2) weight
+and a (1, 2) offset, and `forward` scores each block with the trunk, one
+matmul and one add.  The blocks do not depend on W, so neither do the
+scores; but they can differ from one unblocked `forward` in the last
+few bits (see `scores`).
 
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
@@ -79,12 +78,9 @@ import numpy as np
 from vslct._util import checked_int, read_record, record_array, write_record
 from vslct.losses import sigmoid
 
-# `MlpFilmModel.scores` runs one `forward` on a set of at most this many
-# rows, such as every sweep's test set, and blocks of half as many above.
+# `MlpFilmModel.scores` scores a set of at most this many rows, such as
+# every sweep's test set, as one block, and a larger one in blocks of half as many.
 SCORE_BLOCK_ROWS = 2048
-# With a shared conditioning row, `scores` adds each row constant to a
-# block as (n // k, k, width) groups of this many rows (see `_groups`).
-SCORE_TILE_ROWS = 128
 
 __all__ = [
     "ModelConfig",
@@ -184,14 +180,15 @@ class Workspace:
     other, so each trunk matmul adds its bias (see `forward`).
     `flat_grads` has the layout of `MlpFilmModel.flat`, and `grads` maps
     each name of PARAM_KEYS to a view of its slice.  Only `scores` sets
-    `_constants`, on the workspaces it makes (see `forward`).  A workspace
+    `_head`, the folded head of a shared conditioning row, on the
+    workspaces it makes (see `forward`).  A workspace
     belongs to the caller that made it and is never stored on a model, so
     `MlpFilmModel.copy` and checkpoints cannot see it.
     """
 
     def __init__(self, config: ModelConfig, rows: int):
         self.rows = rows
-        self._constants = None
+        self._head = None
         widths = _row_widths(config)
         self._full = _views(np.empty(rows * sum(widths.values())), {name: (rows, w) for name, w in widths.items()})
         self._full["x_ones"][:, -1] = self._full["h0_ones"][:, -1] = 1.0
@@ -263,24 +260,18 @@ class MlpFilmModel:
         shape (2 inputs, trunk 64 x 64) the bits equal those of a matmul
         followed by the bias add at every row count the tests check;
         OpenBLAS does not promise the order of its sums, and on some other
-        shapes the two differ in the last bits.  The FiLM terms and the
-        head bias are `_row_constants(cond)`, broadcast over the rows.
+        shapes the two differ in the last bits.  The FiLM terms are
+        `_row_constants(cond)`, broadcast over the rows, and the head bias
+        is added last.
 
         A workspace that `scores` makes for a shared conditioning row
-        carries `_constants`, those of this model and cond tiled to
-        SCORE_TILE_ROWS rows, and is for scoring: where that row count
-        divides n, each tile is added or multiplied into every group of as
-        many rows at once, and the FiLM network does not run; the FiLM
-        output overwrites h1 in place, and the cache is None.  Each entry
-        gets the same operation on the same numbers either way.
+        carries `_head`, the (weight, offset) of that row's FiLM and head
+        folded into one affine map, and is for scoring: after the trunk,
+        the logits are h1 @ weight + offset, the FiLM network does not
+        run, cond is only checked, and the cache is None.
         """
         x, cond = self._checked_inputs(x, cond)
-        n = x.shape[0]
-        out = workspace.take(n)
-        scoring = workspace._constants is not None
-        t, k = workspace._constants, SCORE_TILE_ROWS
-        if not scoring or n % k:
-            t, k = self._row_constants(cond), 1
+        out = workspace.take(x.shape[0])
         d, (w1, w2) = self.config.input_dim, self.config.trunk_widths
         # PARAM_KEYS puts each trunk bias right after its weight, so these slices are [W0; b0] and [W1; b1]
         trunk0, trunk1 = _views(self.flat, {"trunk0": (d + 1, w1), "trunk1": (w1 + 1, w2)}).values()
@@ -290,34 +281,35 @@ class MlpFilmModel:
         np.maximum(h0_ones, 0.0, out=h0_ones)  # max(1, 0) keeps the ones column
         h1 = np.matmul(h0_ones, trunk1, out=out["h1"])
         np.maximum(h1, 0.0, out=h1)
-        hmod = h1 if scoring else out["hmod"]
+        logits = out["logits"]
+        if workspace._head is not None:
+            weight, offset = workspace._head
+            np.matmul(h1, weight, out=logits)
+            return np.add(logits, offset, out=logits), None
+        t, hmod = self._row_constants(cond), out["hmod"]
         if t["sigma"] is not None:
-            np.multiply(t["sigma"], _groups(h1, k), out=_groups(hmod, k))
-            np.add(_groups(hmod, k), t["mu"], out=_groups(hmod, k))
+            np.multiply(t["sigma"], h1, out=hmod)
+            np.add(hmod, t["mu"], out=hmod)
         else:
-            np.add(_groups(h1, k), t["mu"], out=_groups(hmod, k))
-        logits = np.matmul(hmod, self.params["head_w"], out=out["logits"])
-        np.add(_groups(logits, k), t["head_b"], out=_groups(logits, k))
-        if scoring:
-            return logits, None
+            np.add(h1, t["mu"], out=hmod)
+        np.matmul(hmod, self.params["head_w"], out=logits)
+        np.add(logits, self.params["head_b"], out=logits)
         cache = {"x": x, "cond": cond, "h0": h0, "h1": h1, "g": t["g"], "sigma": t["sigma"], "hmod": hmod, "workspace": workspace}
         return logits, cache
 
     def _row_constants(self, cond: np.ndarray) -> dict:
-        """What `forward` adds to or multiplies into each row after the trunk, by name, for a checked cond.
+        """The FiLM terms `forward` applies to each row after the trunk, by name, for a checked cond.
 
-        head_b is the parameter; g is the FiLM hidden activation of cond's
-        rows, mu their FiLM shift, and sigma their FiLM scale in affine
-        mode (None otherwise).  The trunk biases are not among them: the
-        trunk matmuls add them.  `_tiled_constants` tiles mu, sigma and
-        head_b.
+        g is the FiLM hidden activation of cond's rows, mu their FiLM shift,
+        and sigma their FiLM scale in affine mode (None otherwise).  For a
+        shared row, `scores` folds mu and sigma into the head.
         """
         p = self.params
         g = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0)
         film_out = g @ p["film1_w"] + p["film1_b"]
         c = self.config.trunk_widths[1]
         sigma = 1.0 + film_out[:, c:] if self.config.film_affine else None
-        return {"g": g, "mu": film_out[:, :c], "sigma": sigma, "head_b": p["head_b"]}
+        return {"g": g, "mu": film_out[:, :c], "sigma": sigma}
 
     def _checked_inputs(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x and cond as float64 arrays, after checking the shapes `forward` accepts."""
@@ -373,37 +365,37 @@ class MlpFilmModel:
     def scores(self, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
         """Minority-class softmax probability of each row.
 
-        Takes the inputs of `forward`.  Up to SCORE_BLOCK_ROWS rows, that
-        is a single `forward` on the whole input on the calling thread, so
-        the scores are bit for bit those of `forward`.  Above it, the rows
-        are cut into blocks of SCORE_BLOCK_ROWS // 2, and min(W, blocks)
-        threads, W = `_score_workers()` and the caller among them, take
-        blocks from one shared iterator and run `forward` on them in a
-        workspace of their own, slicing per-row conditioning along with x;
-        each block's scores go into its own slice of the output.  With a
-        shared conditioning row the caller first tiles the call's row
-        constants to SCORE_TILE_ROWS rows, once, and every workspace
-        carries them.  A block is the same rows whichever thread runs it,
-        and a tile adds or multiplies the same numbers as its broadcast
-        row, so the scores depend on neither W nor the tiles.
+        Takes the inputs of `forward`.  The rows are cut into blocks: all
+        of them up to SCORE_BLOCK_ROWS rows, SCORE_BLOCK_ROWS // 2 above
+        (the last block shorter).  min(W, blocks) threads, W =
+        `_score_workers()` and the caller among them, take blocks from one
+        shared iterator and run `forward` on them in a workspace of their
+        own, slicing per-row conditioning along with x; each block's
+        scores go into its own slice of the output.  A block is the same
+        rows whichever thread runs it, so the scores do not depend on W.
 
-        Blocked scores can differ from an unblocked `forward`'s by a few
-        ulps, since OpenBLAS picks its kernel for the (rows, width) @
-        (width, 2) head product by row count, and numpy computes a one-row
-        block, the last block of a set of 1 more than a multiple of
-        SCORE_BLOCK_ROWS // 2, as a matrix-vector product.  An exception
-        in any thread is raised here once every thread has been joined.
+        With one conditioning row shared by the set, FiLM gives hmod =
+        sigma * h1 + mu, so the logits hmod @ W + b are h1 @ (sigma.T * W)
+        + (mu @ W + b).  The call computes that weight and offset once, and
+        every workspace carries them; with per-row conditioning each block
+        runs the training forward.  So the scores can differ from an
+        unblocked `forward`'s by a few ulps: besides the fold, OpenBLAS
+        picks its kernel for the (rows, width) @ (width, 2) head product by
+        row count, and numpy computes a one-row block, the last block of a
+        set of 1 more than a multiple of SCORE_BLOCK_ROWS // 2, as a
+        matrix-vector product.  An exception in any thread is raised here
+        once every thread has been joined.
         """
         x, cond = self._checked_inputs(x, cond)
         n = x.shape[0]
-        if n <= SCORE_BLOCK_ROWS:
-            return minority_score(self.forward(x, cond, Workspace(self.config, n))[0])
-        rows = SCORE_BLOCK_ROWS // 2
-        starts = range(0, n, rows)
+        rows = n if n <= SCORE_BLOCK_ROWS else SCORE_BLOCK_ROWS // 2
+        starts = range(0, n, max(rows, 1))
         workers = min(_score_workers(), len(starts))
         blocks = iter(starts)
-        per_row = cond.shape[0] == n
-        constants = None if per_row else self._tiled_constants(cond)
+        head = None
+        if cond.shape[0] == 1:
+            t, head_w = self._row_constants(cond), self.params["head_w"]
+            head = (head_w if t["sigma"] is None else t["sigma"].T * head_w, t["mu"] @ head_w + self.params["head_b"])
         out = np.empty(n)
         errors = []
 
@@ -412,10 +404,10 @@ class MlpFilmModel:
                 # made on the thread that uses it, so its pages stay in that thread's
                 # malloc arena between calls instead of being returned and faulted in again
                 workspace = Workspace(self.config, rows)
-                workspace._constants = constants
+                workspace._head = head
                 for start in blocks:
                     stop = start + rows
-                    logits = self.forward(x[start:stop], cond[start:stop] if per_row else cond, workspace)[0]
+                    logits = self.forward(x[start:stop], cond if head is not None else cond[start:stop], workspace)[0]
                     out[start:stop] = minority_score(logits)
             except BaseException as exc:
                 errors.append(exc)
@@ -429,29 +421,6 @@ class MlpFilmModel:
         if errors:
             raise errors[0]
         return out
-
-    def _tiled_constants(self, cond: np.ndarray) -> dict:
-        """`_row_constants(cond)` of a shared row, with each one-row term tiled to SCORE_TILE_ROWS rows."""
-        constants = self._row_constants(cond)
-        for key in ("mu", "sigma", "head_b"):
-            if constants[key] is not None:
-                constants[key] = np.tile(constants[key], (SCORE_TILE_ROWS, 1))
-        return constants
-
-
-def _groups(a: np.ndarray, k: int) -> np.ndarray:
-    """The (n, width) array a as a view of shape (n // k, k, width), or a itself for k = 1.
-
-    numpy adds a (k, width) tile to every group in one loop over k * width
-    entries, where it adds a broadcast row in one loop per row.
-    """
-    if k == 1:
-        return a
-    groups = a.reshape(-1, k, a.shape[1])
-    # the workspace's leading rows are C-contiguous, so reshape makes a view; a copy would drop the tiles
-    if not np.may_share_memory(groups, a):
-        raise RuntimeError(f"reshaping a {a.shape} array into {k}-row groups made a copy, not a view")
-    return groups
 
 
 def _score_workers() -> int:

@@ -513,7 +513,7 @@ def fingerprint_for(run, train, test, train_config=TINY_TRAIN):
     model = {"input_dim": train.dim, "cond_dim": len(run.eval_cond), "trunk_widths": [64, 64], "film_hidden": 128, "film_affine": False, "film_zero_init": True}
     train_block = {"epochs": train_config.epochs, "batch_size": train_config.batch_size, "lr": train_config.lr}
     data = {"train": _data_digest(train), "test": _data_digest(test)}
-    return {"run": run.params, "model": model, "train": train_block, "data": data, "versions": {"sampler": 1, "numerics": 2}}
+    return {"run": run.params, "model": model, "train": train_block, "data": data, "versions": {"sampler": 1, "numerics": 3}}
 
 
 def store(out_dir, row, fingerprint):
@@ -552,7 +552,7 @@ GOLDEN_ROW = (
     b'"train":{"epochs":3,"batch_size":128,"lr":0.1},'
     b'"data":{"train":"acc73a3280c41f19a5d53bb8b3fa367daa5c8d1c062d0b6e7f3fa071b1ba9dac",'
     b'"test":"e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52"},'
-    b'"versions":{"sampler":1,"numerics":2}},"scores":{"dtype":"<f8","shape":[2]}}\n' + bytes.fromhex("000000000000d03f000000000000e03f")
+    b'"versions":{"sampler":1,"numerics":3}},"scores":{"dtype":"<f8","shape":[2]}}\n' + bytes.fromhex("000000000000d03f000000000000e03f")
 )
 GOLDEN_LABELS_NAME = "e9459f0c7143c4620adb7570ca33f7d9e3f38d2317986e1022dbea4b6fdf0e52.json"
 GOLDEN_LABELS = (
@@ -792,11 +792,19 @@ class TestRowCodec:
 
     def test_row_of_numerics_1_fails_naming_it_and_stays_untouched(self, tmp_path):
         # numerics 1 added the trunk biases after the trunk matmuls
+        self.assert_older_numerics_fails_and_stays_untouched(tmp_path, 1)
+
+    def test_row_of_numerics_2_fails_naming_it_and_stays_untouched(self, tmp_path):
+        # numerics 2 scored a shared conditioning row through FiLM and then the head
+        self.assert_older_numerics_fails_and_stays_untouched(tmp_path, 2)
+
+    @staticmethod
+    def assert_older_numerics_fails_and_stays_untouched(tmp_path, version):
         run, train, test, train_config = golden_row_inputs()
         path = tmp_path / "lct-s3.json"
-        stored = GOLDEN_ROW.replace(b'"numerics":2', b'"numerics":1')
+        stored = GOLDEN_ROW.replace(b'"numerics":3', b'"numerics":%d' % version)
         path.write_bytes(stored)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row (versions.numerics: stored 1, requested 2)")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stale or corrupt sweep row (versions.numerics: stored {version}, requested 3)")):
             run_sweep([run], train, test, train_config, out_dir=tmp_path)
         assert stored_files(tmp_path) == {"lct-s3.json": stored}
 

@@ -55,12 +55,36 @@ def fresh_forward(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray):
     return model.forward(x, cond, Workspace(model.config, len(x)))
 
 
-def scores_over_blocks(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """`minority_score` of `forward` on the blocks `scores` uses: all of x up to SCORE_BLOCK_ROWS rows, half that above."""
+def folded_head(model: MlpFilmModel, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One shared row's FiLM and head as one affine map of h1, from the parameters: (sigma.T * W, mu @ W + b)."""
+    p = model.params
+    film_out = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0) @ p["film1_w"] + p["film1_b"]
+    c = model.config.trunk_widths[1]
+    weight = (1.0 + film_out[:, c:]).T * p["head_w"] if model.config.film_affine else p["head_w"]
+    return weight, film_out[:, :c] @ p["head_w"] + p["head_b"]
+
+
+def forward_layers(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h1, logits) of `forward` in a fresh workspace."""
+    logits, cache = fresh_forward(model, x, cond)
+    return cache["h1"], logits
+
+
+def scores_over_blocks(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray, layers=forward_layers) -> np.ndarray:
+    """The scores of x on the blocks `scores` uses: all of x up to SCORE_BLOCK_ROWS rows, half that above.
+
+    layers(model, x, cond) gives a block's (h1, logits).  Per-row
+    conditioning keeps the logits; a shared row puts h1 through
+    `folded_head`.
+    """
     n = len(x)
     rows = n if n <= SCORE_BLOCK_ROWS else SCORE_BLOCK_ROWS // 2
-    per_row = len(cond) == n
-    blocks = [fresh_forward(model, x[i : i + rows], cond[i : i + rows] if per_row else cond)[0] for i in range(0, n, rows)]
+    shared = len(cond) == 1
+    weight, offset = folded_head(model, cond) if shared else (None, None)
+    blocks = []
+    for i in range(0, n, rows):
+        h1, logits = layers(model, x[i : i + rows], cond if shared else cond[i : i + rows])
+        blocks.append(h1 @ weight + offset if shared else logits)
     return minority_score(np.concatenate(blocks))
 
 
@@ -248,6 +272,12 @@ def on_recorded_blas() -> bool:
 ON_RECORDED_BLAS = on_recorded_blas()
 
 
+def unfolded_layers(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h1, logits) of `unfolded_forward`."""
+    _, h1, logits = unfolded_forward(model, x, cond)
+    return h1, logits
+
+
 def assert_unfolded_bits(actual: np.ndarray, expected: np.ndarray):
     """The same bits on the recorded BLAS, where the fold was checked equal at 1 and 2 BLAS threads; elsewhere equal to 1e-13.
 
@@ -286,15 +316,13 @@ class TestTrunkFold:
     @pytest.mark.parametrize("cond_rows", ["shared", "per-row"])
     @pytest.mark.parametrize("affine", [False, True])
     def test_scores_equal_to_unfolded_layers_over_the_same_blocks(self, affine, cond_rows):
-        # 4097 rows are four 1024-row blocks, which tile the row constants, and a one-row block
-        n, rows = 4097, SCORE_BLOCK_ROWS // 2
+        # 4097 rows are four 1024-row blocks and a one-row block
+        n = 4097
         model = model_with_trunk_biases(affine, 124)
         rng = np.random.default_rng(126)
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
-        per_row = cond_rows == "per-row"
-        blocks = [unfolded_forward(model, x[i : i + rows], cond[i : i + rows] if per_row else cond)[2] for i in range(0, n, rows)]
-        assert_unfolded_bits(model.scores(x, cond), minority_score(np.concatenate(blocks)))
+        assert_unfolded_bits(model.scores(x, cond), scores_over_blocks(model, x, cond, unfolded_layers))
 
 
 class TestBlockedScores:
@@ -304,6 +332,7 @@ class TestBlockedScores:
     @pytest.mark.parametrize("affine", [False, True])
     @pytest.mark.parametrize("n", [2047, 2048, 2049, 4097])
     def test_equal_to_forward_over_the_same_blocks(self, n, affine, cond_rows):
+        # a shared row's scores are forward's trunk and the test-side fold of FiLM and head
         assert SCORE_BLOCK_ROWS == 2048
         model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(90))
         rng = np.random.default_rng(91)
@@ -311,34 +340,26 @@ class TestBlockedScores:
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
         scores = model.scores(x, cond)
         assert scores.tobytes() == scores_over_blocks(model, x, cond).tobytes()
+        assert_unfolded_bits(scores, scores_over_blocks(model, x, cond, unfolded_layers))
         unblocked = minority_score(fresh_forward(model, x, cond)[0])
         np.testing.assert_allclose(scores, unblocked, rtol=0.0, atol=1e-14)
-        if n <= SCORE_BLOCK_ROWS:
+        if n <= SCORE_BLOCK_ROWS and cond_rows == "per-row":
             assert scores.tobytes() == unblocked.tobytes()
 
     @pytest.mark.parametrize("affine", [False, True])
     @pytest.mark.parametrize("n", [128, 1024, 672, 1000])
-    def test_tiled_forward_gives_the_broadcast_logits(self, n, affine):
-        # 672 rows are whole 128-row groups; 1000 rows are not, and take the broadcast row
+    def test_scoring_forward_gives_the_broadcast_logits(self, n, affine):
+        # a workspace carrying a folded head scores a batch shorter than itself too
         model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(107))
         x = np.random.default_rng(108).normal(size=(n, 2))
         cond = np.full((1, 2), 2.5)
-        expected = fresh_forward(model, x, cond)[0]
+        broadcast, full = fresh_forward(model, x, cond)
         workspace = Workspace(model.config, SCORE_BLOCK_ROWS // 2)
-        workspace._constants = model._tiled_constants(cond)
+        workspace._head = weight, offset = folded_head(model, cond)
         logits, cache = model.forward(x, cond, workspace)
-        assert logits.tobytes() == expected.tobytes() and cache is None
-
-    def test_groups_that_would_be_a_copy_raise_naming_the_shape(self):
-        # a copy would take the tiles in place of the workspace; the check is a raise, so `python -O` keeps it
-        class CopyingReshape(np.ndarray):
-            def reshape(self, *shape):
-                return np.asarray(self).reshape(*shape).copy()
-
-        a = np.zeros((256, 64)).view(CopyingReshape)
-        with pytest.raises(RuntimeError, match=re.escape("reshaping a (256, 64) array into 128-row groups made a copy, not a view")):
-            network._groups(a, 128)
-        assert network._groups(np.zeros((256, 64)), 128).shape == (2, 128, 64)
+        assert cache is None
+        assert logits.tobytes() == (full["h1"] @ weight + offset).tobytes()
+        np.testing.assert_allclose(logits, broadcast, rtol=1e-14, atol=1e-14)
 
     def test_shapes_checked_before_slicing(self):
         model = MlpFilmModel.init(width64_config(False), np.random.default_rng(92))
@@ -443,6 +464,12 @@ class TestBlockedScores:
     def test_block_error_raised_after_every_thread_joined(self, monkeypatch, failing):
         worker_started = threading.Event()
         original = MlpFilmModel.forward
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
         def forward(self, x, cond, workspace):
             on_worker = threading.current_thread() is not threading.main_thread()
@@ -459,14 +486,15 @@ class TestBlockedScores:
         x = np.random.default_rng(101).normal(size=(4 * SCORE_BLOCK_ROWS, 2))
         monkeypatch.setattr(network, "_score_workers", lambda: 2)
         monkeypatch.setattr(MlpFilmModel, "forward", forward)
-        before = threading.active_count()
+        monkeypatch.setattr(threading, "Thread", CountedThread)
         with pytest.raises(KeyError, match=f"block of 1024 rows failed on the {failing}"):
             model.scores(x, np.ones((1, 2)))
-        assert threading.active_count() == before
+        # only the threads this call started count: another test's thread may outlive it
+        assert len(started) == 1 and not any(thread.is_alive() for thread in started)
 
     def test_callers_scoring_at_once_get_the_serial_bytes(self, monkeypatch):
-        # each call tiles its own row constants and runs its own threads; a
-        # mixed-up tile or block would change some caller's bytes
+        # each call folds its own head and runs its own threads; a mixed-up
+        # head or block would change some caller's bytes
         monkeypatch.setattr(network, "_score_workers", lambda: 3)
         rng = np.random.default_rng(104)
         models = [MlpFilmModel.init(width64_config(affine), rng) for affine in (False, True)]

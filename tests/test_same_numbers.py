@@ -9,8 +9,9 @@ ROC curve.  Trained bits depend on numpy's build and the CPU as well as
 on the code, so elsewhere the test skips, naming the fields that differ.
 
 A change that moves numbers on purpose rewrites the file in the same
-commit, with `PYTHONPATH=src python3 tests/test_same_numbers.py`, and
-names the lines that moved and why.
+commit, with `PYTHONPATH=src python3 tests/test_same_numbers.py`, which
+prints how many recorded lines changed and the label of each (such as
+`row lct-hb0.0-w0.5-s0`), and names the lines that moved and why.
 """
 
 import json
@@ -62,7 +63,13 @@ def test_fixed_experiment_prints_the_recorded_numbers():
 
 
 if __name__ == "__main__":
+    with open(RECORD, "r", encoding="utf-8") as fh:
+        before = set(fh.read().splitlines()[1:])
     output = same_numbers()
     with open(RECORD, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(environment()) + "\n" + output)
-    print(f"wrote {RECORD}: {len(output.splitlines())} lines under the environment line")
+    # a line is "<digest>  <label>"; it changed if the old file does not hold it
+    changed = [line.split("  ", 1)[1] for line in output.splitlines() if line not in before]
+    print(f"wrote {RECORD}: {len(output.splitlines())} lines under the environment line, {len(changed)} of them changed")
+    for label in changed:
+        print(f"changed: {label}")

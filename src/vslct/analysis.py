@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from vslct._util import atomic_write_bytes, checked_int, checked_real, read_record, record_array, write_json, write_record
+from vslct._util import checked_int, checked_real, read_record, record_array, write_json, write_record
 from vslct.data import Dataset
 from vslct.lindist import LinearDistribution
 from vslct.losses import VsHyperParams

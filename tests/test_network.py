@@ -462,7 +462,7 @@ class TestBlockedScores:
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_block_error_raised_after_every_thread_joined(self, monkeypatch, failing):
-        worker_started = threading.Event()
+        worker_started, caller_started = threading.Event(), threading.Event()
         original = MlpFilmModel.forward
         started = []
 
@@ -475,9 +475,12 @@ class TestBlockedScores:
             on_worker = threading.current_thread() is not threading.main_thread()
             if on_worker:
                 worker_started.set()
+                # and holds its first block until the caller has taken one, so both sides run a block
+                assert caller_started.wait(10)
             else:
                 # a worker takes its first block before the caller takes one
                 assert worker_started.wait(10)
+                caller_started.set()
             if on_worker == (failing == "worker"):
                 raise KeyError(f"block of {len(x)} rows failed on the {failing}")
             return original(self, x, cond, workspace)

@@ -9,9 +9,10 @@ ROC curve.  Trained bits depend on numpy's build and the CPU as well as
 on the code, so elsewhere the test skips, naming the fields that differ.
 
 A change that moves numbers on purpose rewrites the file in the same
-commit, with `PYTHONPATH=src python3 tests/test_same_numbers.py`, which
+commit with `PYTHONPATH=src python3 tests/test_same_numbers.py`, which
 prints how many recorded lines changed and the label of each (such as
-`row lct-hb0.0-w0.5-s0`), and names the lines that moved and why.
+`row lct-hb0.0-w0.5-s0`), and its change log names those lines and why
+they moved.
 """
 
 import json

@@ -12,7 +12,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 
 import numpy as np
 
@@ -98,12 +97,16 @@ def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a same-directory temp file + rename; readers never see partial files.
 
     Missing parent directories are created here, at write time, so a
-    command that fails before writing leaves none behind.
+    command that fails before writing leaves none behind.  The temp file
+    is created under a random name with O_EXCL (a clash fails instead of
+    overwriting) and mode 0o666, as open() does, so the file gets the
+    permissions the process umask allows.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

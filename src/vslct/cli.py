@@ -16,8 +16,9 @@ Conventions:
   skip skips the whole command).  A sweep resumes per run instead: the
   library's run_sweep writes its rows, labels and manifest summary.json.
 * JSON configs are parsed by vslct.config, which validates them
-  strictly: unknown keys are errors, so a typo cannot silently fall back
-  to a default, and a value of the wrong type names its key path.
+  strictly before any data loads: unknown keys are errors, so a typo
+  cannot silently fall back to a default, and every bad value names its
+  key path.
 """
 
 from __future__ import annotations
@@ -84,11 +85,14 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     spec = train_spec_from_json(load_json(args.config))
     run = spec.run
-    result = train_run(run, load_csv(args.data), spec.train, **spec.model_kwargs)
+    # both data sets load before training, so a bad --test-data fails before --out is written
+    train_data = load_csv(args.data)
+    test_data = load_csv(args.test_data) if args.test_data else None
+    result = train_run(run, train_data, spec.train, **spec.model_kwargs)
     save_checkpoint(args.out, result.model, meta={"mode": run.kind, "final_loss": result.epoch_losses[-1]})
     print(f"trained {run.kind} model for {spec.train.epochs} epochs; final epoch loss {result.epoch_losses[-1]:.6f}")
-    if args.test_data:
-        scored = evaluate(result.model, load_csv(args.test_data), run.eval_cond)
+    if test_data is not None:
+        scored = evaluate(result.model, test_data, run.eval_cond)
         print(f"test AUC at conditioning {list(run.eval_cond)}: {roc_curve(scored).auc:.6f}")
     print(f"wrote {args.out}")
     return 0

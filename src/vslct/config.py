@@ -7,11 +7,15 @@ grid_runs expands a sweep config into a list of SweepRuns, and
 summary_rows_from_json checks a sweep's manifest, the summary.json that
 vslct.analysis.run_sweep writes, for `vslct analyze` and `vslct roc`.
 
-Parsing is strict: unknown keys are errors, so a typo cannot silently
-fall back to a default, and a value of the wrong type raises a
-ValueError that names its key path, e.g. ``config.baseline_grid.omega:
-expected a non-empty list of numbers``.  So does a grid value out of its
-legal range, e.g. ``config.baseline_grid: omega must be in [0, 1], got 1.5``.
+This module checks the JSON structure: objects and their allowed keys
+(unknown keys are errors, so a typo cannot silently fall back to a
+default), non-empty lists, lambda_range, the conditioned name, seeds,
+eval_lambda and the summary rows.  Every other value is checked by the
+library type that owns it (TrainConfig, ModelConfig, VsHyperParams,
+make_linear, LctConfig, SweepRun), built under the key path it comes
+from, so a bad value fails before any data loads with a ValueError that
+names its key, e.g. ``config.baseline_grid.omega: expected a non-empty
+list, got 0.5`` or ``config.train: epochs must be an integer >= 1, got 0``.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from vslct.analysis import SweepRun
 from vslct.lindist import LinearDistribution, make_linear
 from vslct.losses import VsHyperParams
+from vslct.network import ModelConfig
 from vslct.training import COND_ORDER, LctConfig, TrainConfig
 
 __all__ = ["TrainSpec", "load_json", "train_spec_from_json", "train_config_from_json", "grid_runs", "summary_rows_from_json"]
@@ -39,42 +44,17 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and len(value) > 0 and all(_is_number(v) for v in value)
-
-
-# key -> (accepts, what is expected); shared by the field tables below
+# (accepts, what is expected) for the values checked here
 _NUMBER = (_is_number, "a number")
 _INTEGER = (_is_integer, "an integer")
-_FLAG = (lambda v: isinstance(v, bool), "true or false")
-_NUMBER_LIST = (_is_number_list, "a non-empty list of numbers")
 _SEEDS = (lambda v: isinstance(v, list) and len(v) > 0 and all(_is_integer(s) for s in v), "a non-empty list of integers")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
-
-_TRAIN_FIELDS = {
-    "epochs": _INTEGER,
-    "batch_size": _INTEGER,
-    "lr": _NUMBER,
-    "seed": _INTEGER,
-}
-_MODEL_FIELDS = {
-    "trunk_widths": (lambda v: isinstance(v, list) and all(_is_integer(w) for w in v), "a list of integers"),
-    "film_hidden": _INTEGER,
-    "film_affine": _FLAG,
-    "film_zero_init": _FLAG,
-}
-_HYPER_FIELDS = dict.fromkeys(COND_ORDER, _NUMBER)
-_DIST_FIELDS = dict.fromkeys(("a", "b", "h_b"), _NUMBER)
-_BASELINE_GRID_FIELDS = dict.fromkeys(COND_ORDER, _NUMBER_LIST)
+_NON_EMPTY_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
+_LAMBDA_RANGE = (lambda v: isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v), "two numbers [lo, hi]")
+_CONDITIONED = (lambda v: v in COND_ORDER, f"one of {list(COND_ORDER)}")
 _SUMMARY_ROW_FIELDS = {"run_id": _STRING, "kind": _STRING, "seed": _INTEGER, "auc": _NUMBER, "params": _OBJECT}
-_LCT_GRID_FIELDS = {
-    "h_b": _NUMBER_LIST,
-    "omega": _NUMBER_LIST,
-    "gamma": _NUMBER,
-    "conditioned": (lambda v: v in COND_ORDER, f"one of {list(COND_ORDER)}"),
-    "lambda_range": (lambda v: _is_number_list(v) and len(v) == 2, "two numbers [lo, hi]"),
-}
+_LINEAR_KEYS = {"a", "b", "h_b"}  # make_linear's arguments
 
 
 def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -85,18 +65,12 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
 
 
-def _check(value, field: tuple, context: str) -> None:
+def _check(value, field: tuple, context: str):
+    """value, if field accepts it; otherwise a ValueError naming context."""
     accepts, expected = field
     if not accepts(value):
         raise ValueError(f"{context}: expected {expected}, got {value!r}")
-
-
-def _fields_from_json(obj: dict, fields: dict[str, tuple], context: str) -> dict:
-    """obj checked key by key against its field table; lists become tuples."""
-    _require_keys(obj, set(fields), context)
-    for key, value in obj.items():
-        _check(value, fields[key], f"{context}.{key}")
-    return {key: tuple(value) if isinstance(value, list) else value for key, value in obj.items()}
+    return value
 
 
 @contextmanager
@@ -108,6 +82,13 @@ def _naming(context: str):
         raise ValueError(f"{context}: {exc}") from exc
 
 
+def _built(cls, obj, context: str, **fixed):
+    """cls(**fixed, **obj) built under context; obj may set cls's other init fields."""
+    _require_keys(obj, {f.name for f in fields(cls) if f.init} - set(fixed), context)
+    with _naming(context):
+        return cls(**fixed, **obj)
+
+
 def load_json(path) -> dict:
     """Parsed JSON file; a syntax error becomes a ValueError naming the file."""
     try:
@@ -117,33 +98,30 @@ def load_json(path) -> dict:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _hyper_from_json(obj: dict, context: str) -> VsHyperParams:
-    return VsHyperParams(**{k: float(v) for k, v in _fields_from_json(obj, _HYPER_FIELDS, context).items()})
-
-
 def _dist_from_json(obj, context: str) -> float | LinearDistribution:
-    if _is_number(obj):
-        return float(obj)
-    fields = _fields_from_json(obj, _DIST_FIELDS, context)
-    missing = set(_DIST_FIELDS) - set(fields)
+    """A conditioned entry: {a, b, h_b} of a linear density, or a point mass, which LctConfig checks."""
+    if not isinstance(obj, dict):
+        return obj
+    _require_keys(obj, _LINEAR_KEYS, context)
+    missing = _LINEAR_KEYS - set(obj)
     if missing:
         raise ValueError(f"{context}: missing keys {sorted(missing)}")
-    return make_linear(float(fields["a"]), float(fields["b"]), float(fields["h_b"]))
+    with _naming(context):
+        return make_linear(**obj)
 
 
 def _lct_from_json(obj: dict, context: str) -> LctConfig:
     _require_keys(obj, {"base", "conditioned"}, context)
-    base = _hyper_from_json(obj.get("base", {}), f"{context}.base")
-    conditioned_raw = obj.get("conditioned")
-    if not isinstance(conditioned_raw, dict) or not conditioned_raw:
-        raise ValueError(f"{context}.conditioned: expected a non-empty object")
-    conditioned = {name: _dist_from_json(entry, f"{context}.conditioned.{name}") for name, entry in conditioned_raw.items()}
-    return LctConfig(base=base, conditioned=conditioned)
+    base = _built(VsHyperParams, obj.get("base", {}), f"{context}.base")
+    entries = _check(obj.get("conditioned"), _OBJECT, f"{context}.conditioned")
+    conditioned = {name: _dist_from_json(entry, f"{context}.conditioned.{name}") for name, entry in entries.items()}
+    with _naming(f"{context}.conditioned"):
+        return LctConfig(base=base, conditioned=conditioned)
 
 
 def train_config_from_json(obj: dict, context: str) -> TrainConfig:
     """The `train` block of a train or sweep config."""
-    return TrainConfig(**_fields_from_json(obj, _TRAIN_FIELDS, context))
+    return _built(TrainConfig, obj, context)
 
 
 @dataclass(frozen=True)
@@ -160,9 +138,7 @@ class TrainSpec:
 
 def _eval_lambda(config: dict) -> float:
     """The conditioning value a config's conditioned runs are scored at (default 0)."""
-    eval_lambda = config.get("eval_lambda", 0.0)
-    _check(eval_lambda, _NUMBER, "config.eval_lambda")
-    return float(eval_lambda)
+    return float(_check(config.get("eval_lambda", 0.0), _NUMBER, "config.eval_lambda"))
 
 
 def train_spec_from_json(config: dict) -> TrainSpec:
@@ -172,19 +148,22 @@ def train_spec_from_json(config: dict) -> TrainSpec:
     if mode not in ("baseline", "lct"):
         raise ValueError(f"config.mode must be 'baseline' or 'lct', got {mode!r}")
     train = train_config_from_json(config.get("train", {}), "config.train")
-    model_kwargs = _fields_from_json(config.get("model", {}), _MODEL_FIELDS, "config.model")
+    model_kwargs = config.get("model", {})
+    _built(ModelConfig, model_kwargs, "config.model", input_dim=1, cond_dim=1)  # so a bad block fails before any data loads
     if mode == "baseline":
         if "lct" in config:
             raise ValueError("config: baseline mode does not take an 'lct' section")
         if "eval_lambda" in config:
             raise ValueError("config: baseline mode does not take 'eval_lambda'")
-        hyper = _hyper_from_json(config.get("hyper", {}), "config.hyper")
+        hyper = _built(VsHyperParams, config.get("hyper", {}), "config.hyper")
         run = SweepRun(run_id=mode, kind=mode, seed=train.seed, eval_cond=(0.0,), hyper=hyper)
     else:
         if "hyper" in config:
             raise ValueError("config: lct mode takes an 'lct' section, not 'hyper'")
         lct = _lct_from_json(config.get("lct", {}), "config.lct")
-        run = SweepRun(run_id=mode, kind=mode, seed=train.seed, eval_cond=(_eval_lambda(config),) * lct.cond_dim, lct=lct)
+        eval_cond = (_eval_lambda(config),) * lct.cond_dim
+        with _naming("config.eval_lambda"):  # the run fails only if eval_cond is off a training support
+            run = SweepRun(run_id=mode, kind=mode, seed=train.seed, eval_cond=eval_cond, lct=lct)
     return TrainSpec(run=run, train=train, model_kwargs=model_kwargs)
 
 
@@ -198,30 +177,32 @@ def grid_runs(config: dict) -> list[SweepRun]:
     accepted and ignored: each run trains at its entry of `seeds`.
     """
     _require_keys(config, {"train", "seeds", "eval_lambda", "baseline_grid", "lct_grid"}, "config")
-    seeds = config.get("seeds")
-    _check(seeds, _SEEDS, "config.seeds")
+    seeds = _check(config.get("seeds"), _SEEDS, "config.seeds")
     eval_cond = (_eval_lambda(config),)
     runs: list[SweepRun] = []
     if "baseline_grid" in config:
-        grid = _fields_from_json(config["baseline_grid"], _BASELINE_GRID_FIELDS, "config.baseline_grid")
-        for omega, gamma, tau, seed in product(grid.get("omega", [0.5]), grid.get("gamma", [0.0]), grid.get("tau", [0.0]), seeds):
+        grid = config["baseline_grid"]
+        _require_keys(grid, set(COND_ORDER), "config.baseline_grid")
+        axes = [_check(grid.get(name, [default]), _NON_EMPTY_LIST, f"config.baseline_grid.{name}") for name, default in zip(COND_ORDER, (0.5, 0.0, 0.0))]
+        for omega, gamma, tau, seed in product(*axes, seeds):
             with _naming("config.baseline_grid"):
-                hyper = VsHyperParams(omega=float(omega), gamma=float(gamma), tau=float(tau))
+                hyper = VsHyperParams(omega=omega, gamma=gamma, tau=tau)
             runs.append(SweepRun(run_id=f"base-w{omega}-g{gamma}-t{tau}-s{seed}", kind="baseline", seed=seed, eval_cond=(0.0,), hyper=hyper))
     if "lct_grid" in config:
-        grid = _fields_from_json(config["lct_grid"], _LCT_GRID_FIELDS, "config.lct_grid")
-        conditioned_name = grid.get("conditioned", "tau")
+        grid = config["lct_grid"]
+        _require_keys(grid, {"h_b", "omega", "gamma", "conditioned", "lambda_range"}, "config.lct_grid")
+        conditioned_name = _check(grid.get("conditioned", "tau"), _CONDITIONED, "config.lct_grid.conditioned")
         if conditioned_name in grid:
             raise ValueError(f"config.lct_grid.{conditioned_name}: has no effect when conditioned is {conditioned_name!r}, since every draw replaces it")
-        lo, hi = (float(v) for v in grid.get("lambda_range", [0.0, 3.0]))
-        gamma = float(grid.get("gamma", 0.0))
+        lo, hi = (float(v) for v in _check(grid.get("lambda_range", [0.0, 3.0]), _LAMBDA_RANGE, "config.lct_grid.lambda_range"))
         # an h_b or a drawn value out of range depends on lambda_range, so its error names it
         range_context = f"config.lct_grid.lambda_range {[lo, hi]}" + ("" if "lambda_range" in grid else " (the default)")
-        for h_b, omega in product(grid.get("h_b", [0.0]), grid.get("omega", [0.5])):
+        axes = [_check(grid.get(name, [default]), _NON_EMPTY_LIST, f"config.lct_grid.{name}") for name, default in (("h_b", 0.0), ("omega", 0.5))]
+        for h_b, omega in product(*axes):
             with _naming("config.lct_grid"):
-                base = VsHyperParams(omega=float(omega), gamma=gamma, tau=0.0)
+                base = VsHyperParams(omega=omega, gamma=grid.get("gamma", 0.0), tau=0.0)
             with _naming(range_context):
-                lct = LctConfig(base=base, conditioned={conditioned_name: make_linear(lo, hi, float(h_b))})
+                lct = LctConfig(base=base, conditioned={conditioned_name: make_linear(lo, hi, h_b)})
             for seed in seeds:
                 runs.append(SweepRun(run_id=f"lct-hb{h_b}-w{omega}-s{seed}", kind="lct", seed=seed, eval_cond=eval_cond, lct=lct))
     if not runs:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from vslct._util import checked_real
+
 __all__ = ["LinearDistribution", "make_linear"]
 
 # Below this slope the density is treated as flat; the quadratic inverse
@@ -114,8 +116,10 @@ def make_linear(a: float, b: float, h_b: float) -> LinearDistribution:
     """Build the linear distribution on [a, b] with density h_b at b.
 
     Normalization forces h_a = 2/(b-a) - h_b; both endpoint densities must
-    be non-negative, which bounds h_b to [0, 2/(b-a)].
+    be non-negative, which bounds h_b to [0, 2/(b-a)].  Each argument is
+    checked as a real number, naming it, and stored as a plain float.
     """
+    a, b, h_b = checked_real("a", a), checked_real("b", b), checked_real("h_b", h_b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
     if not a < b:

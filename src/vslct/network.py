@@ -108,6 +108,8 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("input_dim", "cond_dim", "film_hidden"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        if not isinstance(self.trunk_widths, list | tuple):
+            raise ValueError(f"trunk_widths must be a list or tuple of two sizes >= 1, got {self.trunk_widths!r}")
         object.__setattr__(self, "trunk_widths", tuple(checked_int("trunk_widths entry", w) for w in self.trunk_widths))
         if len(self.trunk_widths) != 2:
             raise ValueError(f"trunk_widths must be two sizes >= 1, got {self.trunk_widths}")

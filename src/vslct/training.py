@@ -37,7 +37,6 @@ at each of `LR_MILESTONES`, epoch-budget fractions floored to epochs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,9 +87,13 @@ class TrainConfig:
         object.__setattr__(self, "epochs", checked_int("epochs", self.epochs))
         object.__setattr__(self, "batch_size", checked_int("batch_size", self.batch_size))
         object.__setattr__(self, "seed", checked_int("seed", self.seed, least=0))
-        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real) or not (math.isfinite(self.lr) and self.lr > 0.0):
+        try:
+            lr = checked_real("lr", self.lr)
+        except ValueError:
+            lr = math.nan  # not a real number: the range check names it
+        if not 0.0 < lr < math.inf:  # NaN fails too
             raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
-        object.__setattr__(self, "lr", float(self.lr))
+        object.__setattr__(self, "lr", lr)
 
 
 @dataclass(frozen=True)

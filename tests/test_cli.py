@@ -228,6 +228,44 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"mode": "baseline", "train": {"epochs": 0}}, "config.train: epochs must be an integer >= 1, got 0"),
+            ({"mode": "baseline", "hyper": {"omega": 1.5}}, "config.hyper: omega must be in [0, 1], got 1.5"),
+            ({"mode": "lct", "lct": {"base": {"omega": 1.5}, "conditioned": {"tau": 1.0}}}, "config.lct.base: omega must be in [0, 1], got 1.5"),
+            ({"mode": "lct", "lct": {"conditioned": {"foo": 1.0}}}, "config.lct.conditioned: unknown hyperparameters: ['foo']"),
+            ({"mode": "lct", "lct": {"conditioned": {"tau": {"a": 0, "b": 3, "h_b": "x"}}}}, "config.lct.conditioned.tau: h_b must be a real number, got 'x'"),
+            ({"mode": "baseline", "model": {"trunk_widths": [64]}}, "config.model: trunk_widths must be two sizes >= 1, got (64,)"),
+            ({"mode": "baseline", "model": {"film_hidden": 0}}, "config.model: film_hidden must be an integer >= 1, got 0"),
+            (
+                {"mode": "lct", "lct": {"conditioned": {"tau": {"a": 0, "b": 3, "h_b": 0}}}, "eval_lambda": 5.0},
+                "config.eval_lambda: lct: eval_cond tau = 5.0 lies outside its training support [0.0, 3.0]",
+            ),
+        ],
+        ids=["train.epochs", "hyper.omega", "lct.base.omega", "lct.conditioned", "lct.conditioned.tau.h_b", "model.trunk_widths", "model.film_hidden", "eval_lambda"],
+    )
+    def test_bad_value_exits_1_naming_its_key_before_any_data_loads(self, tmp_path, capsys, config, named):
+        # the data files are missing, so an error naming them would mean they were read first
+        out = tmp_path / "sub" / "m.json"
+        argv = ["--config", self.write_config(tmp_path, config), "--data", tmp_path / "nope.csv", "--test-data", tmp_path / "nope-test.csv"]
+        assert run_cli("train", *argv, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("test_data", ["missing", "directory"])
+    def test_unreadable_test_data_exits_1_before_training(self, tmp_path, capsys, test_data):
+        data = gen_csv(tmp_path / "train.csv", n0=60, n1=20, seed=0)
+        test = tmp_path / "test.csv"
+        if test_data == "directory":
+            test.mkdir()
+        out = tmp_path / "sub" / "m.json"
+        assert run_cli("train", "--config", self.baseline_config(tmp_path), "--data", data, "--test-data", test, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and str(test) in captured.err
+        assert "trained" not in captured.out
+        assert not (tmp_path / "sub").exists()
+
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         data = gen_csv(tmp_path / "train.csv", n0=30, n1=10, seed=0)
         bad = tmp_path / "bad.json"
@@ -396,15 +434,15 @@ class TestSweep:
     "command, payload, named",
     [
         ("sweep", {"seeds": [0], "baseline_grid": {"omega": 0.5}}, "config.baseline_grid.omega"),
-        ("sweep", {"seeds": [0], "train": {"epochs": "2"}, "baseline_grid": {}}, "config.train.epochs"),
-        ("sweep", {"seeds": [0], "baseline_grid": {"omega": [None]}}, "config.baseline_grid.omega"),
+        ("sweep", {"seeds": [0], "train": {"epochs": "2"}, "baseline_grid": {}}, "config.train: epochs must be an integer >= 1, got '2'"),
+        ("sweep", {"seeds": [0], "baseline_grid": {"omega": [None]}}, "config.baseline_grid: omega must be a real number, got None"),
         ("sweep", {"seeds": [0], "lct_grid": {"lambda_range": [0, 3, 4]}}, "config.lct_grid.lambda_range"),
         ("analyze", {"rows": [{"run_id": "r", "kind": "lct", "seed": 0, "params": {}}]}, "rows[0]: missing keys ['auc']"),
         ("analyze", {"rows": [{"run_id": "r", "kind": "lct", "seed": [0], "auc": 0.5, "params": {}}]}, "rows[0].seed: expected an integer"),
         ("analyze", {"rows": [{"run_id": "r", "kind": "baseline", "seed": 0, "auc": 0.5, "params": []}]}, "rows[0].params: expected a JSON object"),
         ("analyze", {"rows": [{"run_id": "r", "kind": ["lct"], "seed": 0, "auc": 0.5, "params": {}}]}, "rows[0].kind: expected a string"),
         ("analyze", {"rows": [{"run_id": "r", "kind": "baseline", "seed": 0, "auc": 0.5, "params": {"omega": 0.5}}]}, "rows[0].params.gamma: expected a number"),
-        ("sweep", {"seeds": [0], "train": {"lr": float("nan")}, "baseline_grid": {}}, "config.train.lr: expected a number, got nan"),
+        ("sweep", {"seeds": [0], "train": {"lr": float("nan")}, "baseline_grid": {}}, "config.train: lr must be a finite number > 0, got nan"),
         (
             "sweep",
             {"seeds": [0], "train": {"momentum": 0.5}, "baseline_grid": {}},
@@ -447,6 +485,23 @@ def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, com
     assert named in err
 
 
+@pytest.fixture
+def umask_027():
+    """The process umask set to 027 for one test; a file written under it has mode 0640."""
+    previous = os.umask(0o027)
+    yield 0o640
+    os.umask(previous)
+
+
+def file_modes(directory) -> dict[str, int]:
+    """The permission bits of each file under directory, by its path relative to directory."""
+    return {
+        os.path.relpath(os.path.join(root, name), directory): os.stat(os.path.join(root, name)).st_mode & 0o777
+        for root, _, names in os.walk(directory)
+        for name in names
+    }
+
+
 @pytest.fixture(scope="module")
 def library_dir(sweep_dir):
     """The runs of sweep_dir's config swept through run_sweep alone, into a directory of their own."""
@@ -461,6 +516,14 @@ class TestLibrarySweepDirectory:
 
     def test_summary_is_byte_identical_to_the_cli_sweep(self, sweep_dir, library_dir):
         assert (library_dir / "summary.json").read_bytes() == (pathlib.Path(sweep_dir["out_dir"]) / "summary.json").read_bytes()
+
+    def test_files_take_the_mode_the_umask_allows(self, sweep_dir, tmp_path, umask_027):
+        config = load_json(sweep_dir["config"])
+        runs = grid_runs(config)[::2]  # one baseline and one lct run
+        run_sweep(runs, load_csv(sweep_dir["train"]), load_csv(sweep_dir["test"]), train_config_from_json(config["train"], "config.train"), out_dir=tmp_path / "runs")
+        modes = file_modes(tmp_path / "runs")
+        assert len(modes) == len(runs) + 2  # the rows, summary.json and labels/<test data digest>.json
+        assert set(modes.values()) == {umask_027}
 
     @pytest.mark.parametrize("command", ["roc", "analyze"])
     def test_roc_and_analyze_read_it_as_they_read_the_cli_sweep(self, sweep_dir, library_dir, tmp_path, command):
@@ -811,6 +874,10 @@ class TestOutputGate:
         assert run_cli(command, *failing_argv[command], "--out", tmp_path / "sub" / "result.out") == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "sub").exists()
+
+    def test_output_takes_the_mode_the_umask_allows(self, command, gated_argv, tmp_path, umask_027):
+        assert run_cli(command, *gated_argv[command], "--out", tmp_path / "sub" / "result.out") == 0
+        assert file_modes(tmp_path / "sub") == {"result.out": umask_027}
 
     def test_relative_out_is_written_as_given(self, command, gated_argv, tmp_path, monkeypatch):
         os.makedirs(tmp_path / "cwd")

@@ -1,6 +1,7 @@
 """Tests for linear distributions: normalization, quantiles, sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ class TestConstruction:
             make_linear(0.0, 2.0, h_b=1.01)
         make_linear(0.0, 2.0, h_b=0.0)
         make_linear(0.0, 2.0, h_b=1.0)
+
+    @pytest.mark.parametrize("name", ["a", "b", "h_b"])
+    @pytest.mark.parametrize("value", ["0", None, True, False], ids=["str", "None", "True", "False"])
+    def test_non_real_argument_rejected_naming_it(self, name, value):
+        args = {"a": 0.0, "b": 3.0, "h_b": 0.0, name: value}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {value!r}")):
+            make_linear(**args)
+
+    def test_integer_arguments_stored_as_floats(self):
+        d = make_linear(0, 3, 0)
+        assert (d.a, d.b, d.h_b) == (0.0, 3.0, 0.0)
+        assert all(type(v) is float for v in (d.a, d.b, d.h_a, d.h_b))
 
 
 class TestDensityAndCdf:

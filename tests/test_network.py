@@ -125,6 +125,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=re.escape(field) + ".* must be an integer >= 1, got " + re.escape(shown)):
             ModelConfig(**{"input_dim": 2, field: value})
 
+    @pytest.mark.parametrize("value", [64, None, "64", {"a": 64}, np.array([64, 64])], ids=["int", "None", "str", "dict", "array"])
+    def test_trunk_widths_not_a_list_or_tuple_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"trunk_widths must be a list or tuple of two sizes >= 1, got {value!r}")):
+            ModelConfig(input_dim=2, trunk_widths=value)
+
     @pytest.mark.parametrize("field", ["film_affine", "film_zero_init"])
     @pytest.mark.parametrize("value", ["yes", None, 1, 0.0, np.array([True])], ids=["str", "None", "int", "float", "array"])
     def test_non_bool_flag_rejected_naming_the_field(self, field, value):
@@ -242,11 +247,11 @@ def width64_config(affine: bool) -> ModelConfig:
     return ModelConfig(input_dim=2, cond_dim=2, trunk_widths=(64, 64), film_hidden=16, film_affine=affine, film_zero_init=False)
 
 
-def model_with_trunk_biases(affine: bool, seed: int) -> MlpFilmModel:
-    """A width-64 model whose trunk biases are not zero, so that a bias added in the wrong place shows."""
+def model_with_biases(affine: bool, seed: int) -> MlpFilmModel:
+    """A width-64 model whose trunk, FiLM and head biases are not zero, so that a bias added in the wrong place, or left out, shows."""
     model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    for key in ("trunk0_b", "trunk1_b", "head_b"):
+    for key in ("trunk0_b", "trunk1_b", "film0_b", "film1_b", "head_b"):
         model.params[key][:] = rng.normal(scale=0.5, size=model.params[key].shape)
     return model
 
@@ -299,7 +304,7 @@ class TestTrunkFold:
     @pytest.mark.parametrize("affine", [False, True])
     @pytest.mark.parametrize("n", [128, 100, 1], ids=["full", "short-batch", "one-row"])
     def test_forward_equal_to_unfolded_layers(self, n, affine, cond_rows):
-        model = model_with_trunk_biases(affine, 120)
+        model = model_with_biases(affine, 120)
         rng = np.random.default_rng(122)
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
@@ -318,7 +323,7 @@ class TestTrunkFold:
     def test_scores_equal_to_unfolded_layers_over_the_same_blocks(self, affine, cond_rows):
         # 4097 rows are four 1024-row blocks and a one-row block
         n = 4097
-        model = model_with_trunk_biases(affine, 124)
+        model = model_with_biases(affine, 124)
         rng = np.random.default_rng(126)
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
@@ -334,7 +339,7 @@ class TestBlockedScores:
     def test_equal_to_forward_over_the_same_blocks(self, n, affine, cond_rows):
         # a shared row's scores are forward's trunk and the test-side fold of FiLM and head
         assert SCORE_BLOCK_ROWS == 2048
-        model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(90))
+        model = model_with_biases(affine, 88)
         rng = np.random.default_rng(91)
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
@@ -350,7 +355,7 @@ class TestBlockedScores:
     @pytest.mark.parametrize("n", [128, 1024, 672, 1000])
     def test_scoring_forward_gives_the_broadcast_logits(self, n, affine):
         # a workspace carrying a folded head scores a batch shorter than itself too
-        model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(107))
+        model = model_with_biases(affine, 110)
         x = np.random.default_rng(108).normal(size=(n, 2))
         cond = np.full((1, 2), 2.5)
         broadcast, full = fresh_forward(model, x, cond)
@@ -452,7 +457,7 @@ class TestBlockedScores:
     @pytest.mark.parametrize("n", [2048, 2049, 3073, 4097, 100_000])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_count_never_changes_a_bit(self, monkeypatch, workers, n, affine, cond_rows):
-        model = MlpFilmModel.init(width64_config(affine), np.random.default_rng(98))
+        model = model_with_biases(affine, 102)
         rng = np.random.default_rng(99)
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
@@ -500,7 +505,7 @@ class TestBlockedScores:
         # head or block would change some caller's bytes
         monkeypatch.setattr(network, "_score_workers", lambda: 3)
         rng = np.random.default_rng(104)
-        models = [MlpFilmModel.init(width64_config(affine), rng) for affine in (False, True)]
+        models = [model_with_biases(affine, seed) for affine, seed in ((False, 105), (True, 107))]
         sets = [(model, rng.normal(size=(5 * SCORE_BLOCK_ROWS + 7, 2)), np.full((1, 2), lam)) for model in models for lam in (0.5, 2.5)]
         sets.append((models[1], rng.normal(size=(3 * SCORE_BLOCK_ROWS, 2)), rng.uniform(0.0, 3.0, size=(3 * SCORE_BLOCK_ROWS, 2))))
         expected = [scores_over_blocks(model, x, cond).tobytes() for model, x, cond in sets]

@@ -343,7 +343,10 @@ class SweepRow:
 # keeps the bits of numerics 1 on the default model shape but not on every
 # input_dim and trunk_widths.  Numerics 3: a shared conditioning row's FiLM
 # and head are scored as one folded affine map, which moves scores by ulps.
-_VERSIONS = {"sampler": 1, "numerics": 3}
+# Numerics 4: FiLM is a stage of its own, so training computes the head as
+# h1 @ W + (mu @ W + b), and sgd_step's norm is a numpy pairwise sum, so
+# trained bits no longer depend on the BLAS thread count.
+_VERSIONS = {"sampler": 1, "numerics": 4}
 
 
 def _row_path(out_dir, run_id: str) -> str:

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import product
 
+from vslct._util import checked_real
 from vslct.analysis import SweepRun
 from vslct.lindist import LinearDistribution, make_linear
 from vslct.losses import VsHyperParams
@@ -198,6 +199,9 @@ def grid_runs(config: dict) -> list[SweepRun]:
         # an h_b or a drawn value out of range depends on lambda_range, so its error names it
         range_context = f"config.lct_grid.lambda_range {[lo, hi]}" + ("" if "lambda_range" in grid else " (the default)")
         axes = [_check(grid.get(name, [default]), _NON_EMPTY_LIST, f"config.lct_grid.{name}") for name, default in (("h_b", 0.0), ("omega", 0.5))]
+        with _naming("config.lct_grid.h_b"):  # a non-number is wrong whatever the range
+            for h_b in axes[0]:
+                checked_real("h_b", h_b)
         for h_b, omega in product(*axes):
             with _naming("config.lct_grid"):
                 base = VsHyperParams(omega=omega, gamma=grid.get("gamma", 0.0), tau=0.0)

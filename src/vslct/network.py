@@ -12,10 +12,14 @@ input entirely and training starts from an unconditioned network.
 
 Conditioning comes either per row, `cond` of shape (n, cond_dim), or as
 one row of shape (1, cond_dim) shared by the whole batch; the shape alone
-selects the path.  A shared row runs the FiLM network once and its mu
-(and sigma) broadcast over the batch; `backward` then sums the FiLM
-output gradient over the batch before the FiLM backward.  Training and
-evaluation use the shared row, since one batch has one loss setting.
+selects the path.  The FiLM network sees only the conditioning input, so
+it is a stage of its own, `film(cond)`, run once per conditioning value;
+it also makes the head offset mu @ W + b.  `forward(x, film, workspace)`
+writes the logits (sigma * h1 + mu) @ W + b as hs @ W + offset, with hs
+h1 itself, or sigma * h1 in affine mode.  A shared row's terms broadcast
+over the batch, and `backward` sums their gradients over the batch before
+the FiLM backward.  Training runs `film` once per batch, and `scores`
+once per call.
 
 A model is built from one flat float64 buffer and keeps it, uncopied,
 as `MlpFilmModel.flat`; `MlpFilmModel.params` maps each name of
@@ -48,12 +52,10 @@ so the threads run in parallel.  W is the usable core count divided by
 OPENBLAS_NUM_THREADS when that variable is a positive integer, and 1
 otherwise, since OpenBLAS then already uses every core; at W = 1, or
 with one block, the blocks run one after another on the calling thread.
-With one conditioning row shared by the set, FiLM and the head are one
-affine map of h1, so the call folds them once into a (width, 2) weight
-and a (1, 2) offset, and `forward` scores each block with the trunk, one
-matmul and one add.  The blocks do not depend on W, so neither do the
-scores; but they can differ from one unblocked `forward` in the last
-few bits (see `scores`).
+A shared conditioning row runs `film` once per call, and per-row
+conditioning once per block on the block's rows.  The blocks do not
+depend on W, so neither do the scores; but they can differ from one
+unblocked `forward` in the last few bits (see `scores`).
 
 Forward/backward are written by hand so the package has no autodiff
 dependency; gradients are verified against finite differences in tests.
@@ -167,7 +169,8 @@ def _param_count(config: ModelConfig) -> int:
 def _row_widths(config: ModelConfig) -> dict[str, int]:
     """Width of every (n, width) array a `Workspace` holds."""
     w1, w2 = config.trunk_widths
-    return {"x_ones": config.input_dim + 1, "h0_ones": w1 + 1, "h1": w2, "hmod": w2, "logits": 2, "dlogits": 2, "dh": w2, "dpre1": w2, "dpre0": w1}
+    hs = {"hs": w2} if config.film_affine else {}  # an additive model's head reads h1 itself
+    return {"x_ones": config.input_dim + 1, "h0_ones": w1 + 1, "h1": w2, **hs, "logits": 2, "dlogits": 2, "dh": w2, "dpre0": w1}
 
 
 class Workspace:
@@ -181,16 +184,13 @@ class Workspace:
     x into the leading columns of one and writes h0 into those of the
     other, so each trunk matmul adds its bias (see `forward`).
     `flat_grads` has the layout of `MlpFilmModel.flat`, and `grads` maps
-    each name of PARAM_KEYS to a view of its slice.  Only `scores` sets
-    `_head`, the folded head of a shared conditioning row, on the
-    workspaces it makes (see `forward`).  A workspace
-    belongs to the caller that made it and is never stored on a model, so
+    each name of PARAM_KEYS to a view of its slice.  A workspace belongs
+    to the caller that made it and is never stored on a model, so
     `MlpFilmModel.copy` and checkpoints cannot see it.
     """
 
     def __init__(self, config: ModelConfig, rows: int):
         self.rows = rows
-        self._head = None
         widths = _row_widths(config)
         self._full = _views(np.empty(rows * sum(widths.values())), {name: (rows, w) for name, w in widths.items()})
         self._full["x_ones"][:, -1] = self._full["h0_ones"][:, -1] = 1.0
@@ -248,12 +248,30 @@ class MlpFilmModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray, cond: np.ndarray, workspace: Workspace) -> tuple[np.ndarray, dict | None]:
+    def film(self, cond: np.ndarray) -> dict:
+        """The FiLM stage: what `forward` applies after the trunk for conditioning cond, by name.
+
+        cond: (1, cond_dim) for one row shared by a batch, or (n, cond_dim)
+        per row.  Returns the checked float64 cond, the FiLM hidden
+        activation g, the shift mu, the scale sigma in affine mode (None
+        otherwise), and the head offset mu @ head_w + head_b, all with
+        cond's rows.
+        """
+        cond = self._checked_cond(cond)
+        p = self.params
+        g = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0)
+        film_out = g @ p["film1_w"] + p["film1_b"]
+        c = self.config.trunk_widths[1]
+        mu = film_out[:, :c]
+        sigma = 1.0 + film_out[:, c:] if self.config.film_affine else None
+        return {"cond": cond, "g": g, "mu": mu, "sigma": sigma, "offset": mu @ p["head_w"] + p["head_b"]}
+
+    def forward(self, x: np.ndarray, film: dict, workspace: Workspace) -> tuple[np.ndarray, dict]:
         """Logits of shape (n, 2) plus the cache consumed by backward.
 
-        x: (n, input_dim); cond: (n, cond_dim) per row, or (1, cond_dim)
-        for one conditioning row shared by every row of x.  The logits and
-        the cached activations are views of the workspace's leading n rows,
+        x: (n, input_dim); film: `film(cond)` of one conditioning row shared
+        by every row of x, or of one row per row of x.  The logits and the
+        cached activations are views of the workspace's leading n rows,
         and the cache records the workspace for `backward`; its h0 is the
         leading trunk-width columns of `h0_ones`.  Each trunk layer is one
         matmul of the input or h0, with its ones column, by the augmented
@@ -262,17 +280,12 @@ class MlpFilmModel:
         shape (2 inputs, trunk 64 x 64) the bits equal those of a matmul
         followed by the bias add at every row count the tests check;
         OpenBLAS does not promise the order of its sums, and on some other
-        shapes the two differ in the last bits.  The FiLM terms are
-        `_row_constants(cond)`, broadcast over the rows, and the head bias
-        is added last.
-
-        A workspace that `scores` makes for a shared conditioning row
-        carries `_head`, the (weight, offset) of that row's FiLM and head
-        folded into one affine map, and is for scoring: after the trunk,
-        the logits are h1 @ weight + offset, the FiLM network does not
-        run, cond is only checked, and the cache is None.
+        shapes the two differ in the last bits.  The head then reads hs, h1
+        itself or, in affine mode, sigma * h1, and the logits are
+        hs @ head_w plus film's offset.
         """
-        x, cond = self._checked_inputs(x, cond)
+        x = self._checked_x(x)
+        self._checked_cond(film["cond"], x.shape[0])
         out = workspace.take(x.shape[0])
         d, (w1, w2) = self.config.input_dim, self.config.trunk_widths
         # PARAM_KEYS puts each trunk bias right after its weight, so these slices are [W0; b0] and [W1; b1]
@@ -283,79 +296,61 @@ class MlpFilmModel:
         np.maximum(h0_ones, 0.0, out=h0_ones)  # max(1, 0) keeps the ones column
         h1 = np.matmul(h0_ones, trunk1, out=out["h1"])
         np.maximum(h1, 0.0, out=h1)
-        logits = out["logits"]
-        if workspace._head is not None:
-            weight, offset = workspace._head
-            np.matmul(h1, weight, out=logits)
-            return np.add(logits, offset, out=logits), None
-        t, hmod = self._row_constants(cond), out["hmod"]
-        if t["sigma"] is not None:
-            np.multiply(t["sigma"], h1, out=hmod)
-            np.add(hmod, t["mu"], out=hmod)
-        else:
-            np.add(h1, t["mu"], out=hmod)
-        np.matmul(hmod, self.params["head_w"], out=logits)
-        np.add(logits, self.params["head_b"], out=logits)
-        cache = {"x": x, "cond": cond, "h0": h0, "h1": h1, "g": t["g"], "sigma": t["sigma"], "hmod": hmod, "workspace": workspace}
-        return logits, cache
+        hs = h1 if film["sigma"] is None else np.multiply(film["sigma"], h1, out=out["hs"])
+        logits = np.matmul(hs, self.params["head_w"], out=out["logits"])
+        np.add(logits, film["offset"], out=logits)
+        return logits, {"x": x, "h0": h0, "h1": h1, "hs": hs, "film": film, "workspace": workspace}
 
-    def _row_constants(self, cond: np.ndarray) -> dict:
-        """The FiLM terms `forward` applies to each row after the trunk, by name, for a checked cond.
-
-        g is the FiLM hidden activation of cond's rows, mu their FiLM shift,
-        and sigma their FiLM scale in affine mode (None otherwise).  For a
-        shared row, `scores` folds mu and sigma into the head.
-        """
-        p = self.params
-        g = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0)
-        film_out = g @ p["film1_w"] + p["film1_b"]
-        c = self.config.trunk_widths[1]
-        sigma = 1.0 + film_out[:, c:] if self.config.film_affine else None
-        return {"g": g, "mu": film_out[:, :c], "sigma": sigma}
-
-    def _checked_inputs(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x and cond as float64 arrays, after checking the shapes `forward` accepts."""
+    def _checked_x(self, x: np.ndarray) -> np.ndarray:
+        """x as a float64 array, after checking it is (n, input_dim)."""
         x = np.asarray(x, dtype=np.float64)
-        cond = np.asarray(cond, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(f"x must have shape (n, {self.config.input_dim}), got {x.shape}")
-        if cond.ndim != 2 or cond.shape[0] not in (1, x.shape[0]) or cond.shape[1] != self.config.cond_dim:
-            raise ValueError(f"cond must have shape ({x.shape[0]}, {self.config.cond_dim}) or (1, {self.config.cond_dim}), got {cond.shape}")
-        return x, cond
+        return x
+
+    def _checked_cond(self, cond: np.ndarray, n: int | None = None) -> np.ndarray:
+        """cond as a float64 array, after checking it is (n, cond_dim) or (1, cond_dim); n None takes any row count."""
+        cond = np.asarray(cond, dtype=np.float64)
+        k = self.config.cond_dim
+        if cond.ndim != 2 or cond.shape[1] != k or n is not None and cond.shape[0] not in (1, n):
+            raise ValueError(f"cond must have shape ({'n' if n is None else n}, {k}) or (1, {k}), got {cond.shape}")
+        return cond
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients of an objective whose logit gradient is dlogits.
 
         dlogits must already carry any batch averaging; backward is linear.
-        With a shared conditioning row, the FiLM output gradient is summed
-        over the batch first, so the FiLM backward runs on one row.  Each
-        gradient is written into its view of the forward's
-        `workspace.flat_grads`, and the returned mapping is its `grads`.
+        The offset's gradient doffset is dlogits summed over the batch for
+        a shared conditioning row and dlogits itself per row, so the FiLM
+        backward runs on film's rows: head_w gets hs.T @ dlogits +
+        mu.T @ doffset, and mu gets doffset @ head_w.T.  Each gradient is
+        written into its view of the forward's `workspace.flat_grads`, and
+        the returned mapping is its `grads`.
         """
-        p = self.params
-        x, cond, workspace = cache["x"], cache["cond"], cache["workspace"]
-        h0, h1, g, sigma, hmod = cache["h0"], cache["h1"], cache["g"], cache["sigma"], cache["hmod"]
+        p, film = self.params, cache["film"]
+        x, h0, h1, hs, workspace = cache["x"], cache["h0"], cache["h1"], cache["hs"], cache["workspace"]
+        cond, g, mu, sigma = film["cond"], film["g"], film["mu"], film["sigma"]
         out, grads = workspace.take(dlogits.shape[0]), workspace.grads
+        shared = cond.shape[0] == 1
         # np.add.reduce is the kernel behind ndarray.sum, without its Python wrapper
-        grads["head_w"] = np.matmul(hmod.T, dlogits, out=grads["head_w"])
+        doffset = np.add.reduce(dlogits, axis=0, keepdims=True) if shared else dlogits
+        grads["head_w"] = np.matmul(hs.T, dlogits, out=grads["head_w"])
+        np.add(grads["head_w"], mu.T @ doffset, out=grads["head_w"])
         grads["head_b"] = np.add.reduce(dlogits, axis=0, out=grads["head_b"])
-        dhmod = np.matmul(dlogits, p["head_w"].T, out=out["dh"])
+        dfilm_out = doffset @ p["head_w"].T
+        dh1 = np.matmul(dlogits, p["head_w"].T, out=out["dh"])
         if sigma is not None:
-            dsigma = dhmod * h1
-            dfilm_out = np.concatenate([dhmod, dsigma], axis=1)
-            # dhmod is read for the last time above, so dh1 may take its buffer
-            dh1 = np.multiply(dhmod, sigma, out=out["dh"])
-        else:
-            dfilm_out = dhmod
-            dh1 = dhmod
-        if cond.shape[0] == 1:
-            dfilm_out = np.add.reduce(dfilm_out, axis=0, keepdims=True)
+            dsigma = dh1 * h1
+            if shared:
+                dsigma = np.add.reduce(dsigma, axis=0, keepdims=True)
+            dfilm_out = np.concatenate([dfilm_out, dsigma], axis=1)
+            np.multiply(dh1, sigma, out=dh1)
         grads["film1_w"] = np.matmul(g.T, dfilm_out, out=grads["film1_w"])
         grads["film1_b"] = np.add.reduce(dfilm_out, axis=0, out=grads["film1_b"])
         dg = (dfilm_out @ p["film1_w"].T) * (g > 0.0)
         grads["film0_w"] = np.matmul(cond.T, dg, out=grads["film0_w"])
         grads["film0_b"] = np.add.reduce(dg, axis=0, out=grads["film0_b"])
-        dpre1 = np.multiply(dh1, h1 > 0.0, out=out["dpre1"])
+        dpre1 = np.multiply(dh1, h1 > 0.0, out=dh1)
         grads["trunk1_w"] = np.matmul(h0.T, dpre1, out=grads["trunk1_w"])
         grads["trunk1_b"] = np.add.reduce(dpre1, axis=0, out=grads["trunk1_b"])
         dpre0 = np.matmul(dpre1, p["trunk1_w"].T, out=out["dpre0"])
@@ -365,39 +360,32 @@ class MlpFilmModel:
         return grads
 
     def scores(self, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """Minority-class softmax probability of each row.
+        """Minority-class softmax probability of each row of x at conditioning cond.
 
-        Takes the inputs of `forward`.  The rows are cut into blocks: all
-        of them up to SCORE_BLOCK_ROWS rows, SCORE_BLOCK_ROWS // 2 above
-        (the last block shorter).  min(W, blocks) threads, W =
-        `_score_workers()` and the caller among them, take blocks from one
-        shared iterator and run `forward` on them in a workspace of their
-        own, slicing per-row conditioning along with x; each block's
-        scores go into its own slice of the output.  A block is the same
-        rows whichever thread runs it, so the scores do not depend on W.
-
-        With one conditioning row shared by the set, FiLM gives hmod =
-        sigma * h1 + mu, so the logits hmod @ W + b are h1 @ (sigma.T * W)
-        + (mu @ W + b).  The call computes that weight and offset once, and
-        every workspace carries them; with per-row conditioning each block
-        runs the training forward.  So the scores can differ from an
-        unblocked `forward`'s by a few ulps: besides the fold, OpenBLAS
-        picks its kernel for the (rows, width) @ (width, 2) head product by
+        cond is what `film` takes, one row shared by x or one row per row
+        of x.  The rows are cut into blocks: all of them up to
+        SCORE_BLOCK_ROWS rows, SCORE_BLOCK_ROWS // 2 above (the last block
+        shorter).  min(W, blocks) threads, W = `_score_workers()` and the
+        caller among them, take blocks from one shared iterator and run
+        `forward` on them in a workspace of their own; each block's scores
+        go into its own slice of the output.  A shared row's `film` runs
+        once per call, and per-row conditioning's once per block, on the
+        block's rows.  A block is the same rows whichever thread runs it,
+        so the scores do not depend on W.  They can differ from an
+        unblocked `forward`'s by a few ulps: OpenBLAS picks its kernels by
         row count, and numpy computes a one-row block, the last block of a
         set of 1 more than a multiple of SCORE_BLOCK_ROWS // 2, as a
         matrix-vector product.  An exception in any thread is raised here
         once every thread has been joined.
         """
-        x, cond = self._checked_inputs(x, cond)
+        x = self._checked_x(x)
         n = x.shape[0]
+        cond = self._checked_cond(cond, n)
         rows = n if n <= SCORE_BLOCK_ROWS else SCORE_BLOCK_ROWS // 2
         starts = range(0, n, max(rows, 1))
         workers = min(_score_workers(), len(starts))
         blocks = iter(starts)
-        head = None
-        if cond.shape[0] == 1:
-            t, head_w = self._row_constants(cond), self.params["head_w"]
-            head = (head_w if t["sigma"] is None else t["sigma"].T * head_w, t["mu"] @ head_w + self.params["head_b"])
+        shared = self.film(cond) if cond.shape[0] == 1 else None
         out = np.empty(n)
         errors = []
 
@@ -406,10 +394,10 @@ class MlpFilmModel:
                 # made on the thread that uses it, so its pages stay in that thread's
                 # malloc arena between calls instead of being returned and faulted in again
                 workspace = Workspace(self.config, rows)
-                workspace._head = head
                 for start in blocks:
                     stop = start + rows
-                    logits = self.forward(x[start:stop], cond if head is not None else cond[start:stop], workspace)[0]
+                    film = shared if shared is not None else self.film(cond[start:stop])
+                    logits = self.forward(x[start:stop], film, workspace)[0]
                     out[start:stop] = minority_score(logits)
             except BaseException as exc:
                 errors.append(exc)
@@ -469,7 +457,8 @@ def sgd_step(
     if not clip_norm > 0.0:
         raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = math.sqrt(float(np.dot(grads, grads)))
+        # a numpy pairwise sum, not np.dot, which OpenBLAS splits over its threads for large vectors
+        norm = math.sqrt(float(np.add.reduce(np.square(grads))))
     if not math.isfinite(norm):
         return norm
     if norm > clip_norm:

@@ -186,7 +186,7 @@ def batch_loss_and_grads(
     n = y.shape[0]
     if workspace is None:
         workspace = Workspace(model.config, n)
-    logits, cache = model.forward(x, cond, workspace)
+    logits, cache = model.forward(x, model.film(cond), workspace)
     losses, g0, g1 = vs_loss_and_grad_batch(y, logits[:, 0], logits[:, 1], hyper, beta)
     dlogits = workspace.take(n)["dlogits"]
     np.divide(g0, n, out=dlogits[:, 0])

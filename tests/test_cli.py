@@ -469,6 +469,8 @@ class TestSweep:
         ),
         ("sweep", {"seeds": [0], "lct_grid": {"lambda_range": [3, 0]}}, "error: config.lct_grid.lambda_range [3.0, 0.0]: need a < b, got [3.0, 0.0]\n"),
         ("sweep", {"seeds": [0], "baseline_grid": {"omega": [0.5, 1.5]}}, "error: config.baseline_grid: omega must be in [0, 1], got 1.5\n"),
+        # a non-number is wrong whatever the range, so its error names h_b
+        ("sweep", {"seeds": [0], "lct_grid": {"h_b": [0.0, "x"]}}, "error: config.lct_grid.h_b: h_b must be a real number, got 'x'\n"),
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(sweep_dir, tmp_path, capsys, command, payload, named):

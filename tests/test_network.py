@@ -51,40 +51,25 @@ def tiny_config(affine: bool) -> ModelConfig:
 
 
 def fresh_forward(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray):
-    """`forward` into a workspace of x's rows made for this call, so its arrays outlive later calls."""
-    return model.forward(x, cond, Workspace(model.config, len(x)))
+    """`forward` at `film(cond)` into a workspace of x's rows made for this call, so its arrays outlive later calls."""
+    return model.forward(x, model.film(cond), Workspace(model.config, len(x)))
 
 
-def folded_head(model: MlpFilmModel, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One shared row's FiLM and head as one affine map of h1, from the parameters: (sigma.T * W, mu @ W + b)."""
-    p = model.params
-    film_out = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0) @ p["film1_w"] + p["film1_b"]
-    c = model.config.trunk_widths[1]
-    weight = (1.0 + film_out[:, c:]).T * p["head_w"] if model.config.film_affine else p["head_w"]
-    return weight, film_out[:, :c] @ p["head_w"] + p["head_b"]
+def forward_logits(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """The logits of `forward` in a fresh workspace."""
+    return fresh_forward(model, x, cond)[0]
 
 
-def forward_layers(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h1, logits) of `forward` in a fresh workspace."""
-    logits, cache = fresh_forward(model, x, cond)
-    return cache["h1"], logits
-
-
-def scores_over_blocks(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray, layers=forward_layers) -> np.ndarray:
+def scores_over_blocks(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray, logits=forward_logits) -> np.ndarray:
     """The scores of x on the blocks `scores` uses: all of x up to SCORE_BLOCK_ROWS rows, half that above.
 
-    layers(model, x, cond) gives a block's (h1, logits).  Per-row
-    conditioning keeps the logits; a shared row puts h1 through
-    `folded_head`.
+    logits(model, x, cond) gives a block's logits, with a shared row or
+    with the block's rows of per-row conditioning.
     """
     n = len(x)
     rows = n if n <= SCORE_BLOCK_ROWS else SCORE_BLOCK_ROWS // 2
     shared = len(cond) == 1
-    weight, offset = folded_head(model, cond) if shared else (None, None)
-    blocks = []
-    for i in range(0, n, rows):
-        h1, logits = layers(model, x[i : i + rows], cond if shared else cond[i : i + rows])
-        blocks.append(h1 @ weight + offset if shared else logits)
+    blocks = [logits(model, x[i : i + rows], cond if shared else cond[i : i + rows]) for i in range(0, n, rows)]
     return minority_score(np.concatenate(blocks))
 
 
@@ -212,6 +197,17 @@ class TestForward:
         with pytest.raises(ValueError):
             fresh_forward(model, np.zeros((5, 3)), np.zeros((1, 3)))
 
+    def test_film_checks_cond_and_forward_its_row_count(self):
+        model = MlpFilmModel.init(tiny_config(True), np.random.default_rng(67))
+        for cond in (np.zeros((3, 1)), np.zeros(2)):
+            with pytest.raises(ValueError, match=re.escape(f"cond must have shape (n, 2) or (1, 2), got {cond.shape}")):
+                model.film(cond)
+        film = model.film([[0.5, 1.0], [2.0, 0.0]])
+        assert film["cond"].dtype == np.float64 and film["g"].shape == (2, 8)
+        assert film["offset"].tobytes() == (film["mu"] @ model.params["head_w"] + model.params["head_b"]).tobytes()
+        with pytest.raises(ValueError, match=re.escape("cond must have shape (5, 2) or (1, 2), got (2, 2)")):
+            model.forward(np.zeros((5, 3)), film, Workspace(model.config, 5))
+
     @pytest.mark.parametrize("cond_rows", [1, 9], ids=["one-row", "per-row"])
     @pytest.mark.parametrize("affine", [False, True])
     def test_in_place_trunk_matches_out_of_place_formula(self, affine, cond_rows):
@@ -226,14 +222,19 @@ class TestForward:
         h1 = np.maximum(h0 @ p["trunk1_w"] + p["trunk1_b"], 0.0)
         film_out = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0) @ p["film1_w"] + p["film1_b"]
         mu, raw = film_out[:, :8], film_out[:, 8:]
-        hmod = ((1.0 + raw) * h1 if affine else h1) + mu
+        hs = (1.0 + raw) * h1 if affine else h1
         np.testing.assert_array_equal(cache["h0"], h0)
         np.testing.assert_array_equal(cache["h1"], h1)
-        np.testing.assert_array_equal(cache["hmod"], hmod)
-        np.testing.assert_array_equal(logits, hmod @ p["head_w"] + p["head_b"])
+        np.testing.assert_array_equal(cache["hs"], hs)
+        np.testing.assert_array_equal(logits, hs @ p["head_w"] + (mu @ p["head_w"] + p["head_b"]))
         np.testing.assert_array_equal(x, x_before)
-        for a, b in [("h0", "h1"), ("h0", "hmod"), ("h1", "hmod")]:
+        # an additive model's head reads h1 itself
+        assert (cache["hs"] is cache["h1"]) == (not affine)
+        pairs = [("h0", "h1"), ("h0", "hs"), ("h1", "hs")] if affine else [("h0", "h1")]
+        for a, b in pairs:
             assert not np.shares_memory(cache[a], cache[b])
+        # the same logits as FiLM's sigma * h1 + mu followed by the head, to rounding
+        np.testing.assert_allclose(logits, (hs + mu) @ p["head_w"] + p["head_b"], rtol=1e-13, atol=1e-13)
 
     def test_init_deterministic(self):
         a = MlpFilmModel.init(tiny_config(True), np.random.default_rng(68))
@@ -263,8 +264,8 @@ def unfolded_forward(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> tu
     h1 = np.maximum(h0 @ p["trunk1_w"] + p["trunk1_b"], 0.0)
     film_out = np.maximum(cond @ p["film0_w"] + p["film0_b"], 0.0) @ p["film1_w"] + p["film1_b"]
     c = model.config.trunk_widths[1]
-    hmod = (1.0 + film_out[:, c:]) * h1 + film_out[:, :c] if model.config.film_affine else h1 + film_out[:, :c]
-    return h0, h1, hmod @ p["head_w"] + p["head_b"]
+    hs = (1.0 + film_out[:, c:]) * h1 if model.config.film_affine else h1
+    return h0, h1, hs @ p["head_w"] + (film_out[:, :c] @ p["head_w"] + p["head_b"])
 
 
 def on_recorded_blas() -> bool:
@@ -277,10 +278,9 @@ def on_recorded_blas() -> bool:
 ON_RECORDED_BLAS = on_recorded_blas()
 
 
-def unfolded_layers(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h1, logits) of `unfolded_forward`."""
-    _, h1, logits = unfolded_forward(model, x, cond)
-    return h1, logits
+def unfolded_logits(model: MlpFilmModel, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """The logits of `unfolded_forward`."""
+    return unfolded_forward(model, x, cond)[2]
 
 
 def assert_unfolded_bits(actual: np.ndarray, expected: np.ndarray):
@@ -310,9 +310,9 @@ class TestTrunkFold:
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
         # a training step first, so the ones columns must have survived a forward and a backward
         workspace = Workspace(model.config, 128)
-        _, full = model.forward(rng.normal(size=(128, 2)), cond[:1], workspace)
+        _, full = model.forward(rng.normal(size=(128, 2)), model.film(cond[:1]), workspace)
         model.backward(full, rng.normal(size=(128, 2)))
-        logits, cache = model.forward(x, cond, workspace)
+        logits, cache = model.forward(x, model.film(cond), workspace)
         h0, h1, expected = unfolded_forward(model, x, cond)
         assert_unfolded_bits(cache["h0"], h0)
         assert_unfolded_bits(cache["h1"], h1)
@@ -327,7 +327,7 @@ class TestTrunkFold:
         rng = np.random.default_rng(126)
         x = rng.normal(size=(n, 2))
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
-        assert_unfolded_bits(model.scores(x, cond), scores_over_blocks(model, x, cond, unfolded_layers))
+        assert_unfolded_bits(model.scores(x, cond), scores_over_blocks(model, x, cond, unfolded_logits))
 
 
 class TestBlockedScores:
@@ -337,7 +337,6 @@ class TestBlockedScores:
     @pytest.mark.parametrize("affine", [False, True])
     @pytest.mark.parametrize("n", [2047, 2048, 2049, 4097])
     def test_equal_to_forward_over_the_same_blocks(self, n, affine, cond_rows):
-        # a shared row's scores are forward's trunk and the test-side fold of FiLM and head
         assert SCORE_BLOCK_ROWS == 2048
         model = model_with_biases(affine, 88)
         rng = np.random.default_rng(91)
@@ -345,26 +344,23 @@ class TestBlockedScores:
         cond = rng.uniform(0.0, 3.0, size=(1 if cond_rows == "shared" else n, 2))
         scores = model.scores(x, cond)
         assert scores.tobytes() == scores_over_blocks(model, x, cond).tobytes()
-        assert_unfolded_bits(scores, scores_over_blocks(model, x, cond, unfolded_layers))
+        assert_unfolded_bits(scores, scores_over_blocks(model, x, cond, unfolded_logits))
         unblocked = minority_score(fresh_forward(model, x, cond)[0])
         np.testing.assert_allclose(scores, unblocked, rtol=0.0, atol=1e-14)
-        if n <= SCORE_BLOCK_ROWS and cond_rows == "per-row":
+        if n <= SCORE_BLOCK_ROWS:
             assert scores.tobytes() == unblocked.tobytes()
 
     @pytest.mark.parametrize("affine", [False, True])
     @pytest.mark.parametrize("n", [128, 1024, 672, 1000])
     def test_scoring_forward_gives_the_broadcast_logits(self, n, affine):
-        # a workspace carrying a folded head scores a batch shorter than itself too
+        # a shared row's film in a scoring block's workspace, on a batch as long or shorter, gives the tiled row's logits
         model = model_with_biases(affine, 110)
         x = np.random.default_rng(108).normal(size=(n, 2))
         cond = np.full((1, 2), 2.5)
-        broadcast, full = fresh_forward(model, x, cond)
-        workspace = Workspace(model.config, SCORE_BLOCK_ROWS // 2)
-        workspace._head = weight, offset = folded_head(model, cond)
-        logits, cache = model.forward(x, cond, workspace)
-        assert cache is None
-        assert logits.tobytes() == (full["h1"] @ weight + offset).tobytes()
-        np.testing.assert_allclose(logits, broadcast, rtol=1e-14, atol=1e-14)
+        tiled = forward_logits(model, x, np.tile(cond, (n, 1)))
+        logits, cache = model.forward(x, model.film(cond), Workspace(model.config, SCORE_BLOCK_ROWS // 2))
+        assert logits.tobytes() == (cache["hs"] @ model.params["head_w"] + model.film(cond)["offset"]).tobytes()
+        np.testing.assert_allclose(logits, tiled, rtol=1e-14, atol=1e-14)
 
     def test_shapes_checked_before_slicing(self):
         model = MlpFilmModel.init(width64_config(False), np.random.default_rng(92))
@@ -476,7 +472,7 @@ class TestBlockedScores:
                 started.append(self)
                 super().start()
 
-        def forward(self, x, cond, workspace):
+        def forward(self, x, film, workspace):
             on_worker = threading.current_thread() is not threading.main_thread()
             if on_worker:
                 worker_started.set()
@@ -488,7 +484,7 @@ class TestBlockedScores:
                 caller_started.set()
             if on_worker == (failing == "worker"):
                 raise KeyError(f"block of {len(x)} rows failed on the {failing}")
-            return original(self, x, cond, workspace)
+            return original(self, x, film, workspace)
 
         model = MlpFilmModel.init(width64_config(False), np.random.default_rng(100))
         x = np.random.default_rng(101).normal(size=(4 * SCORE_BLOCK_ROWS, 2))
@@ -501,8 +497,8 @@ class TestBlockedScores:
         assert len(started) == 1 and not any(thread.is_alive() for thread in started)
 
     def test_callers_scoring_at_once_get_the_serial_bytes(self, monkeypatch):
-        # each call folds its own head and runs its own threads; a mixed-up
-        # head or block would change some caller's bytes
+        # each call runs its own film and its own threads; a mixed-up
+        # film or block would change some caller's bytes
         monkeypatch.setattr(network, "_score_workers", lambda: 3)
         rng = np.random.default_rng(104)
         models = [model_with_biases(affine, seed) for affine, seed in ((False, 105), (True, 107))]
@@ -714,11 +710,11 @@ class TestWorkspace:
         dlogits = rng.normal(size=(n, 2))
         workspace = Workspace(model.config, 9)
         # a short batch follows full ones, so fill every buffer first
-        _, full = model.forward(rng.normal(size=(9, 3)), rng.normal(size=(9, 2)), workspace)
+        _, full = model.forward(rng.normal(size=(9, 3)), model.film(rng.normal(size=(9, 2))), workspace)
         model.backward(full, rng.normal(size=(9, 2)))
         logits, cache = fresh_forward(model, x, cond)
         grads = model.backward(cache, dlogits)
-        ws_logits, ws_cache = model.forward(x, cond, workspace)
+        ws_logits, ws_cache = model.forward(x, model.film(cond), workspace)
         ws_grads = model.backward(ws_cache, dlogits)
         assert ws_logits.tobytes() == logits.tobytes()
         assert np.shares_memory(ws_logits, workspace.take(n)["logits"])
@@ -734,14 +730,15 @@ class TestWorkspace:
         x = rng.normal(size=(6, 3))
         cond = rng.normal(size=(1, 2))
         dlogits = rng.normal(size=(6, 2))
-        computed = ("h0", "h1", "g", "sigma", "hmod")
+        computed = ("h0", "h1", "hs")
+        from_film = ("g", "mu", "sigma", "offset")
         calls = []
         for _ in range(2):
             logits, cache = fresh_forward(model, x, cond)
             grads = model.backward(cache, dlogits)
-            calls.append([logits, *(cache[k] for k in computed), *grads.values()])
+            calls.append([logits, *(cache[k] for k in computed), *(cache["film"][k] for k in from_film), *grads.values()])
         first, second = calls
-        assert len(second) == 1 + len(computed) + len(MlpFilmModel.PARAM_KEYS)
+        assert len(second) == 1 + len(computed) + len(from_film) + len(MlpFilmModel.PARAM_KEYS)
         for a in second:
             assert not any(np.shares_memory(a, b) for b in first)
             assert not np.shares_memory(a, model.flat)
@@ -751,7 +748,7 @@ class TestWorkspace:
         rng = np.random.default_rng(95)
         save_checkpoint(tmp_path / "before.json", model)
         workspace = Workspace(model.config, 5)
-        _, cache = model.forward(rng.normal(size=(5, 3)), rng.normal(size=(1, 2)), workspace)
+        _, cache = model.forward(rng.normal(size=(5, 3)), model.film(rng.normal(size=(1, 2))), workspace)
         model.backward(cache, rng.normal(size=(5, 2)))
         save_checkpoint(tmp_path / "after.json", model)
         assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
@@ -765,7 +762,7 @@ class TestWorkspace:
         model = MlpFilmModel.init(tiny_config(False), np.random.default_rng(96))
         workspace = Workspace(model.config, 8)
         with pytest.raises(ValueError, match="batch of 9 rows does not fit a workspace of 8 rows"):
-            model.forward(np.zeros((9, 3)), np.zeros((1, 2)), workspace)
+            model.forward(np.zeros((9, 3)), model.film(np.zeros((1, 2))), workspace)
 
 
 class TestOptimizer:

@@ -5,8 +5,11 @@ version, BLAS name and version, CPU model and the BLAS thread setting),
 then what `OPENBLAS_NUM_THREADS=1 python3 tools/same_numbers.py` printed
 there: a digest of every sweep row, of summary.json, roc.csv and
 report.json, of both checkpoints, of the large-set scores and of their
-ROC curve.  Trained bits depend on numpy's build and the CPU as well as
-on the code, so elsewhere the test skips, naming the fields that differ.
+ROC curve, and of an untrained model's scores.  Trained bits depend on
+numpy's build and the CPU as well as on the code, so elsewhere that test
+skips, naming the fields that differ.  They do not depend on the BLAS
+thread count, which a second test checks on any machine by running the
+tool at one and at two BLAS threads.
 
 A change that moves numbers on purpose rewrites the file in the same
 commit with `PYTHONPATH=src python3 tests/test_same_numbers.py`, which
@@ -40,11 +43,11 @@ def environment() -> dict:
     return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"), "cpu_model": cpu_model, "OPENBLAS_NUM_THREADS": BLAS_THREADS}
 
 
-def same_numbers() -> str:
-    """The output of tools/same_numbers.py, run in a fresh process at one BLAS thread."""
+def same_numbers(blas_threads: str = BLAS_THREADS) -> str:
+    """The output of tools/same_numbers.py, run in a fresh process at blas_threads BLAS threads."""
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "same_numbers.py")],
-        env={**os.environ, "OPENBLAS_NUM_THREADS": BLAS_THREADS},
+        env={**os.environ, "OPENBLAS_NUM_THREADS": blas_threads},
         capture_output=True,
         text=True,
         timeout=600,
@@ -53,14 +56,24 @@ def same_numbers() -> str:
     return result.stdout
 
 
-def test_fixed_experiment_prints_the_recorded_numbers():
+@pytest.fixture(scope="module")
+def one_thread_output() -> str:
+    """The tool's output at one BLAS thread, run once for both tests."""
+    return same_numbers()
+
+
+def test_fixed_experiment_prints_the_recorded_numbers(one_thread_output):
     with open(RECORD, "r", encoding="utf-8") as fh:
         recorded_env, *recorded = fh.read().splitlines()
     recorded_env, env = json.loads(recorded_env), environment()
     differing = sorted(key for key in recorded_env.keys() | env.keys() if recorded_env.get(key) != env.get(key))
     if differing:
         pytest.skip(f"{RECORD} was recorded on another environment; differing: " + "; ".join(f"{k} recorded {recorded_env.get(k)!r}, here {env.get(k)!r}" for k in differing))
-    assert same_numbers().splitlines() == recorded
+    assert one_thread_output.splitlines() == recorded
+
+
+def test_output_does_not_depend_on_the_blas_thread_count(one_thread_output):
+    assert same_numbers("2").splitlines() == one_thread_output.splitlines()
 
 
 if __name__ == "__main__":

@@ -264,7 +264,7 @@ def plain_training(data, model_config, config, batch_settings):
         for start in range(0, data.n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             cond_row, hyper = batch_settings(lam_rng)
-            logits, cache = model.forward(data.x[idx], cond_row.reshape(1, -1), Workspace(model_config, idx.size))
+            logits, cache = model.forward(data.x[idx], model.film(cond_row.reshape(1, -1)), Workspace(model_config, idx.size))
             losses, g0, g1 = vs_loss_and_grad_batch(data.y[idx], logits[:, 0], logits[:, 1], hyper, data.counts.beta)
             grads = model.backward(cache, np.stack([g0, g1], axis=1) / idx.size)
             flat_grads = np.concatenate([grads[k] for k in MlpFilmModel.PARAM_KEYS], axis=None)
@@ -323,7 +323,7 @@ class TestBatchLossAndGrads:
         hyper = VsHyperParams(omega=0.8, gamma=0.3, tau=1.0)
         cond = np.full((data.n, 1), 1.0)
         loss, _ = batch_loss_and_grads(model, data.x, data.y, cond, hyper, beta=3.0)
-        logits, _ = model.forward(data.x, cond, Workspace(config, data.n))
+        logits, _ = model.forward(data.x, model.film(cond), Workspace(config, data.n))
         expected = float(np.mean(vs_loss_binary_batch(data.y, logits[:, 0], logits[:, 1], hyper, beta=3.0)))
         np.testing.assert_allclose(loss, expected, rtol=1e-14)
 

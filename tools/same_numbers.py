@@ -6,8 +6,9 @@ the parent commit and on the change and comparing the output:
     python3 tools/same_numbers.py
     OPENBLAS_NUM_THREADS=1 python3 tools/same_numbers.py
 
-Trained bits depend on the BLAS thread count, so compare runs made at
-the same setting.  Everything runs through `vslct.cli.main` (the rows
+The output does not depend on the BLAS thread count (the tests check
+1 against 2 threads), but it does on numpy's build and the CPU, so
+compare runs made on one machine.  Everything runs through `vslct.cli.main` (the rows
 are read back with `load_rows`, in the order of the run_ids that
 summary.json lists, as `vslct roc` reads them) in a temporary directory,
 which is removed afterwards:
@@ -24,7 +25,11 @@ which is removed afterwards:
   JSON) and its parameter bytes as `load_checkpoint` returns them, so a
   change of the checkpoint layout can show the same;
 * the conditioned model's `scores` on a fixed set of 10^5 rows, and one
-  digest of `roc_curve`'s fpr, tpr and thresholds on those scores.
+  digest of `roc_curve`'s fpr, tpr and thresholds on those scores;
+* the `scores` of an untrained additive model on the same rows at one
+  conditioning row: its weights are a seeded init with non-zero FiLM
+  output weights and biases drawn from a second seed, so this line moves
+  only when scoring does, not when training does.
 
 It imports vslct from this checkout's src/ and needs nothing beyond it.
 """
@@ -38,6 +43,8 @@ import sys
 import tempfile
 from dataclasses import asdict
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -46,7 +53,7 @@ from vslct.cli import main as vslct_main  # noqa: E402
 from vslct.config import load_json, summary_rows_from_json  # noqa: E402
 from vslct.data import load_csv  # noqa: E402
 from vslct.metrics import roc_curve  # noqa: E402
-from vslct.network import load_checkpoint  # noqa: E402
+from vslct.network import MlpFilmModel, ModelConfig, load_checkpoint  # noqa: E402
 from vslct.training import evaluate  # noqa: E402
 
 EPOCHS = 3
@@ -136,6 +143,13 @@ def main() -> None:
         digest.update(curve.tpr.tobytes())
         digest.update(curve.thresholds.tobytes())
         print(f"{digest.hexdigest()}  roc_curve of those scores: fpr, tpr and thresholds ({curve.fpr.size} points)")
+
+        untrained = MlpFilmModel.init(ModelConfig(input_dim=2, film_zero_init=False), np.random.default_rng(404))
+        biases = np.random.default_rng(505)
+        for key in ("trunk0_b", "trunk1_b", "film0_b", "film1_b", "head_b"):
+            untrained.params[key][:] = biases.normal(scale=0.5, size=untrained.params[key].shape)
+        scored = evaluate(untrained, load_csv(at("large.csv")), [1.5])
+        print(f"{hashlib.sha256(scored.scores.tobytes()).hexdigest()}  scores of an untrained additive model on {len(scored.scores)} rows")
 
 
 if __name__ == "__main__":

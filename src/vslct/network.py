@@ -18,8 +18,7 @@ it also makes the head offset mu @ W + b.  `forward(x, film, workspace)`
 writes the logits (sigma * h1 + mu) @ W + b as hs @ W + offset, with hs
 h1 itself, or sigma * h1 in affine mode.  A shared row's terms broadcast
 over the batch, and `backward` sums their gradients over the batch before
-the FiLM backward.  Training runs `film` once per batch, and `scores`
-once per call.
+the FiLM backward.  Training runs `film` once per batch.
 
 A model is built from one flat float64 buffer and keeps it, uncopied,
 as `MlpFilmModel.flat`; `MlpFilmModel.params` maps each name of
